@@ -7,7 +7,7 @@ GO ?= go
 # locally for real exploration, e.g. `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-check leaktest
+.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-smoke bench-check leaktest
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the whole module; the concurrency-heavy packages (worker
-# pool, lock-free metrics, retry/fault layers, loopback servers) all
+# Race-check the whole module; the concurrency-heavy packages (stage
+# pools, lock-free metrics, retry/fault layers, loopback servers) all
 # have goroutine-crossing tests.
 race:
 	$(GO) test -race ./...
@@ -118,15 +118,19 @@ fuzz:
 	$(GO) test ./internal/mtasts -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tlsrpt -run '^$$' -fuzz '^FuzzIngestReport$$' -fuzztime $(FUZZTIME)
 
-# Scheduler benchmarks (flat pool vs staged pipeline) plus the
-# BENCH_scan.json comparison the tentpole's >=2x acceptance bar reads
+# Scheduler benchmark plus the BENCH_scan.json rows it is tracked by
 # (docs/PIPELINE.md), and the sender policy-cache delivery benchmarks
 # emitting BENCH_cache.json (docs/SENDER.md).
 bench:
-	$(GO) test ./internal/scanner -run '^$$' -bench 'BenchmarkRunner(Flat|Pipelined)' -benchtime 1x -count 1
+	$(GO) test ./internal/scanner -run '^$$' -bench 'BenchmarkRunnerPipelined' -benchtime 1x -count 1
 	$(GO) test ./internal/scanner -run '^TestBenchScanJSON$$' -count 1 -benchscan-out $(CURDIR)/BENCH_scan.json
 	$(GO) test ./internal/policycache -run '^$$' -bench 'BenchmarkPolicyCacheDeliveries' -benchmem -count 1
 	$(GO) test ./internal/policycache -run '^TestBenchCacheJSON$$' -count 1 -benchcache-out $(CURDIR)/BENCH_cache.json
+
+# Run every Benchmark* in the module once, so none can rot (a panic or
+# b.Fatal fails the target); the numbers are not read.
+bench-smoke:
+	$(GO) test ./... -run '^$$' -bench . -benchtime 1x -count 1
 
 # Bench regression bar: regenerate the benchmark JSONs into /tmp (the
 # committed BENCH_*.json stay untouched) and fail if any row's

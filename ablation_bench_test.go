@@ -187,7 +187,7 @@ func BenchmarkAblationValidatorWarmCache(b *testing.B) {
 	}
 }
 
-func newBenchValidator(l *liveLab, cache *mtasts.PolicyCache) *mtasts.Validator {
+func newBenchValidator(l *liveLab, cache mtasts.PolicyStore) *mtasts.Validator {
 	dnsClient := resolver.New(l.dnsAddr)
 	return &mtasts.Validator{
 		Resolver: scanner.TXTResolverAdapter{Client: dnsClient},

@@ -103,7 +103,7 @@ func cmdRun(args []string) error {
 	weeksN := fs.Int("weeks", 1, "number of consecutive weeks to scan")
 	startWeek := fs.Int("start-week", 0, "first week index to scan")
 	shardSize := fs.Int("shard-size", campaign.DefaultShardSize, "domains per checkpointed shard")
-	workers := fs.Int("workers", 16, "parallel scan workers per shard")
+	workers := fs.Int("workers", 16, "workers per scan stage (DNS, policy fetch, MX probe) per shard")
 	seed := fs.Int64("seed", 1, "simnet world seed")
 	scale := fs.Float64("scale", 0.05, "simnet population scale (1.0 = paper scale)")
 	stopAfter := fs.Int("stop-after-shards", 0,

@@ -42,11 +42,11 @@ import (
 func main() {
 	dnsAddr := flag.String("dns", "", "DNS server address (host:port), required")
 	domainsFile := flag.String("domains", "-", "domain list file ('-' for stdin)")
-	workers := flag.Int("workers", 16, "concurrent scan workers")
+	workers := flag.Int("workers", 16, "workers per scan stage (DNS, policy fetch, MX probe)")
 	stageWorkersSpec := flag.String("stage-workers", "",
-		"run the staged pipeline instead of the flat pool, with per-stage pool sizes (\"dns=16,fetch=8,probe=32\"; \"auto\" sizes every stage from -workers)")
+		"per-stage pool sizes (\"dns=16,fetch=8,probe=32\"; \"\" or \"auto\" sizes every stage from -workers)")
 	dedup := flag.Bool("dedup", false,
-		"collapse duplicate in-flight policy fetches and MX probes and share results across domains (implies the staged pipeline)")
+		"collapse duplicate in-flight policy fetches and MX probes and share results across domains")
 	rate := flag.Float64("rate", 100, "DNS queries per second (0 = unlimited)")
 	httpsPort := flag.Int("https-port", 443, "policy server HTTPS port")
 	smtpPort := flag.Int("smtp-port", 25, "MX SMTP port")

@@ -72,11 +72,11 @@ func run(args []string) int {
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "live: first retry backoff delay")
 	retryBudget := fs.Int64("retry-budget", 0, "live: total retries allowed across each job (0 = unlimited)")
 	caFile := fs.String("ca", "", "live: PEM file with extra trusted roots (e.g. mtasts-host -ca-out)")
-	workers := fs.Int("workers", 16, "concurrent scan workers per job")
+	workers := fs.Int("workers", 16, "workers per scan stage (DNS, policy fetch, MX probe) per job")
 	stageWorkersSpec := fs.String("stage-workers", "",
-		"run the staged pipeline instead of the flat pool, with per-stage pool sizes (\"dns=16,fetch=8,probe=32\"; \"auto\" sizes every stage from -workers)")
+		"per-stage pool sizes (\"dns=16,fetch=8,probe=32\"; \"\" or \"auto\" sizes every stage from -workers)")
 	dedup := fs.Bool("dedup", false,
-		"collapse duplicate in-flight policy fetches and MX probes (implies the staged pipeline)")
+		"collapse duplicate in-flight policy fetches and MX probes")
 	shardSize := fs.Int("shard-size", campaign.DefaultShardSize, "domains per checkpointed shard")
 	maxJobs := fs.Int("max-jobs", 2, "jobs scanning concurrently")
 	maxQueue := fs.Int("max-queue", 1024, "dispatch queue capacity (submissions beyond it get 503)")

@@ -69,8 +69,8 @@ func main() {
 	faultLatency := flag.Duration("fault-latency", 2*time.Millisecond, "robustness: injected latency")
 	faultLatencyRate := flag.Float64("fault-latency-rate", 0.20, "robustness: injected latency rate")
 	stageWorkersSpec := flag.String("stage-workers", "",
-		"robustness: also verify the staged pipeline backend under faults, with these pool sizes (\"dns=4,fetch=2,probe=8\" or \"auto\")")
-	dedup := flag.Bool("dedup", false, "robustness: enable singleflight dedup in the pipelined verification run (implies a pipelined run)")
+		"robustness: stage pool sizes of the concurrent run (\"dns=4,fetch=2,probe=8\"; \"\" or \"auto\" = 4 per stage)")
+	dedup := flag.Bool("dedup", false, "robustness: enable singleflight dedup in the concurrent run")
 	weeks := flag.Int("weeks", 6, "longitudinal: consecutive weekly sweeps to run")
 	shardSize := flag.Int("shard-size", 256, "longitudinal: domains per campaign shard")
 	campaignDir := flag.String("campaign-dir", "",
@@ -104,13 +104,18 @@ func main() {
 		if fseed == 0 {
 			fseed = *seed
 		}
+		sw, err := scanner.ParseStageWorkers(*stageWorkersSpec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		cfg := experiments.RobustnessConfig{
-			Domains:     *faultDomains,
-			Seed:        fseed,
-			MaxAttempts: *retries,
-			Obs:         reg,
-			Pipelined:   *stageWorkersSpec != "" || *dedup,
-			Dedup:       *dedup,
+			Domains:      *faultDomains,
+			Seed:         fseed,
+			MaxAttempts:  *retries,
+			Obs:          reg,
+			StageWorkers: sw,
+			Dedup:        *dedup,
 			Plan: faults.Plan{
 				Seed:        fseed,
 				DNSLoss:     *faultDNSLoss,
@@ -121,14 +126,6 @@ func main() {
 				Latency:     *faultLatency,
 				LatencyRate: *faultLatencyRate,
 			},
-		}
-		if cfg.Pipelined {
-			sw, err := scanner.ParseStageWorkers(*stageWorkersSpec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			cfg.StageWorkers = sw
 		}
 		start := time.Now()
 		rep, err := experiments.RunRobustness(cfg)

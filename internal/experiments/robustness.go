@@ -66,14 +66,9 @@ type RobustnessConfig struct {
 	DNSTimeout time.Duration
 	// Obs, when non-nil, receives the metrics of every layer.
 	Obs *obs.Registry
-	// Pipelined adds a fifth run: the same fault plan and retries
-	// through the staged pipeline backend. Unlike the Workers=1 runs it
-	// is concurrent, so fingerprint determinism does not apply — the
-	// check is purely that no healthy domain is misclassified.
-	Pipelined bool
-	// StageWorkers sizes the pipelined run's stage pools.
+	// StageWorkers sizes the staged run's pools (default 4 per stage).
 	StageWorkers scanner.StageWorkers
-	// Dedup enables result sharing in the pipelined run.
+	// Dedup enables result sharing in the staged run.
 	Dedup bool
 }
 
@@ -154,9 +149,11 @@ type RobustnessReport struct {
 	WithRetry [2]RobustnessRun
 	// Deterministic reports whether the two WithRetry fingerprints match.
 	Deterministic bool
-	// Pipelined, when RobustnessConfig.Pipelined was set, is the staged
-	// pipeline run through the same fault plan with retries enabled.
-	Pipelined *RobustnessRun
+	// Staged is the concurrent scanner.Runner run through the same fault
+	// plan with retries enabled. Its retry trace depends on how the
+	// stages interleave, so fingerprint determinism does not apply — the
+	// check is purely that no healthy domain is misclassified.
+	Staged RobustnessRun
 }
 
 // Misclassified returns the union of misclassified domains across the
@@ -164,11 +161,7 @@ type RobustnessReport struct {
 func (r *RobustnessReport) Misclassified() []string {
 	seen := make(map[string]bool)
 	var out []string
-	runs := []*RobustnessRun{&r.WithRetry[0], &r.WithRetry[1]}
-	if r.Pipelined != nil {
-		runs = append(runs, r.Pipelined)
-	}
-	for _, run := range runs {
+	for _, run := range []*RobustnessRun{&r.WithRetry[0], &r.WithRetry[1], &r.Staged} {
 		for _, d := range run.Misclassified {
 			if !seen[d] {
 				seen[d] = true
@@ -206,9 +199,7 @@ func (r *RobustnessReport) Table() *dataset.Table {
 	row(&r.NoRetry)
 	row(&r.WithRetry[0])
 	row(&r.WithRetry[1])
-	if r.Pipelined != nil {
-		row(r.Pipelined)
-	}
+	row(&r.Staged)
 	return t
 }
 
@@ -331,13 +322,14 @@ func (w *robustnessWorld) setFaults(inj *faults.Injector) {
 	w.smtp.SetFaults(inj)
 }
 
-// run scans the whole fleet once under the given injector. For the
-// sequential runs Workers is pinned to 1 so the order of network
-// operations — and therefore the injector's per-key fault sequences —
-// is identical across runs; pipelined=true instead exercises the staged
-// concurrent backend, where only the classifications (not the
-// interleaving-dependent retry counts) are expected to be stable.
-func (w *robustnessWorld) run(label string, inj *faults.Injector, maxAttempts int, cfg RobustnessConfig, pipelined bool) RobustnessRun {
+// scan scans the whole fleet once under the given injector. The
+// sequential runs call ScanDomain one domain at a time so the order of
+// network operations — and therefore the injector's per-key fault
+// sequences — is identical across runs; staged=true instead goes
+// through the concurrent scanner.Runner, where only the classifications
+// (not the interleaving-dependent retry counts) are expected to be
+// stable.
+func (w *robustnessWorld) scan(inj *faults.Injector, maxAttempts int, cfg RobustnessConfig, staged bool) []scanner.DomainResult {
 	w.setFaults(inj)
 	defer w.setFaults(nil)
 
@@ -357,14 +349,23 @@ func (w *robustnessWorld) run(label string, inj *faults.Injector, maxAttempts in
 		MaxAttempts: maxAttempts,
 		RetryBase:   cfg.RetryBase,
 	}
-	runner := &scanner.Runner{Workers: 1, Scan: live, Obs: cfg.Obs}
-	if pipelined {
-		runner.Pipelined = true
-		runner.StageWorkers = cfg.StageWorkers
-		runner.Dedup = cfg.Dedup
+	if staged {
+		runner := &scanner.Runner{
+			Workers: 4, Scan: live, Obs: cfg.Obs,
+			StageWorkers: cfg.StageWorkers, Dedup: cfg.Dedup,
+		}
+		return runner.Run(context.Background(), w.domains)
 	}
-	results := runner.Run(context.Background(), w.domains)
+	results := make([]scanner.DomainResult, 0, len(w.domains))
+	for _, d := range w.domains {
+		results = append(results, live.ScanDomain(context.Background(), d))
+	}
+	return results
+}
 
+// run reduces one scan of the fleet to its report row.
+func (w *robustnessWorld) run(label string, inj *faults.Injector, maxAttempts int, cfg RobustnessConfig, staged bool) RobustnessRun {
+	results := w.scan(inj, maxAttempts, cfg, staged)
 	run := RobustnessRun{Label: label, Summary: scanner.Summarize(results)}
 	var fp strings.Builder
 	for i := range results {
@@ -422,10 +423,10 @@ func invalidMXProblems(r *scanner.DomainResult) int {
 	return n
 }
 
-// RunRobustness provisions the substrate and executes the four runs:
-// baseline (no faults), faulted without retries, and two identically
-// seeded faulted runs with retries — plus, when cfg.Pipelined is set, a
-// fifth run through the staged pipeline backend.
+// RunRobustness provisions the substrate and executes four sequential
+// runs — baseline (no faults), faulted without retries, and two
+// identically seeded faulted runs with retries — plus one run of the
+// same faults and retries through the concurrent scanner.Runner.
 func RunRobustness(cfg RobustnessConfig) (*RobustnessReport, error) {
 	cfg = cfg.withDefaults()
 	w, err := buildRobustnessWorld(cfg.Domains)
@@ -440,9 +441,6 @@ func RunRobustness(cfg RobustnessConfig) (*RobustnessReport, error) {
 	rep.WithRetry[0] = w.run("faults + retries #1", faults.NewInjector(cfg.Plan), cfg.MaxAttempts, cfg, false)
 	rep.WithRetry[1] = w.run("faults + retries #2", faults.NewInjector(cfg.Plan), cfg.MaxAttempts, cfg, false)
 	rep.Deterministic = rep.WithRetry[0].Fingerprint == rep.WithRetry[1].Fingerprint
-	if cfg.Pipelined {
-		run := w.run("faults + retries, pipelined", faults.NewInjector(cfg.Plan), cfg.MaxAttempts, cfg, true)
-		rep.Pipelined = &run
-	}
+	rep.Staged = w.run("faults + retries, staged", faults.NewInjector(cfg.Plan), cfg.MaxAttempts, cfg, true)
 	return rep, nil
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/netsecurelab/mtasts/internal/faults"
 )
 
 // The PR's acceptance criterion: a seeded fault plan with ~10% DNS loss
@@ -35,6 +37,14 @@ func TestRobustnessRetriesAbsorbSeededFaults(t *testing.T) {
 			t.Errorf("run #%d recovered no operations — faults were never absorbed", i+1)
 		}
 	}
+	if n := len(rep.Staged.Misclassified); n != 0 {
+		t.Errorf("staged run misclassified %d/%d domains:\n  %s",
+			n, rep.Domains, strings.Join(rep.Staged.Misclassified, "\n  "))
+	}
+	if rep.Staged.Summary.Total != rep.Domains || rep.Staged.Retries == 0 {
+		t.Errorf("staged run scanned %d/%d domains with %d retries",
+			rep.Staged.Summary.Total, rep.Domains, rep.Staged.Retries)
+	}
 	if !rep.Deterministic {
 		t.Errorf("same-seed runs diverged:\nrun1:\n%s\nrun2:\n%s",
 			rep.WithRetry[0].Fingerprint, rep.WithRetry[1].Fingerprint)
@@ -54,55 +64,59 @@ func TestRobustnessRetriesAbsorbSeededFaults(t *testing.T) {
 	}
 }
 
-// The pipelined backend must absorb the same seeded faults the flat
-// runs do: with MaxAttempts strictly above the plan's MaxConsecutive,
-// recovery is guaranteed regardless of stage interleaving, so every
-// domain in the healthy fleet must come back fully clean — byte-for-byte
-// the same (all-healthy) classifications the flat retry runs produce.
-// Fingerprint determinism is not asserted for this run: it is
-// concurrent, so retry-trace ordering is interleaving-sensitive.
+// The concurrent scanner.Runner must absorb the same seeded faults the
+// sequential ScanDomain loop does: with MaxAttempts strictly above the
+// plan's MaxConsecutive, recovery is guaranteed regardless of stage
+// interleaving, so with dedup off and on every domain must come back
+// with the ClassificationKey the sequential loop produced — and that
+// verdict must be the fully healthy one. Retry counts are not compared:
+// the Runner is concurrent, so its retry trace is interleaving-sensitive
+// (ClassificationKey deliberately excludes it).
 func TestRobustnessPipelinedMatchesFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-substrate fault-injection run")
 	}
-	rep, err := RunRobustness(RobustnessConfig{
-		Seed:      1,
-		Pipelined: true,
-		Dedup:     true,
-	})
+	cfg := RobustnessConfig{Seed: 1}.withDefaults()
+	w, err := buildRobustnessWorld(cfg.Domains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := rep.Pipelined
-	if run == nil {
-		t.Fatal("Pipelined run missing from report")
+	defer func() {
+		if err := w.Close(); err != nil {
+			t.Errorf("closing substrate: %v", err)
+		}
+	}()
+
+	want := make(map[string]string, cfg.Domains)
+	for _, r := range w.scan(faults.NewInjector(cfg.Plan), cfg.MaxAttempts, cfg, false) {
+		if reason := misclassifyReason(&r); reason != "" {
+			t.Errorf("sequential reference misclassified %s: %s", r.Domain, reason)
+		}
+		want[r.Domain] = r.ClassificationKey()
 	}
-	if len(run.Misclassified) != 0 {
-		t.Errorf("pipelined run misclassified %d/%d domains:\n  %s",
-			len(run.Misclassified), rep.Domains,
-			strings.Join(run.Misclassified, "\n  "))
-	}
-	if run.Summary.Total != rep.Domains {
-		t.Errorf("pipelined run scanned %d domains, fleet has %d",
-			run.Summary.Total, rep.Domains)
-	}
-	if run.Retries == 0 {
-		t.Error("pipelined run recorded no retries — the fault plan injected nothing")
-	}
-	if run.Recovered == 0 {
-		t.Error("pipelined run recovered no operations — faults were never absorbed")
-	}
-	// Same aggregate verdicts as the flat retry run: an all-healthy fleet
-	// means both summaries report full health, not merely similar health.
-	flat := rep.WithRetry[0].Summary
-	if run.Summary.WithRecord != flat.WithRecord ||
-		run.Summary.Misconfigured != flat.Misconfigured ||
-		run.Summary.DeliveryFailures != flat.DeliveryFailures {
-		t.Errorf("pipelined summary diverged from flat:\n  flat: %+v\n  pipe: %+v",
-			flat, run.Summary)
-	}
-	if !rep.Passed() {
-		t.Error("report.Passed() = false with a clean pipelined run")
+
+	for _, dedup := range []bool{false, true} {
+		cfg.Dedup = dedup
+		results := w.scan(faults.NewInjector(cfg.Plan), cfg.MaxAttempts, cfg, true)
+		if len(results) != cfg.Domains {
+			t.Fatalf("dedup=%v: %d results for a fleet of %d", dedup, len(results), cfg.Domains)
+		}
+		var retries, recovered int64
+		for i := range results {
+			r := &results[i]
+			if got := r.ClassificationKey(); got != want[r.Domain] {
+				t.Errorf("dedup=%v: %s diverged:\n  sequential: %s\n  runner:     %s",
+					dedup, r.Domain, want[r.Domain], got)
+			}
+			retries += r.Retries
+			recovered += r.RetryRecovered
+		}
+		if retries == 0 {
+			t.Errorf("dedup=%v: no retries recorded — the fault plan injected nothing", dedup)
+		}
+		if recovered == 0 {
+			t.Errorf("dedup=%v: no operations recovered — faults were never absorbed", dedup)
+		}
 	}
 }
 

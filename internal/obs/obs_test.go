@@ -266,7 +266,7 @@ func TestEventSinkLatchesOnError(t *testing.T) {
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("scan.domains.total").Add(7)
-	r.Gauge("scanner.workers.busy").Set(3)
+	r.Gauge("scanner.stage.dns.busy").Set(3)
 	r.Histogram("scan.domain.seconds", nil).Observe(0.02)
 	r.Progress("scan").SetTotal(100)
 	r.Progress("scan").Add(7)

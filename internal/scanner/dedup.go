@@ -2,9 +2,9 @@ package scanner
 
 import "github.com/netsecurelab/mtasts/internal/sf"
 
-// dedup is the scan-scoped result-sharing layer of the pipelined
-// runner: one instance lives exactly as long as one Runner.Run, so a
-// shared result is never staler than the scan snapshot itself.
+// dedup is the scan-scoped result-sharing layer of the Runner: one
+// instance lives exactly as long as one Runner.Run, so a shared result
+// is never staler than the scan snapshot itself.
 //
 // What is safe to share, and under which key, is deliberate
 // (docs/PIPELINE.md §dedup):
@@ -19,7 +19,7 @@ import "github.com/netsecurelab/mtasts/internal/sf"
 //
 // DNS-level sharing lives below the scanner, in the resolver's own
 // singleflight + cache (resolver.queries.coalesced), where it also
-// benefits the flat pool.
+// serves the single-domain ScanDomain path.
 type dedup struct {
 	fetch sf.Cache[FetchOutcome]
 	probe sf.Cache[ProbeOutcome]

@@ -11,7 +11,8 @@
 // descriptors — through the same parsers and validators, which is how the
 // pipeline runs at the paper's 68K-domain scale.
 //
-// Runner fans a backend out over a worker pool. Both Live and Runner are
+// Runner fans a backend out over per-stage worker pools (DNS discovery,
+// policy fetch, MX probe; docs/PIPELINE.md). Both Live and Runner are
 // instrumented: set their Obs field to an *obs.Registry to collect
 // per-stage latency histograms (scan.*.seconds), the error-taxonomy
 // counters behind Figures 4–6 (scan.policy.stage_errors.<stage>,

@@ -109,17 +109,13 @@ func (l *Live) ScanDomain(ctx context.Context, domain string) DomainResult {
 	// feeds the same per-domain stats.
 	ctx, stats := retry.WithStats(ctx)
 	r := l.scanDomain(ctx, domain)
-	r.Attempts = stats.Attempts()
-	r.Retries = stats.Retries()
-	r.RetryRecovered = stats.Recovered()
-	r.RetryGaveUp = stats.GaveUp()
-	l.Finalize(&r, sp.End())
+	finish(l, &r, stats, sp.End())
 	return r
 }
 
-// scanDomain composes the pipeline stages sequentially — the flat
-// backend's per-domain path, with the stage-bracketing spans the
-// pipelined Runner deliberately does not emit (docs/PIPELINE.md).
+// scanDomain composes the pipeline stages sequentially, under the
+// scan.domain and scan.mx_probe spans only this single-domain path
+// emits (docs/PIPELINE.md).
 func (l *Live) scanDomain(ctx context.Context, domain string) DomainResult {
 	r, done := l.Discover(ctx, domain)
 	if done {
@@ -192,8 +188,8 @@ func (l *Live) Discover(ctx context.Context, domain string) (DomainResult, bool)
 
 // FetchPolicy implements StageScanner: the policy-retrieval stage. It
 // depends only on scan-global configuration plus the domain, so the
-// pipelined Runner may share its outcome between concurrent scans of
-// the same domain.
+// Runner may share its outcome between concurrent scans of the same
+// domain.
 func (l *Live) FetchPolicy(ctx context.Context, domain string) FetchOutcome {
 	fetchSpan := l.Obs.StartSpan("scan.policy_fetch")
 	policy, _, fetchErr := l.sharedFetcher().Fetch(ctx, domain)
@@ -362,8 +358,8 @@ func (l *Live) recordOutcome(r *DomainResult, took time.Duration) {
 
 // ProbeHost implements StageScanner: resolve the MX host and run the
 // instrumented SMTP probe. Like FetchPolicy it depends only on
-// scan-global state plus the host, so the pipelined Runner may share
-// one host's outcome across every domain listing it.
+// scan-global state plus the host, so the Runner may share one host's
+// outcome across every domain listing it.
 func (l *Live) ProbeHost(ctx context.Context, mxHost string) ProbeOutcome {
 	addrs, err := l.DNS.LookupAddrs(ctx, mxHost, false)
 	if err != nil || len(addrs) == 0 {

@@ -108,8 +108,10 @@ func TestRunnerEmitsMetricsOverSubstrate(t *testing.T) {
 		}
 	}
 	wantHists := []string{
-		"scan.domain.seconds",
 		"scanner.domain_scan.seconds",
+		"scanner.stage.dns.latency.seconds",
+		"scanner.stage.fetch.latency.seconds",
+		"scanner.stage.probe.latency.seconds",
 		"scan.mx_lookup.seconds",
 		"scan.policy_fetch.seconds",
 		"mtasts.fetch.dns.seconds",

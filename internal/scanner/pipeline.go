@@ -15,15 +15,15 @@ import (
 	"github.com/netsecurelab/mtasts/internal/retry"
 )
 
-// The pipelined runner replaces the flat per-domain worker pool with
-// three stage pools — DNS discovery, policy fetch, SMTP probing — wired
-// by bounded queues, so each resource class (resolver sockets, HTTPS
-// clients, SMTP dials) is sized independently and a slow MX cannot
-// stall DNS discovery for the rest of the run. The paper's apparatus
-// (§3) relies on exactly this shape: recipient-side probing is
-// embarrassingly parallel per stage and massively redundant across
-// domains, so stages parallelize and the dedup layer (dedup.go)
-// collapses the redundancy. docs/PIPELINE.md has the full picture.
+// The Runner schedules a scan as three stage pools — DNS discovery,
+// policy fetch, SMTP probing — wired by bounded queues, so each
+// resource class (resolver sockets, HTTPS clients, SMTP dials) is sized
+// independently and a slow MX cannot stall DNS discovery for the rest
+// of the run. The paper's apparatus (§3) relies on exactly this shape:
+// recipient-side probing is embarrassingly parallel per stage and
+// massively redundant across domains, so stages parallelize and the
+// dedup layer (dedup.go) collapses the redundancy. docs/PIPELINE.md has
+// the full picture.
 
 // FetchOutcome is the policy-retrieval stage's verdict for one domain,
 // carried between pipeline stages and folded into the DomainResult by
@@ -41,7 +41,7 @@ type FetchOutcome struct {
 	// HTTPStatus refines StageHTTP failures. Backends fill it per their
 	// own semantics (Live leaves it 0 on success, artifact replay
 	// records the observed 200) and applyFetch copies it verbatim, so
-	// flat and pipelined runs of the same backend agree byte for byte.
+	// ScanDomain and a Runner over the same backend agree byte for byte.
 	HTTPStatus int
 	// SyntaxErr holds the parse failure for StageSyntax.
 	SyntaxErr error
@@ -57,7 +57,8 @@ type ProbeOutcome struct {
 }
 
 // StageScanner is a Scanner decomposed into the three pipeline stages
-// plus a finalizer. The contract mirrors the flat path exactly:
+// plus a finalizer. ScanDomain is their sequential composition, which
+// the Runner reproduces with each stage on its own pool:
 //
 //	r, done := Discover(ctx, d)     // DNS: MX, TXT record, CNAME
 //	if !done {
@@ -87,8 +88,7 @@ type StageScanner interface {
 	Finalize(r *DomainResult, took time.Duration)
 }
 
-// applyFetch folds a fetch outcome into the result exactly as the flat
-// scan paths do.
+// applyFetch folds a fetch outcome into the result.
 func applyFetch(r *DomainResult, f FetchOutcome) {
 	if f.OK {
 		r.PolicyOK = true
@@ -102,8 +102,8 @@ func applyFetch(r *DomainResult, f FetchOutcome) {
 	r.PolicySyntaxErr = f.SyntaxErr
 }
 
-// applyProbe folds one MX probe outcome into the result. Iteration over
-// r.MXHosts preserves the flat path's MXNoSTARTTLS ordering.
+// applyProbe folds one MX probe outcome into the result. Callers
+// iterate r.MXHosts in order, which fixes the MXNoSTARTTLS ordering.
 func applyProbe(r *DomainResult, mxHost string, p ProbeOutcome) {
 	if p.NoSTARTTLS {
 		r.MXNoSTARTTLS = append(r.MXNoSTARTTLS, mxHost)
@@ -112,9 +112,8 @@ func applyProbe(r *DomainResult, mxHost string, p ProbeOutcome) {
 	r.MXProblems[mxHost] = p.Problem
 }
 
-// StageWorkers sizes the pipelined Runner's per-stage pools. Zero or
-// negative fields fall back to the Runner's flat Workers count, so
-// `Pipelined: true` alone is a sane configuration.
+// StageWorkers sizes the Runner's per-stage pools. Zero or negative
+// fields fall back to the Runner's Workers count.
 type StageWorkers struct {
 	DNS   int
 	Fetch int
@@ -172,6 +171,30 @@ func ParseStageWorkers(spec string) (StageWorkers, error) {
 	return sw, nil
 }
 
+// finish folds the per-domain retry accounting into r and finalizes it:
+// the tail shared by the sequential composition (Live.ScanDomain) and
+// the Runner's collector.
+func finish(scan StageScanner, r *DomainResult, stats *retry.Stats, took time.Duration) {
+	r.Attempts = stats.Attempts()
+	r.Retries = stats.Retries()
+	r.RetryRecovered = stats.Recovered()
+	r.RetryGaveUp = stats.GaveUp()
+	scan.Finalize(r, took)
+}
+
+// wholeScan carries a Scanner that has no stage decomposition through
+// the pipeline: Discover is the entire ScanDomain and reports done, so
+// the later stages pass the job through and the run-level contract
+// keeps its one implementation.
+type wholeScan struct{ Scanner }
+
+func (w wholeScan) Discover(ctx context.Context, domain string) (DomainResult, bool) {
+	return w.ScanDomain(ctx, domain), true
+}
+func (wholeScan) FetchPolicy(context.Context, string) FetchOutcome { return FetchOutcome{} }
+func (wholeScan) ProbeHost(context.Context, string) ProbeOutcome   { return ProbeOutcome{} }
+func (wholeScan) Finalize(*DomainResult, time.Duration)            {}
+
 // pipeJob is one domain moving through the pipeline. Exactly one
 // goroutine owns a job at a time (ownership passes with the channel
 // send), so its fields need no locking.
@@ -187,7 +210,7 @@ type pipeJob struct {
 	res DomainResult
 	// canceled: the run's context was done before the DNS stage touched
 	// the domain; res is a Canceled placeholder and every later stage
-	// (including Finalize) is skipped, mirroring the flat path.
+	// (including Finalize) is skipped.
 	canceled bool
 	// done: Discover short-circuited (no record / record-lookup
 	// failure); fetch and probe pass the job through untouched but
@@ -250,12 +273,17 @@ func runStage(workers int, so stageObs, in <-chan *pipeJob, out chan<- *pipeJob,
 	}()
 }
 
-// runPipelined is Run's staged backend. The observable run-level
-// contract is identical to the flat pool: len(results) == len(domains),
-// results sorted by domain, canceled placeholders for unscanned
-// domains, progress reaching done == total, and the same run-level
-// counters/histogram/span/events.
-func (r *Runner) runPipelined(ctx context.Context, domains []string, scan StageScanner) []DomainResult {
+// Run scans all domains and returns results sorted by domain name. The
+// context cancels outstanding work; completed results are still
+// returned, and every domain that did not get a full scan is returned
+// as a Canceled result so the run reconciles: len(results) always
+// equals len(domains), the stage gauges drain to zero, and the progress
+// tracker finishes at done == total.
+func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
+	scan, ok := r.Scan.(StageScanner)
+	if !ok {
+		scan = wholeScan{r.Scan}
+	}
 	sw := r.StageWorkers.withDefaults(r.Workers)
 
 	prog := r.Obs.Progress("scan")
@@ -265,8 +293,7 @@ func (r *Runner) runPipelined(ctx context.Context, domains []string, scan StageS
 	scanHist := r.Obs.Histogram("scanner.domain_scan.seconds", nil)
 	runSpan := r.Obs.StartSpan("scan.run")
 	r.Events.Emit("scan.run.start", map[string]any{
-		"domains": len(domains), "workers": sw.Total(),
-		"pipelined": true, "dedup": r.Dedup,
+		"domains": len(domains), "workers": sw.Total(), "dedup": r.Dedup,
 		"stage_workers": map[string]any{"dns": sw.DNS, "fetch": sw.Fetch, "probe": sw.Probe},
 	})
 
@@ -297,7 +324,7 @@ func (r *Runner) runPipelined(ctx context.Context, domains []string, scan StageS
 	runStage(sw.DNS, dnsObs, dnsQ, fetchQ, fetchObs.depth, func(job *pipeJob) bool {
 		if ctx.Err() != nil {
 			// Canceled before this domain was touched: account for it
-			// like the flat pool's cancelResult so the run reconciles.
+			// so the run reconciles (Add skips the in-flight pairing).
 			job.canceled = true
 			job.res = DomainResult{Domain: job.domain, Canceled: true}
 			prog.Add(1)
@@ -347,14 +374,10 @@ func (r *Runner) runPipelined(ctx context.Context, domains []string, scan StageS
 			results = append(results, job.res)
 			continue
 		}
-		job.res.Attempts = job.stats.Attempts()
-		job.res.Retries = job.stats.Retries()
-		job.res.RetryRecovered = job.stats.Recovered()
-		job.res.RetryGaveUp = job.stats.GaveUp()
 		if scanHist != nil {
 			scanHist.ObserveSince(job.start)
 		}
-		scan.Finalize(&job.res, time.Since(job.start))
+		finish(scan, &job.res, job.stats, time.Since(job.start))
 		prog.Done()
 		scans.Inc()
 		results = append(results, job.res)

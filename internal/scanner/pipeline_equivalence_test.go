@@ -1,24 +1,28 @@
 package scanner_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
+	"github.com/netsecurelab/mtasts/internal/campaign"
 	"github.com/netsecurelab/mtasts/internal/scanner"
 	"github.com/netsecurelab/mtasts/internal/simnet"
 )
 
-// TestPipelinedMatchesFlatOnFullDataset is the tentpole's acceptance
+// TestPipelinedMatchesFlatOnFullDataset is the scheduler's acceptance
 // check: over the complete generated study population at the final
 // snapshot — every record, policy, certificate, and MX failure mode the
-// simulation emits, including shared provider MX hosts — the staged
-// pipeline with dedup enabled classifies every domain byte-identically
-// to the seed flat worker pool. (It lives in package scanner_test
-// because simnet itself imports scanner.)
+// simulation emits, including shared provider MX hosts — the Runner,
+// with and without dedup, classifies every domain byte-identically to
+// the reference: ScanDomain called on one domain after another. (It
+// lives in package scanner_test because simnet itself imports scanner.)
 //
-// Both backends run the same ArtifactScanner, so the comparison
-// isolates the scheduler: any lost stage, misapplied outcome, or
-// cross-domain cache bleed shows up as a ClassificationKey diff.
+// Both sides run the same ArtifactScanner, so the comparison isolates
+// the scheduler: any lost stage, misapplied outcome, or cross-domain
+// cache bleed shows up as a ClassificationKey diff, and anything the
+// key misses but the store keeps as a diff in the canonical campaign
+// record bytes.
 func TestPipelinedMatchesFlatOnFullDataset(t *testing.T) {
 	world := simnet.Generate(simnet.Config{Seed: 7, Scale: 0.05})
 	last := simnet.Months - 1
@@ -38,10 +42,22 @@ func TestPipelinedMatchesFlatOnFullDataset(t *testing.T) {
 	}
 	scan := scanner.NewArtifactScanner(arts, simnet.SnapshotTime(last), 0)
 
-	flat := (&scanner.Runner{Workers: 16, Scan: scan}).Run(context.Background(), domains)
-	want := make(map[string]string, len(flat))
-	for i := range flat {
-		want[flat[i].Domain] = flat[i].ClassificationKey()
+	type verdict struct {
+		key    string
+		record []byte
+	}
+	verdictOf := func(r *scanner.DomainResult) verdict {
+		rec := campaign.FromResult(r)
+		b, err := rec.Encode()
+		if err != nil {
+			t.Fatalf("%s: encode record: %v", r.Domain, err)
+		}
+		return verdict{key: r.ClassificationKey(), record: b}
+	}
+	want := make(map[string]verdict, len(domains))
+	for _, d := range domains {
+		r := scan.ScanDomain(context.Background(), d)
+		want[d] = verdictOf(&r)
 	}
 
 	for _, cfg := range []struct {
@@ -52,12 +68,7 @@ func TestPipelinedMatchesFlatOnFullDataset(t *testing.T) {
 		{"pipelined+dedup", true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			runner := &scanner.Runner{
-				Workers:   16,
-				Scan:      scan,
-				Pipelined: true,
-				Dedup:     cfg.dedup,
-			}
+			runner := &scanner.Runner{Workers: 16, Scan: scan, Dedup: cfg.dedup}
 			results := runner.Run(context.Background(), domains)
 			if len(results) != len(domains) {
 				t.Fatalf("%d results for %d domains", len(results), len(domains))
@@ -65,11 +76,12 @@ func TestPipelinedMatchesFlatOnFullDataset(t *testing.T) {
 			diffs := 0
 			for i := range results {
 				r := &results[i]
-				if key := r.ClassificationKey(); key != want[r.Domain] {
+				got, ref := verdictOf(r), want[r.Domain]
+				if got.key != ref.key || !bytes.Equal(got.record, ref.record) {
 					diffs++
 					if diffs <= 3 {
-						t.Errorf("%s diverged:\n  flat: %s\n  pipe: %s",
-							r.Domain, want[r.Domain], key)
+						t.Errorf("%s diverged:\n  sequential: %s\n              %s\n  runner:     %s\n              %s",
+							r.Domain, ref.key, ref.record, got.key, got.record)
 					}
 				}
 			}

@@ -69,6 +69,16 @@ func domainsOf(arts []Artifacts) []string {
 	return out
 }
 
+// sequential is the reference the Runner is compared against: ScanDomain
+// called on one domain after another.
+func sequential(scan Scanner, domains []string) []DomainResult {
+	results := make([]DomainResult, 0, len(domains))
+	for _, d := range domains {
+		results = append(results, scan.ScanDomain(context.Background(), d))
+	}
+	return results
+}
+
 func classificationsByDomain(t *testing.T, results []DomainResult) map[string]string {
 	t.Helper()
 	m := make(map[string]string, len(results))
@@ -82,25 +92,20 @@ func classificationsByDomain(t *testing.T, results []DomainResult) map[string]st
 	return m
 }
 
-// TestPipelinedMatchesFlatOnArtifacts is the schedulers' unit-level
-// equivalence check over every artifact failure mode, with and without
-// dedup (the full-dataset version lives in pipeline_equivalence_test.go).
+// TestPipelinedMatchesFlatOnArtifacts is the scheduler's unit-level
+// equivalence check against the sequential ScanDomain loop over every
+// artifact failure mode, with and without dedup (the full-dataset
+// version lives in pipeline_equivalence_test.go).
 func TestPipelinedMatchesFlatOnArtifacts(t *testing.T) {
 	arts := pipelineArtifacts(64, 6)
 	domains := domainsOf(arts)
 	scan := NewArtifactScanner(arts, scanNow, 0)
-
-	flat := (&Runner{Workers: 8, Scan: scan}).Run(context.Background(), domains)
-	if len(flat) != len(domains) {
-		t.Fatalf("flat returned %d results for %d domains", len(flat), len(domains))
-	}
-	want := classificationsByDomain(t, flat)
+	want := classificationsByDomain(t, sequential(scan, domains))
 
 	for _, dedup := range []bool{false, true} {
 		runner := &Runner{
 			Workers:      3,
 			Scan:         scan,
-			Pipelined:    true,
 			StageWorkers: StageWorkers{DNS: 4, Fetch: 2, Probe: 6},
 			Dedup:        dedup,
 		}
@@ -111,7 +116,7 @@ func TestPipelinedMatchesFlatOnArtifacts(t *testing.T) {
 		got := classificationsByDomain(t, results)
 		for _, d := range domains {
 			if got[d] != want[d] {
-				t.Errorf("dedup=%v: %s classification diverged:\n  flat: %s\n  pipe: %s",
+				t.Errorf("dedup=%v: %s classification diverged:\n  sequential: %s\n  runner:     %s",
 					dedup, d, want[d], got[d])
 			}
 		}
@@ -124,7 +129,7 @@ func TestPipelinedMatchesFlatOnArtifacts(t *testing.T) {
 // (unique domains, 0 hits) and 8 probe leaders out of 80 probe calls
 // (72 hits) — scanner.dedup.misses = 48, scanner.dedup.hits = 72, with
 // no lost or duplicated DomainResult and classifications equal to the
-// flat backend's.
+// sequential ScanDomain loop's.
 func TestPipelineDedupCountersExact(t *testing.T) {
 	const nDomains, poolSize = 40, 8
 	pool := make([]string, poolSize)
@@ -154,15 +159,13 @@ func TestPipelineDedupCountersExact(t *testing.T) {
 	}
 	domains := domainsOf(arts)
 	scan := NewArtifactScanner(arts, scanNow, 10*time.Microsecond)
-	want := classificationsByDomain(t,
-		(&Runner{Workers: 8, Scan: scan}).Run(context.Background(), domains))
+	want := classificationsByDomain(t, sequential(scan, domains))
 
 	reg := obs.NewRegistry()
 	runner := &Runner{
 		Workers:      4,
 		Scan:         scan,
 		Obs:          reg,
-		Pipelined:    true,
 		StageWorkers: StageWorkers{DNS: 4, Fetch: 4, Probe: 4},
 		Dedup:        true,
 	}
@@ -174,13 +177,13 @@ func TestPipelineDedupCountersExact(t *testing.T) {
 	got := classificationsByDomain(t, results) // also fails on duplicates
 	for _, d := range domains {
 		if got[d] != want[d] {
-			t.Errorf("%s diverged from flat:\n  flat: %s\n  pipe: %s", d, want[d], got[d])
+			t.Errorf("%s diverged:\n  sequential: %s\n  runner:     %s", d, want[d], got[d])
 		}
 	}
 
 	snap := reg.Snapshot()
-	const wantMisses = nDomains + poolSize          // 40 fetch + 8 probe leaders
-	const wantHits = 2*nDomains - poolSize          // 80 probe calls - 8 leaders
+	const wantMisses = nDomains + poolSize // 40 fetch + 8 probe leaders
+	const wantHits = 2*nDomains - poolSize // 80 probe calls - 8 leaders
 	if c := snap.Counters["scanner.dedup.misses"]; c != wantMisses {
 		t.Errorf("scanner.dedup.misses = %d, want %d", c, wantMisses)
 	}
@@ -193,13 +196,8 @@ func TestPipelineDedupCountersExact(t *testing.T) {
 
 	// The stage pools must have drained and every record-bearing domain
 	// passed through every stage exactly once.
+	assertStagesDrained(t, reg)
 	for _, stage := range []string{"dns", "fetch", "probe"} {
-		if v := snap.Gauges["scanner.stage."+stage+".queue.depth"]; v != 0 {
-			t.Errorf("stage %s queue depth ended at %d", stage, v)
-		}
-		if v := snap.Gauges["scanner.stage."+stage+".busy"]; v != 0 {
-			t.Errorf("stage %s busy ended at %d", stage, v)
-		}
 		if v := snap.Gauges["scanner.stage."+stage+".workers"]; v != 4 {
 			t.Errorf("stage %s workers gauge = %d, want 4", stage, v)
 		}
@@ -213,9 +211,10 @@ func TestPipelineDedupCountersExact(t *testing.T) {
 	}
 }
 
-// TestPipelinedCancellationReconciles mirrors the flat pool's contract:
-// a canceled run still returns one result per domain, with the
-// unscanned tail as Canceled placeholders.
+// TestPipelinedCancellationReconciles pins the run-level contract for a
+// StageScanner: a canceled run still returns one result per domain,
+// with the unscanned tail as Canceled placeholders, and the stage
+// gauges drained (runner_cancel_test.go has the plain-Scanner case).
 func TestPipelinedCancellationReconciles(t *testing.T) {
 	arts := pipelineArtifacts(200, 4)
 	domains := domainsOf(arts)
@@ -228,13 +227,7 @@ func TestPipelinedCancellationReconciles(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	runner := &Runner{
-		Workers:   2,
-		Scan:      scan,
-		Obs:       reg,
-		Pipelined: true,
-		Dedup:     true,
-	}
+	runner := &Runner{Workers: 2, Scan: scan, Obs: reg, Dedup: true}
 	results := runner.Run(ctx, domains)
 
 	if len(results) != len(domains) {
@@ -259,6 +252,7 @@ func TestPipelinedCancellationReconciles(t *testing.T) {
 	if c := snap.Counters["scanner.scans.total"]; c != int64(len(domains)-canceled) {
 		t.Errorf("scans.total %d != %d completed results", c, len(domains)-canceled)
 	}
+	assertStagesDrained(t, reg)
 	prog := reg.Progress("scan").Snapshot()
 	if prog.Total != int64(len(domains)) || prog.Done != int64(len(domains)) || prog.InFlight != 0 {
 		t.Errorf("progress did not reconcile: %+v", prog)

@@ -149,7 +149,7 @@ type DomainResult struct {
 // RetryRecovered, RetryGaveUp), which legitimately vary with scheduling
 // even when the verdict does not. Two results with equal keys classify
 // identically in every figure and summary; equivalence tests compare
-// keys to prove the flat and pipelined schedulers agree.
+// keys to prove the Runner agrees with the sequential ScanDomain loop.
 func (r *DomainResult) ClassificationKey() string {
 	mxKeys := make([]string, 0, len(r.MXProblems))
 	for mx := range r.MXProblems {

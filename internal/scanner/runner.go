@@ -2,9 +2,6 @@ package scanner
 
 import (
 	"context"
-	"sort"
-	"sync"
-	"time"
 
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/obs"
@@ -17,162 +14,36 @@ type Scanner interface {
 }
 
 // Runner fans a scan out over many domains, mirroring the paper's
-// weekly/monthly snapshot scans. It has two backends: the flat
-// per-domain worker pool (default) and, when Pipelined is set and Scan
-// implements StageScanner, the staged pipeline of pipeline.go. Both
-// honor the same contract: results sorted by domain, one result per
-// submitted domain, canceled placeholders for domains the run could
-// not scan.
+// weekly/monthly snapshot scans, through the staged pipeline of
+// pipeline.go. The run-level contract: results sorted by domain, one
+// result per submitted domain, canceled placeholders for domains the
+// run could not scan.
 type Runner struct {
-	// Workers is the flat pool size (minimum 1); it also seeds any
-	// unset StageWorkers field in pipelined mode.
+	// Workers sizes every stage pool StageWorkers leaves unset
+	// (minimum 1).
 	Workers int
-	// Scan is the per-domain scanner.
+	// Scan is the per-domain scanner. A StageScanner (Live,
+	// ArtifactScanner) is scheduled stage by stage; any other Scanner
+	// runs whole inside the DNS pool.
 	Scan Scanner
 	// Obs, when non-nil, receives run-level metrics: the "scan" progress
 	// tracker (total/done/in-flight/rate, served at /debug/scanprogress),
-	// the scanner.queue.depth and scanner.workers.busy gauges, the
-	// scanner.scans.total counter, and the scanner.domain_scan.seconds
-	// latency histogram. Pipelined runs replace the flat pool gauges
-	// with the scanner.stage.<stage>.* family. A nil registry costs one
-	// pointer check per run.
+	// the scanner.stage.<stage>.* family, the scanner.scans.total
+	// counter, and the scanner.domain_scan.seconds latency histogram. A
+	// nil registry costs one pointer check per run.
 	Obs *obs.Registry
 	// Events, when non-nil, receives scan.run.start / scan.run.end
 	// events bracketing each Run call.
 	Events *obs.EventSink
 
-	// Pipelined selects the staged backend. It requires Scan to
-	// implement StageScanner; otherwise Run falls back to the flat pool.
-	Pipelined bool
-	// StageWorkers sizes the per-stage pools in pipelined mode; unset
-	// stages default to Workers.
+	// StageWorkers sizes the per-stage pools; unset stages default to
+	// Workers.
 	StageWorkers StageWorkers
-	// Dedup, in pipelined mode, collapses duplicate in-flight policy
-	// fetches and MX probes and shares their results across domains for
-	// the duration of the run (scanner.dedup.hits/misses count the
-	// effect; docs/PIPELINE.md discusses when sharing is sound).
+	// Dedup collapses duplicate in-flight policy fetches and MX probes
+	// and shares their results across domains for the duration of the
+	// run (scanner.dedup.hits/misses count the effect; docs/PIPELINE.md
+	// discusses when sharing is sound).
 	Dedup bool
-}
-
-// Run scans all domains and returns results sorted by domain name. The
-// context cancels outstanding work; completed results are still
-// returned, and every domain that did not get a full scan is returned
-// as a Canceled result so the run reconciles: len(results) always
-// equals len(domains), the queue-depth gauge drains to zero, and the
-// progress tracker finishes at done == total.
-func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
-	if r.Pipelined {
-		if ss, ok := r.Scan.(StageScanner); ok {
-			return r.runPipelined(ctx, domains, ss)
-		}
-	}
-	return r.runFlat(ctx, domains)
-}
-
-// runFlat is the seed worker-pool backend, unchanged in behavior.
-func (r *Runner) runFlat(ctx context.Context, domains []string) []DomainResult {
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Run-level instrumentation; every handle is nil (a no-op) when Obs
-	// is nil.
-	prog := r.Obs.Progress("scan")
-	prog.SetTotal(int64(len(domains)))
-	queueDepth := r.Obs.Gauge("scanner.queue.depth")
-	queueDepth.Set(int64(len(domains)))
-	busy := r.Obs.Gauge("scanner.workers.busy")
-	r.Obs.Gauge("scanner.workers.total").Set(int64(workers))
-	scans := r.Obs.Counter("scanner.scans.total")
-	scanHist := r.Obs.Histogram("scanner.domain_scan.seconds", nil)
-	runSpan := r.Obs.StartSpan("scan.run")
-	r.Events.Emit("scan.run.start", map[string]any{
-		"domains": len(domains), "workers": workers,
-	})
-
-	jobs := make(chan string)
-	resCh := make(chan DomainResult, workers)
-	canceledC := r.Obs.Counter("scanner.domains.canceled")
-	// cancelResult accounts a domain the run could not scan: the queue
-	// drains, the progress tracker still reaches done == total (Add skips
-	// the in-flight pairing), and the caller gets a Canceled placeholder.
-	cancelResult := func(d string) DomainResult {
-		queueDepth.Dec()
-		prog.Add(1)
-		canceledC.Inc()
-		return DomainResult{Domain: d, Canceled: true}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range jobs {
-				if ctx.Err() != nil {
-					// Canceled after the job was pulled: account for it
-					// instead of dropping it, and keep draining so every
-					// in-channel domain is accounted.
-					resCh <- cancelResult(d)
-					continue
-				}
-				queueDepth.Dec()
-				busy.Inc()
-				prog.Start()
-				var start time.Time
-				if scanHist != nil {
-					start = time.Now()
-				}
-				res := r.Scan.ScanDomain(ctx, d)
-				if scanHist != nil {
-					scanHist.ObserveSince(start)
-				}
-				prog.Done()
-				busy.Dec()
-				scans.Inc()
-				resCh <- res
-			}
-		}()
-	}
-	// The feeder joins the same WaitGroup: it may emit canceled results
-	// for the unsent tail, so resCh must stay open until it exits too.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(jobs)
-		for i, d := range domains {
-			select {
-			case <-ctx.Done():
-				for _, rest := range domains[i:] {
-					resCh <- cancelResult(rest)
-				}
-				return
-			case jobs <- d:
-			}
-		}
-	}()
-	done := make(chan struct{})
-	var results []DomainResult
-	var canceled int
-	go func() {
-		defer close(done)
-		for res := range resCh {
-			if res.Canceled {
-				canceled++
-			}
-			results = append(results, res)
-		}
-	}()
-	wg.Wait()
-	close(resCh)
-	<-done
-	sort.Slice(results, func(i, j int) bool { return results[i].Domain < results[j].Domain })
-
-	runSpan.End()
-	r.Events.Emit("scan.run.end", map[string]any{
-		"domains": len(domains), "completed": len(results) - canceled, "canceled": canceled,
-	})
-	return results
 }
 
 // Summary aggregates a snapshot of results into the headline counts of

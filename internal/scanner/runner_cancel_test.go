@@ -25,10 +25,26 @@ func (s *slowScanner) ScanDomain(ctx context.Context, domain string) DomainResul
 	return DomainResult{Domain: domain}
 }
 
+// assertStagesDrained checks that every stage pool ended the run with
+// an empty inbound queue and no worker mid-job.
+func assertStagesDrained(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	for _, stage := range []string{"dns", "fetch", "probe"} {
+		for _, gauge := range []string{".queue.depth", ".busy"} {
+			name := "scanner.stage." + stage + gauge
+			if v := reg.Gauge(name).Value(); v != 0 {
+				t.Errorf("%s = %d after run, want 0", name, v)
+			}
+		}
+	}
+}
+
 // Regression: canceling a run mid-flight used to drop domains already
 // pulled from the queue (no DomainResult at all), abandon the unsent
-// tail, and leave scanner.queue.depth nonzero. Every submitted domain
+// tail, and leave the queue-depth gauge nonzero. Every submitted domain
 // must come back — scanned or Canceled — with the gauges drained.
+// slowScanner is not a StageScanner, so this is also the adapter case:
+// a plain Scanner run whole inside the DNS pool reconciles the same way.
 func TestRunnerCancelAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	scan := &slowScanner{release: make(chan struct{})}
@@ -74,12 +90,7 @@ func TestRunnerCancelAccounting(t *testing.T) {
 			t.Errorf("domain %s unaccounted for", d)
 		}
 	}
-	if depth := reg.Gauge("scanner.queue.depth").Value(); depth != 0 {
-		t.Errorf("scanner.queue.depth = %d after run, want 0", depth)
-	}
-	if busy := reg.Gauge("scanner.workers.busy").Value(); busy != 0 {
-		t.Errorf("scanner.workers.busy = %d after run, want 0", busy)
-	}
+	assertStagesDrained(t, reg)
 	snap := reg.Progress("scan").Snapshot()
 	if snap.Done != int64(len(domains)) || snap.InFlight != 0 {
 		t.Errorf("progress done=%d inFlight=%d, want done=%d inFlight=0",
@@ -88,8 +99,11 @@ func TestRunnerCancelAccounting(t *testing.T) {
 	if got := reg.Counter("scanner.domains.canceled").Value(); got != int64(canceled) {
 		t.Errorf("scanner.domains.canceled = %d, results marked canceled = %d", got, canceled)
 	}
-	if int64(canceled) == 0 && scan.ran.Load() < int64(len(domains)) {
-		t.Errorf("no canceled results yet only %d/%d scans ran", scan.ran.Load(), len(domains))
+	if ran := scan.ran.Load(); ran != int64(len(domains)-canceled) {
+		t.Errorf("%d scans ran, want %d (every domain not marked canceled)", ran, len(domains)-canceled)
+	}
+	if got := reg.Counter("scanner.scans.total").Value(); got != int64(len(domains)-canceled) {
+		t.Errorf("scanner.scans.total = %d, want %d", got, len(domains)-canceled)
 	}
 
 	s := Summarize(results)

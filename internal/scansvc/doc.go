@@ -1,6 +1,6 @@
 // Package scansvc turns the CLI-orchestrated scanner into a
 // long-running service: a durable job queue over internal/store feeding
-// the pipelined scanner.Runner through the campaign engine's sharded
+// the staged scanner.Runner through the campaign engine's sharded
 // checkpoints, so a submitted job survives crashes and resumes to
 // byte-identical results exactly like a campaign week (docs/SERVICE.md).
 //

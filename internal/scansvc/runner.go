@@ -18,14 +18,13 @@ import (
 // logic cmd/mtasts-scan and the service previously had to agree on by
 // copy.
 type RunnerSpec struct {
-	// Workers sizes the flat pool (and "auto" staged pools). 16 if 0.
+	// Workers sizes every stage pool StageWorkers leaves unset. 16 if 0.
 	Workers int
-	// StageWorkers, when non-empty, selects the staged pipeline with
-	// these per-stage pool sizes ("dns=16,fetch=8,probe=32"; "auto"
-	// sizes every stage from Workers).
+	// StageWorkers gives per-stage pool sizes
+	// ("dns=16,fetch=8,probe=32"); "" or "auto" sizes every stage from
+	// Workers.
 	StageWorkers string
-	// Dedup collapses duplicate in-flight policy fetches and MX probes
-	// (implies the staged pipeline).
+	// Dedup collapses duplicate in-flight policy fetches and MX probes.
 	Dedup bool
 }
 
@@ -33,21 +32,18 @@ type RunnerSpec struct {
 // telemetry. It validates StageWorkers; an invalid spec is a user
 // error, reported rather than panicked.
 func (sp RunnerSpec) Build(scan scanner.Scanner, reg *obs.Registry, events *obs.EventSink) (*scanner.Runner, error) {
+	sw, err := scanner.ParseStageWorkers(sp.StageWorkers)
+	if err != nil {
+		return nil, err
+	}
 	workers := sp.Workers
 	if workers <= 0 {
 		workers = 16
 	}
-	r := &scanner.Runner{Workers: workers, Scan: scan, Obs: reg, Events: events}
-	if sp.StageWorkers != "" || sp.Dedup {
-		sw, err := scanner.ParseStageWorkers(sp.StageWorkers)
-		if err != nil {
-			return nil, err
-		}
-		r.Pipelined = true
-		r.StageWorkers = sw
-		r.Dedup = sp.Dedup
-	}
-	return r, nil
+	return &scanner.Runner{
+		Workers: workers, Scan: scan, Obs: reg, Events: events,
+		StageWorkers: sw, Dedup: sp.Dedup,
+	}, nil
 }
 
 // LiveSpec is the CLI-shaped description of the live scan stack

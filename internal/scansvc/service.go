@@ -36,8 +36,8 @@ type Service struct {
 	// Scan executes each job's domains. Required. Must be safe for
 	// concurrent use (scanner.Live and scanner.ArtifactScanner are).
 	Scan scanner.Scanner
-	// Runner shapes the per-job scanner.Runner (workers, staged
-	// pipeline, dedup).
+	// Runner shapes the per-job scanner.Runner (stage pool sizes,
+	// dedup).
 	Runner RunnerSpec
 	// Obs, when non-nil, receives the scansvc.* and tlsrpt.ingest.*
 	// metrics cataloged in docs/OBSERVABILITY.md; Events the

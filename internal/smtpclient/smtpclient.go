@@ -280,14 +280,24 @@ func (p *Prober) VerifyMX(ctx context.Context, mxHost string) (pki.Problem, erro
 	return res.CertProblem, nil
 }
 
-// textConn is a minimal SMTP reply reader/writer.
+// maxReplyLine and maxReplyLines cap what one SMTP reply can make a
+// client hold, whatever the server streams: RFC 5321 §4.5.3.1.5 sets
+// the reply line at 512 octets, and no real EHLO response comes near
+// 128 lines.
+const (
+	maxReplyLine  = 4096
+	maxReplyLines = 128
+)
+
+// textConn is a minimal SMTP reply reader/writer. Its read buffer is
+// maxReplyLine bytes, which is what bounds a reply line.
 type textConn struct {
 	r *bufio.Reader
 	w *bufio.Writer
 }
 
 func newTextConn(conn net.Conn) *textConn {
-	return &textConn{r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	return &textConn{r: bufio.NewReaderSize(conn, maxReplyLine), w: bufio.NewWriter(conn)}
 }
 
 // cmd sends one command and reads the (possibly multiline) reply.
@@ -303,14 +313,20 @@ func (t *textConn) cmd(line string) (int, []string, error) {
 
 // readReply parses an SMTP reply, handling "250-" continuation lines. It
 // returns the code and the text of each line (without the code prefix).
+// A line over maxReplyLine bytes or a reply over maxReplyLines lines is
+// an error, so a hostile server cannot grow the reply without bound.
 func (t *textConn) readReply() (int, []string, error) {
 	var lines []string
-	for {
-		raw, err := t.r.ReadString('\n')
+	for len(lines) < maxReplyLines {
+		line, err := t.r.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			//lint:ignore codes malformed SMTP reply: like ErrBadGreeting, classified per instance by the socket fallback
+			return 0, nil, fmt.Errorf("smtpclient: reply line over %d bytes", maxReplyLine)
+		}
 		if err != nil {
 			return 0, nil, fmt.Errorf("smtpclient: reading reply: %w", err)
 		}
-		raw = strings.TrimRight(raw, "\r\n")
+		raw := strings.TrimRight(string(line), "\r\n")
 		if len(raw) < 3 {
 			//lint:ignore codes malformed SMTP reply: like ErrBadGreeting, classified per instance by the socket fallback
 			return 0, nil, fmt.Errorf("smtpclient: short reply %q", raw)
@@ -331,4 +347,6 @@ func (t *textConn) readReply() (int, []string, error) {
 			return code, lines, nil
 		}
 	}
+	//lint:ignore codes malformed SMTP reply: like ErrBadGreeting, classified per instance by the socket fallback
+	return 0, nil, fmt.Errorf("smtpclient: reply over %d lines", maxReplyLines)
 }

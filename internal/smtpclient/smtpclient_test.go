@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/smtpd"
 )
@@ -416,5 +417,82 @@ func TestProbePermanentGreetingFailure(t *testing.T) {
 	}
 	if res.Err == nil {
 		t.Error("no error for 554 greeting")
+	}
+}
+
+// A hostile MX must not be able to make a probe hold unbounded memory
+// until the deadline fires: a reply line that never ends and a reply
+// whose continuation lines never end both fail the probe as soon as the
+// cap is crossed, long before the timeout.
+func TestProbeCapsHostileReplies(t *testing.T) {
+	flood := func(conn net.Conn, chunk string) {
+		for {
+			if _, err := conn.Write([]byte(chunk)); err != nil {
+				return // the prober hung up
+			}
+		}
+	}
+	cases := []struct {
+		name    string
+		serve   func(conn net.Conn)
+		wantErr string
+	}{
+		{
+			name: "endless greeting line",
+			serve: func(conn net.Conn) {
+				conn.Write([]byte("220 "))
+				flood(conn, strings.Repeat("a", 1024))
+			},
+			wantErr: "reply line over",
+		},
+		{
+			name: "endless EHLO continuation",
+			serve: func(conn net.Conn) {
+				conn.Write([]byte("220 hostile.example ESMTP\r\n"))
+				bufio.NewReader(conn).ReadString('\n') // EHLO
+				flood(conn, "250-PIPELINING\r\n")
+			},
+			wantErr: "reply over",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				tc.serve(conn)
+			}()
+
+			p := &Prober{AddrOverride: ln.Addr().String(), Timeout: 30 * time.Second}
+			start := time.Now()
+			res := p.Probe(context.Background(), "hostile.example")
+			if took := time.Since(start); took > 5*time.Second {
+				t.Errorf("probe took %v: it waited on the flood instead of failing at the cap", took)
+			}
+			if res.Err == nil || !strings.Contains(res.Err.Error(), tc.wantErr) {
+				t.Errorf("Err = %v, want one containing %q", res.Err, tc.wantErr)
+			}
+			if errtax.Transient(res.Err) {
+				t.Errorf("Err = %v classified transient; a malformed reply is persistent", res.Err)
+			}
+			if res.TLSEstablished {
+				t.Errorf("res = %+v", res)
+			}
+			select {
+			case <-served:
+			case <-time.After(10 * time.Second):
+				t.Fatal("server goroutine still writing: the prober kept the connection open")
+			}
+		})
 	}
 }

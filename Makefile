@@ -7,7 +7,7 @@ GO ?= go
 # locally for real exploration, e.g. `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-smoke bench-check leaktest
+.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-smoke bench-e2e-smoke bench-check leaktest
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,14 @@ bench:
 # b.Fatal fails the target); the numbers are not read.
 bench-smoke:
 	$(GO) test ./... -run '^$$' -bench . -benchtime 1x -count 1
+
+# bench/ is a module of its own, so nothing above builds or tests it,
+# yet it calls internal/ types by path: vet it and run its tests (~20 s:
+# every BENCHMARK.json workload at smoke size against the oracle, plus
+# same-seed determinism).
+bench-e2e-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Bench regression bar: regenerate the benchmark JSONs into /tmp (the
 # committed BENCH_*.json stay untouched) and fail if any row's

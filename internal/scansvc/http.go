@@ -192,18 +192,14 @@ func (s *Service) handleTLSRPTIngest(w http.ResponseWriter, req *http.Request) {
 
 func (s *Service) handleTLSRPTGet(w http.ResponseWriter, req *http.Request) {
 	domain := req.PathValue("domain")
-	sum, ok, err := s.TLSRPTFor(domain)
+	var reports []json.RawMessage
+	sum, ok, err := s.tlsrptFor(domain, &reports)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("scansvc: no reports for domain"))
-		return
-	}
-	reports, err := s.ListTLSRPT(domain)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

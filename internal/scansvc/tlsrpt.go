@@ -21,6 +21,13 @@ func (s *Service) IngestTLSRPT(data []byte) (*tlsrpt.Report, error) {
 		s.Obs.Counter("tlsrpt.ingest.rejected").Inc()
 		return nil, err
 	}
+	// Refuse before the first Put: stored for every domain or for none.
+	for _, d := range r.Domains() {
+		if strings.Contains(d, "/") {
+			s.Obs.Counter("tlsrpt.ingest.rejected").Inc()
+			return nil, fmt.Errorf("scansvc: policy domain %q cannot hold a slash", d)
+		}
+	}
 	window := r.DateRange.WindowKey()
 	// Store the canonical re-marshal, not the submitted bytes, so
 	// stored reports always re-parse.
@@ -29,10 +36,6 @@ func (s *Service) IngestTLSRPT(data []byte) (*tlsrpt.Report, error) {
 		return nil, err
 	}
 	for _, d := range r.Domains() {
-		if strings.Contains(d, "/") {
-			s.Obs.Counter("tlsrpt.ingest.rejected").Inc()
-			return nil, fmt.Errorf("scansvc: policy domain %q cannot hold a slash", d)
-		}
 		if err := s.Store.Put(rptKey(d, window, r.ReportID), canonical); err != nil {
 			return nil, err
 		}
@@ -65,8 +68,17 @@ type TLSRPTSummary struct {
 // TLSRPTFor folds the stored reports for one domain into a summary.
 // ok is false when no report covers the domain.
 func (s *Service) TLSRPTFor(domain string) (TLSRPTSummary, bool, error) {
+	return s.tlsrptFor(domain, nil)
+}
+
+// tlsrptFor is TLSRPTFor's one prefix scan; a non-nil docs also
+// receives the stored report documents, in (window, report-id) order.
+func (s *Service) tlsrptFor(domain string, docs *[]json.RawMessage) (TLSRPTSummary, bool, error) {
 	sum := TLSRPTSummary{}
 	err := s.Store.Scan(rptDomainPrefix(domain), func(_ string, v []byte) error {
+		if docs != nil {
+			*docs = append(*docs, append(json.RawMessage(nil), v...))
+		}
 		var r tlsrpt.Report
 		if err := json.Unmarshal(v, &r); err != nil {
 			return fmt.Errorf("scansvc: corrupt stored report for %s: %w", domain, err)
@@ -91,17 +103,6 @@ func (s *Service) TLSRPTFor(domain string) (TLSRPTSummary, bool, error) {
 		return TLSRPTSummary{}, false, err
 	}
 	return sum, sum.Reports > 0, nil
-}
-
-// ListTLSRPT returns the stored report documents covering one domain,
-// in (window, report-id) order.
-func (s *Service) ListTLSRPT(domain string) ([]json.RawMessage, error) {
-	var out []json.RawMessage
-	err := s.Store.Scan(rptDomainPrefix(domain), func(_ string, v []byte) error {
-		out = append(out, json.RawMessage(append([]byte(nil), v...)))
-		return nil
-	})
-	return out, err
 }
 
 // WriteResults streams a job's per-domain results as JSONL. Plain

@@ -40,7 +40,8 @@ type ref struct {
 }
 
 // Disk is the append-only on-disk backend: numbered JSONL segments in
-// one directory plus an in-memory key index rebuilt by replaying the
+// one directory plus an in-memory key index (a map to each key's newest
+// record, and the keys in order for Scan) rebuilt by replaying the
 // segments on Open. Writes append to the active (highest-numbered)
 // segment and rotate at SegmentBytes; Sync flushes and fsyncs the
 // active segment. A torn final line — the only damage a crash can
@@ -53,6 +54,7 @@ type Disk struct {
 	mu      sync.Mutex
 	dir     string
 	index   map[string]ref
+	keys    keyIndex         // the keys of index, in order, for Scan
 	files   map[int]*os.File // open segment handles, including the active one
 	active  int              // active segment number
 	size    int64            // bytes across all segments
@@ -187,8 +189,18 @@ func (s *Disk) replay(f *os.File, seg int) (int64, error) {
 		if jsonErr := json.Unmarshal(raw, &l); jsonErr != nil || l.K == "" {
 			return off, nil
 		}
-		s.index[l.K] = ref{seg: seg, off: off, ln: int32(len(raw))}
+		s.setRef(l.K, ref{seg: seg, off: off, ln: int32(len(raw))})
 		off += int64(len(raw))
+	}
+}
+
+// setRef points key at its newest record and enters a key new to the
+// map into the ordered index, unsorted until a Scan; the caller holds mu.
+func (s *Disk) setRef(key string, rf ref) {
+	n := len(s.index)
+	s.index[key] = rf
+	if len(s.index) > n {
+		s.keys.add(key)
 	}
 }
 
@@ -277,7 +289,7 @@ func (s *Disk) append(key string, value []byte) error {
 		return err
 	}
 	s.dirty = true
-	s.index[key] = ref{seg: s.active, off: s.actSize, ln: int32(len(raw))}
+	s.setRef(key, ref{seg: s.active, off: s.actSize, ln: int32(len(raw))})
 	s.actSize += int64(len(raw))
 	s.size += int64(len(raw))
 	return nil
@@ -334,32 +346,15 @@ func (s *Disk) syncDir() error {
 	return d.Sync()
 }
 
-// Scan implements Store: ascending key order over a snapshot of the
-// index taken under the lock, then lock-free-per-item reads under it.
+// Scan implements Store: a seek to the prefix's key range as of the
+// call, O(log n + matches), then one Get per key as it is visited — a
+// record overwritten mid-scan shows its newest value.
 func (s *Disk) Scan(prefix string, fn func(key string, value []byte) error) error {
 	s.mu.Lock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
+	keys := s.keys.under(prefix)
 	s.mu.Unlock()
 	for _, k := range keys {
-		s.mu.Lock()
-		rf, ok := s.index[k]
-		var (
-			v   []byte
-			err error
-		)
-		if ok {
-			v, err = s.readValue(rf)
-		}
-		s.mu.Unlock()
-		if !ok {
-			continue
-		}
+		v, _, err := s.Get(k) // an indexed key is never removed
 		if err != nil {
 			return err
 		}

@@ -13,7 +13,11 @@
 //
 // Scan visits keys in ascending lexicographic order in both backends —
 // the property the campaign layer builds byte-identical snapshot
-// exports and merge-join diffs on. docs/CAMPAIGN.md specifies the
+// exports and merge-join diffs on. Both answer it from one ordered key
+// index (index.go): a sorted run plus the keys first written since the
+// last Scan, which the next Scan merges in. A prefix Scan is a
+// binary-search seek, O(log n + matches), over the keys present when it
+// was called; a write is an append. docs/CAMPAIGN.md specifies the
 // on-disk format and its recovery semantics; the property test in
 // equiv_test.go pins the two backends to observational equivalence
 // under random operation sequences.

@@ -1,17 +1,14 @@
 package store
 
-import (
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
-// Mem is the in-memory backend: a map under a mutex. It exists so
-// tests, experiments and one-shot campaign runs can use the campaign
-// engine without touching disk; Sync and Close are no-ops.
+// Mem is the in-memory backend: a map and the ordered key index under
+// a mutex. It exists so tests, experiments and one-shot campaign runs
+// use the campaign engine without touching disk; Sync and Close no-op.
 type Mem struct {
 	mu   sync.RWMutex
 	m    map[string][]byte
+	keys keyIndex // the keys of m, in order, for Scan
 	size int64
 }
 
@@ -53,27 +50,23 @@ func (s *Mem) Batch(entries []Entry) error {
 func (s *Mem) put(key string, value []byte) {
 	if old, ok := s.m[key]; ok {
 		s.size -= int64(len(key) + len(old))
+	} else {
+		s.keys.add(key)
 	}
 	s.m[key] = append([]byte(nil), value...)
 	s.size += int64(len(key) + len(value))
 }
 
-// Scan implements Store: ascending key order over a snapshot of the
-// matching keys, so fn observes a consistent view.
+// Scan implements Store: keys (a seek, O(log n + matches)) and values
+// are captured at the call, under the write lock the index's merge needs.
 func (s *Mem) Scan(prefix string, fn func(key string, value []byte) error) error {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
+	s.mu.Lock()
+	keys := s.keys.under(prefix)
 	values := make([][]byte, len(keys))
 	for i, k := range keys {
 		values[i] = s.m[k]
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	for i, k := range keys {
 		if err := fn(k, values[i]); err != nil {
 			if err == ErrStop {

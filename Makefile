@@ -1,13 +1,13 @@
 # Standard entry points; CI runs `make check`, `make smoke-faults`,
 # `make smoke-adversary`, `make smoke-campaign`, `make smoke-send`,
-# `make smoke-serve`, and `make fuzz`.
+# `make smoke-serve`, `make smoke-examples`, and `make fuzz`.
 GO ?= go
 
 # Per-target budget for the CI fuzz smoke (`make fuzz`); raise it
 # locally for real exploration, e.g. `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve fuzz bench bench-smoke bench-e2e-smoke bench-check leaktest
+.PHONY: build test race vet lint lint-baseline check docs reproduce smoke-faults smoke-adversary smoke-campaign smoke-send smoke-serve smoke-examples fuzz bench bench-smoke bench-e2e-smoke bench-check leaktest
 
 build:
 	$(GO) build ./...
@@ -39,14 +39,14 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/mtastslint -write-baseline
 
-check: build vet lint docs test race leaktest smoke-adversary smoke-serve
+check: build vet lint docs test race leaktest smoke-adversary smoke-serve smoke-examples
 
 # Goroutine-leak harness (internal/leakcheck): the concurrency-heavy
 # packages declare a TestMain that fails the binary if any test leaves
 # a goroutine running. -count 1 defeats the test cache so the check is
 # live even right after `make race`.
 leaktest:
-	$(GO) test -race -count 1 ./internal/leakcheck ./internal/scanner ./internal/policycache ./internal/campaign ./internal/sf ./internal/obs ./internal/mta ./internal/smtpclient ./internal/experiments ./internal/scansvc
+	$(GO) test -race -count 1 ./internal/leakcheck ./internal/scanner ./internal/policycache ./internal/campaign ./internal/sf ./internal/obs ./internal/mta ./internal/smtpclient ./internal/experiments ./internal/scansvc ./internal/loopnet
 
 # Docs-vs-code gates that run fast enough to gate every check: CLI
 # flags against README/docs (internal/docscheck), plus the linted
@@ -107,6 +107,16 @@ smoke-send:
 # a fresh uninterrupted run's (docs/SERVICE.md).
 smoke-serve:
 	$(GO) test ./cmd/mtasts-serve -run '^TestSmokeServe$$' -count 1 -servesmoke -v
+
+# Run the examples, which nothing else executes: each must exit 0 and
+# print the line that says its scenario played out (delegation has no
+# single such line; its exit status is the check).
+smoke-examples:
+	$(GO) run ./examples/quickstart > /tmp/mtasts-example.out && grep -q 'verdict: OK' /tmp/mtasts-example.out
+	$(GO) run ./examples/sendermta > /tmp/mtasts-example.out && grep -q 'rogue MX received 0 message(s)' /tmp/mtasts-example.out
+	$(GO) run ./examples/danefirst > /tmp/mtasts-example.out && grep -q 'MTA-STS was never consulted' /tmp/mtasts-example.out
+	$(GO) run ./examples/delegation > /dev/null
+	@echo "smoke-examples: quickstart, sendermta, danefirst, delegation ran clean"
 
 # Coverage-guided fuzzing smoke over the wire-format parsers (`go test
 # -fuzz` accepts one target per invocation). The committed seed corpora

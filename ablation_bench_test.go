@@ -12,16 +12,11 @@ package mtastsrepro
 
 import (
 	"context"
-	"net"
-	"net/netip"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/policysrv"
@@ -30,22 +25,15 @@ import (
 	"github.com/netsecurelab/mtasts/internal/smtpd"
 )
 
-// liveLab is a loopback substrate shared by the live benchmarks.
-type liveLab struct {
-	ca      *pki.CA
-	dnsAddr string
-	pol     *policysrv.Server
-	smtp    int // SMTP port
-	live    *scanner.Live
-}
-
+// The live benchmarks share one loopback Internet serving bench.example,
+// left running until the test binary exits.
 var (
 	labOnce sync.Once
-	lab     *liveLab
+	lab     *loopnet.Net
 	labErr  error
 )
 
-func getLab(b *testing.B) *liveLab {
+func getLab(b *testing.B) *loopnet.Net {
 	b.Helper()
 	labOnce.Do(func() { lab, labErr = buildLab() })
 	if labErr != nil {
@@ -54,64 +42,23 @@ func getLab(b *testing.B) *liveLab {
 	return lab
 }
 
-func buildLab() (*liveLab, error) {
-	const domain = "bench.example"
-	mxHost := "mx." + domain
-	ca, err := pki.NewCA("Bench CA", time.Now())
+func buildLab() (*loopnet.Net, error) {
+	const domain, mxHost = "bench.example", "mx.bench.example"
+	n, err := loopnet.Start(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	zone := dnszone.New(domain)
-	loop := dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}
-	zone.MustAdd(dnsmsg.RR{Name: "_mta-sts." + domain, Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN,
-		TTL: 300, Data: dnsmsg.NewTXT("v=STSv1; id=bench1;")})
-	zone.MustAdd(dnsmsg.RR{Name: "mta-sts." + domain, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, Data: loop})
-	zone.MustAdd(dnsmsg.RR{Name: domain, Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 300,
-		Data: dnsmsg.MXData{Preference: 10, Host: mxHost}})
-	zone.MustAdd(dnsmsg.RR{Name: mxHost, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, Data: loop})
-	dns := dnsserver.New(nil)
-	dns.AddZone(zone)
-	dnsAddr, err := dns.Start("127.0.0.1:0")
-	if err != nil {
+	if _, err := n.AddMX(smtpd.Behavior{}, mxHost); err != nil {
 		return nil, err
 	}
-
-	pol := policysrv.New(ca, nil)
-	pol.AddTenant(&policysrv.Tenant{Domain: domain, Policy: mtasts.Policy{
-		Version: mtasts.Version, Mode: mtasts.ModeEnforce, MaxAge: 86400,
-		MXPatterns: []string{mxHost},
-	}})
-	if _, err := pol.Start("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-
-	leaf, err := ca.Issue(pki.IssueOptions{Names: []string{mxHost}})
-	if err != nil {
-		return nil, err
-	}
-	cert := leaf.TLSCertificate()
-	mx := smtpd.New(smtpd.Behavior{Hostname: mxHost, Certificate: &cert})
-	mxAddr, err := mx.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	_, portStr, _ := net.SplitHostPort(mxAddr.String())
-	smtpPort, _ := strconv.Atoi(portStr)
-
-	return &liveLab{
-		ca:      ca,
-		dnsAddr: dnsAddr.String(),
-		pol:     pol,
-		smtp:    smtpPort,
-		live: &scanner.Live{
-			DNS:       resolver.New(dnsAddr.String()),
-			Roots:     ca.Pool(),
-			HTTPSPort: pol.Port(),
-			SMTPPort:  smtpPort,
-			HeloName:  "bench.invalid",
-			Timeout:   5 * time.Second,
-		},
-	}, nil
+	n.AddDomain(loopnet.Domain{
+		Name: domain, MX: []string{mxHost}, TXT: []string{"v=STSv1; id=bench1;"},
+		Tenant: &policysrv.Tenant{Policy: mtasts.Policy{
+			Version: mtasts.Version, Mode: mtasts.ModeEnforce, MaxAge: 86400,
+			MXPatterns: []string{mxHost},
+		}},
+	})
+	return n, nil
 }
 
 // BenchmarkAblationLiveScan scans one domain over real sockets (DNS over
@@ -119,10 +66,18 @@ func buildLab() (*liveLab, error) {
 // probe).
 func BenchmarkAblationLiveScan(b *testing.B) {
 	l := getLab(b)
+	live := &scanner.Live{
+		DNS:       resolver.New(l.DNS.Addr().String()),
+		Roots:     l.CA.Pool(),
+		HTTPSPort: l.Policy.Port(),
+		SMTPPort:  l.SMTPPort,
+		HeloName:  "bench.invalid",
+		Timeout:   5 * time.Second,
+	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := l.live.ScanDomain(ctx, "bench.example")
+		r := live.ScanDomain(ctx, "bench.example")
 		if !r.PolicyOK {
 			b.Fatalf("scan failed: stage %v", r.PolicyStage)
 		}
@@ -187,25 +142,15 @@ func BenchmarkAblationValidatorWarmCache(b *testing.B) {
 	}
 }
 
-func newBenchValidator(l *liveLab, cache mtasts.PolicyStore) *mtasts.Validator {
-	dnsClient := resolver.New(l.dnsAddr)
+func newBenchValidator(l *loopnet.Net, cache mtasts.PolicyStore) *mtasts.Validator {
+	adapter := scanner.TXTResolverAdapter{Client: resolver.New(l.DNS.Addr().String())}
 	return &mtasts.Validator{
-		Resolver: scanner.TXTResolverAdapter{Client: dnsClient},
+		Resolver: adapter,
 		Fetcher: &mtasts.Fetcher{
-			Resolver: mtasts.AddrResolverFunc(func(ctx context.Context, host string) ([]string, error) {
-				addrs, err := dnsClient.LookupAddrs(ctx, host, false)
-				if err != nil {
-					return nil, err
-				}
-				out := make([]string, len(addrs))
-				for i, a := range addrs {
-					out[i] = a.String()
-				}
-				return out, nil
-			}),
-			RootCAs: l.ca.Pool(),
-			Port:    l.pol.Port(),
-			Timeout: 5 * time.Second,
+			Resolver: adapter,
+			RootCAs:  l.CA.Pool(),
+			Port:     l.Policy.Port(),
+			Timeout:  5 * time.Second,
 		},
 		Cache: cache,
 	}
@@ -215,7 +160,7 @@ func newBenchValidator(l *liveLab, cache mtasts.PolicyStore) *mtasts.Validator {
 // response cache disabled.
 func BenchmarkAblationResolverNoCache(b *testing.B) {
 	l := getLab(b)
-	c := resolver.New(l.dnsAddr)
+	c := resolver.New(l.DNS.Addr().String())
 	c.Cache = nil
 	ctx := context.Background()
 	b.ResetTimer()
@@ -229,7 +174,7 @@ func BenchmarkAblationResolverNoCache(b *testing.B) {
 // BenchmarkAblationResolverWithCache measures cached lookups.
 func BenchmarkAblationResolverWithCache(b *testing.B) {
 	l := getLab(b)
-	c := resolver.New(l.dnsAddr)
+	c := resolver.New(l.DNS.Addr().String())
 	ctx := context.Background()
 	if _, err := c.LookupTXT(ctx, "_mta-sts.bench.example"); err != nil {
 		b.Fatal(err)

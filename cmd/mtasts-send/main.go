@@ -111,25 +111,16 @@ func run() int {
 	}()
 
 	dnsClient := resolver.New(*dnsAddr)
+	adapter := scanner.TXTResolverAdapter{Client: dnsClient}
 	outbound := &mta.Outbound{
 		DNS: dnsClient,
 		Validator: &mtasts.Validator{
-			Resolver: scanner.TXTResolverAdapter{Client: dnsClient},
+			Resolver: adapter,
 			Fetcher: &mtasts.Fetcher{
-				Resolver: mtasts.AddrResolverFunc(func(ctx context.Context, host string) ([]string, error) {
-					addrs, err := dnsClient.LookupAddrs(ctx, host, true)
-					if err != nil {
-						return nil, err
-					}
-					out := make([]string, len(addrs))
-					for i, a := range addrs {
-						out[i] = a.String()
-					}
-					return out, nil
-				}),
-				Port:    *httpsPort,
-				RootCAs: roots,
-				Timeout: *timeout,
+				Resolver: adapter,
+				Port:     *httpsPort,
+				RootCAs:  roots,
+				Timeout:  *timeout,
 			},
 			Cache: cache,
 		},

@@ -2,23 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/pem"
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"testing"
-	"time"
 
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
-	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/policysrv"
 	"github.com/netsecurelab/mtasts/internal/smtpd"
 )
@@ -32,103 +28,50 @@ var sendSmoke = flag.Bool("sendsmoke", false, "run the mtasts-send crash-restart
 var cacheStatsRe = regexp.MustCompile(
 	`policy cache: entries=(\d+) hits=(\d+) misses=(\d+) stale_served=(\d+) refresh_failures=(\d+) collapsed=(\d+)`)
 
-type smokeLab struct {
-	dnsAddr   string
-	httpsPort int
-	smtpPort  int
-	caFile    string
-	pol       *policysrv.Server
-	inbox     *smtpd.Server
-}
-
-// newSmokeLab boots DNS + policy + SMTP servers for the recipient domain
-// smoke.test; the binary resolves mx.smoke.test through the lab DNS.
-func newSmokeLab(t *testing.T) *smokeLab {
+// startSmokeNet boots a loopback Internet serving the recipient domain
+// smoke.test — the binary resolves mx.smoke.test through its DNS — and
+// writes its CA where -ca can read it.
+func startSmokeNet(t *testing.T) (n *loopnet.Net, caFile string) {
 	t.Helper()
-	ca, err := pki.NewCA("Send Smoke CA", time.Now())
+	n, err := loopnet.Start(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	caFile := filepath.Join(t.TempDir(), "ca.pem")
-	pemBytes := pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: ca.Cert.Raw})
+	t.Cleanup(func() {
+		if err := n.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	caFile = filepath.Join(t.TempDir(), "ca.pem")
+	pemBytes := pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: n.CA.Cert.Raw})
 	if err := os.WriteFile(caFile, pemBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	zone := dnszone.New("test")
-	dns := dnsserver.New(nil)
-	dns.AddZone(zone)
-	dnsAddr, err := dns.Start("127.0.0.1:0")
-	if err != nil {
+	if _, err := n.AddMX(smtpd.Behavior{AcceptMail: true}, "mx.smoke.test"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if err := dns.Close(); err != nil {
-			t.Error(err)
-		}
+	n.AddDomain(loopnet.Domain{
+		Name: "smoke.test", MX: []string{"mx.smoke.test"}, TXT: []string{"v=STSv1; id=20260808;"},
+		Tenant: &policysrv.Tenant{Policy: mtasts.Policy{
+			Version: mtasts.Version, Mode: mtasts.ModeEnforce,
+			MaxAge: 86400, MXPatterns: []string{"mx.smoke.test"},
+		}},
 	})
-
-	pol := policysrv.New(ca, nil)
-	if _, err := pol.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	pol.AddTenant(&policysrv.Tenant{Domain: "smoke.test", Policy: mtasts.Policy{
-		Version: mtasts.Version, Mode: mtasts.ModeEnforce,
-		MaxAge: 86400, MXPatterns: []string{"mx.smoke.test"},
-	}})
-
-	leaf, err := ca.Issue(pki.IssueOptions{Names: []string{"mx.smoke.test"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cert := leaf.TLSCertificate()
-	inbox := smtpd.New(smtpd.Behavior{Hostname: "mx.smoke.test", Certificate: &cert, AcceptMail: true})
-	smtpAddr, err := inbox.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := inbox.Close(); err != nil {
-			t.Error(err)
-		}
-	})
-
-	loop := netip.MustParseAddr("127.0.0.1")
-	zone.MustAdd(dnsmsg.RR{Name: "smoke.test", Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.MXData{Preference: 10, Host: "mx.smoke.test"}})
-	zone.MustAdd(dnsmsg.RR{Name: "_mta-sts.smoke.test", Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN,
-		TTL: 60, Data: dnsmsg.NewTXT("v=STSv1; id=20260808;")})
-	zone.MustAdd(dnsmsg.RR{Name: "mta-sts.smoke.test", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN,
-		TTL: 60, Data: dnsmsg.AData{Addr: loop}})
-	zone.MustAdd(dnsmsg.RR{Name: "mx.smoke.test", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN,
-		TTL: 60, Data: dnsmsg.AData{Addr: loop}})
-
-	smtpPort, err := strconv.Atoi(smtpAddr.String()[len("127.0.0.1:"):])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &smokeLab{
-		dnsAddr:   dnsAddr.String(),
-		httpsPort: pol.Port(),
-		smtpPort:  smtpPort,
-		caFile:    caFile,
-		pol:       pol,
-		inbox:     inbox,
-	}
+	return n, caFile
 }
 
 // runSend invokes the built binary once and returns its stdout plus the
 // parsed cache stats (entries, hits, misses, stale, refreshfail,
 // collapsed).
-func runSend(t *testing.T, bin string, lab *smokeLab, cacheDir string) (string, []int) {
+func runSend(t *testing.T, bin string, n *loopnet.Net, caFile, cacheDir string) (string, []int) {
 	t.Helper()
 	cmd := exec.Command(bin,
-		"-dns", lab.dnsAddr,
+		"-dns", n.DNS.Addr().String(),
 		"-from", "alice@sender.test",
 		"-to", "bob@smoke.test",
-		"-smtp-port", strconv.Itoa(lab.smtpPort),
-		"-https-port", strconv.Itoa(lab.httpsPort),
-		"-ca", lab.caFile,
+		"-smtp-port", strconv.Itoa(n.SMTPPort),
+		"-https-port", strconv.Itoa(n.Policy.Port()),
+		"-ca", caFile,
 		"-cache-dir", cacheDir,
 		"-timeout", "5s",
 	)
@@ -167,11 +110,11 @@ func TestSmokeSend(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	lab := newSmokeLab(t)
+	n, caFile := startSmokeNet(t)
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 
 	// Cold process: discovers the record, fetches the policy, delivers.
-	stdout, stats := runSend(t, bin, lab, cacheDir)
+	stdout, stats := runSend(t, bin, n, caFile, cacheDir)
 	if !regexp.MustCompile(`delivered to mx\.smoke\.test via mta-sts`).MatchString(stdout) {
 		t.Fatalf("cold run did not deliver via MTA-STS: %s", stdout)
 	}
@@ -180,20 +123,20 @@ func TestSmokeSend(t *testing.T) {
 	}
 
 	// Kill the policy host: from here, any refetch attempt would fail.
-	if err := lab.pol.Close(); err != nil {
+	if err := n.Policy.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Warm process ("restart"): the TOFU state must come back from disk
 	// and serve the delivery with zero policy fetches.
-	stdout, stats = runSend(t, bin, lab, cacheDir)
+	stdout, stats = runSend(t, bin, n, caFile, cacheDir)
 	if !regexp.MustCompile(`delivered to mx\.smoke\.test via mta-sts`).MatchString(stdout) {
 		t.Fatalf("warm run did not deliver via MTA-STS: %s", stdout)
 	}
 	if entries, hits, misses := stats[0], stats[1], stats[2]; entries != 1 || hits != 1 || misses != 0 {
 		t.Fatalf("warm stats = %v, want entries=1 hits=1 misses=0 (a miss means it tried to refetch)", stats)
 	}
-	if got := len(lab.inbox.Messages()); got != 2 {
+	if got := len(n.MX("mx.smoke.test").Messages()); got != 2 {
 		t.Fatalf("inbox has %d messages, want 2", got)
 	}
 	fmt.Println("smoke-send: TOFU state survived restart; warm delivery enforced with zero refetches")

@@ -13,14 +13,11 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net/netip"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/dane"
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
 	"github.com/netsecurelab/mtasts/internal/dnssec"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mta"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/pki"
@@ -34,38 +31,33 @@ func main() {
 	const domain = "secure.example"
 	mxHost := "mx." + domain
 
-	ca, err := pki.NewCA("DANE-first Lab CA", time.Now())
+	inet, err := loopnet.Start(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer inet.Close()
 
 	// The MX presents a SELF-SIGNED certificate: web PKI (and therefore
 	// MTA-STS) rejects it, but the TLSA record pins exactly this key.
-	leaf, err := ca.Issue(pki.IssueOptions{Names: []string{mxHost}, SelfSigned: true})
+	cert := inet.Cert(pki.IssueOptions{Names: []string{mxHost}, SelfSigned: true})
+	mx, err := inet.AddMX(smtpd.Behavior{Certificate: cert, AcceptMail: true}, mxHost)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cert := leaf.TLSCertificate()
-	mx := smtpd.New(smtpd.Behavior{Hostname: mxHost, Certificate: &cert, AcceptMail: true})
-	mxAddr, err := mx.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mx.Close()
 
-	// Recipient zone: MX, MTA-STS record, TLSA record — then sign it.
-	zone := dnszone.New("example")
-	loop := dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}
-	zone.MustAdd(dnsmsg.RR{Name: domain, Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 300,
-		Data: dnsmsg.MXData{Preference: 10, Host: mxHost}})
-	zone.MustAdd(dnsmsg.RR{Name: mxHost, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 300, Data: loop})
-	zone.MustAdd(dnsmsg.RR{Name: "_mta-sts." + domain, Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN,
-		TTL: 300, Data: dnsmsg.NewTXT("v=STSv1; id=20240929;")})
-	zone.MustAdd(dnsmsg.RR{Name: "mta-sts." + domain, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN,
-		TTL: 300, Data: loop})
-	zone.MustAdd(dane.NewEE3(leaf.Cert).RR(mxHost, 300))
+	// Recipient zone: MX, MTA-STS record and policy (it authorizes the MX,
+	// mode enforce), TLSA record — then sign it.
+	inet.AddDomain(loopnet.Domain{
+		Name: domain, MX: []string{mxHost}, TXT: []string{"v=STSv1; id=20240929;"},
+		Tenant: &policysrv.Tenant{Policy: mtasts.Policy{
+			Version: mtasts.Version, Mode: mtasts.ModeEnforce, MaxAge: 86400,
+			MXPatterns: []string{mxHost},
+		}},
+	})
+	zone := inet.Zone(domain)
+	zone.MustAdd(dane.NewEE3(cert.Leaf).RR(mxHost, 300))
 
-	signer, err := dnssec.NewSigner("example")
+	signer, err := dnssec.NewSigner(zone.Origin())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,54 +67,26 @@ func main() {
 	}
 	fmt.Println("zone 'example' signed (ECDSA P-256); trust anchor:", signer.DS().Data)
 
-	dns := dnsserver.New(nil)
-	dns.AddZone(zone)
-	dnsAddr, err := dns.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dns.Close()
-
-	// MTA-STS policy host (policy authorizes the MX, mode enforce).
-	pol := policysrv.New(ca, nil)
-	pol.AddTenant(&policysrv.Tenant{Domain: domain, Policy: mtasts.Policy{
-		Version: mtasts.Version, Mode: mtasts.ModeEnforce, MaxAge: 86400,
-		MXPatterns: []string{mxHost},
-	}})
-	if _, err := pol.Start("127.0.0.1:0"); err != nil {
-		log.Fatal(err)
-	}
-	defer pol.Close()
-
 	// A compliant outbound MTA with a chain-validating resolver.
-	dnsClient := resolver.New(dnsAddr.String())
+	dnsClient := resolver.New(inet.DNS.Addr().String())
 	validator := dnssec.NewValidator(dnsClient)
 	if err := validator.AddAnchor(signer.DS()); err != nil {
 		log.Fatal(err)
 	}
+	adapter := scanner.TXTResolverAdapter{Client: dnsClient}
 	outbound := &mta.Outbound{
 		DNS: dnsClient,
 		Validator: &mtasts.Validator{
-			Resolver: scanner.TXTResolverAdapter{Client: dnsClient},
+			Resolver: adapter,
 			Fetcher: &mtasts.Fetcher{
-				Resolver: mtasts.AddrResolverFunc(func(ctx context.Context, host string) ([]string, error) {
-					addrs, err := dnsClient.LookupAddrs(ctx, host, false)
-					if err != nil {
-						return nil, err
-					}
-					out := make([]string, len(addrs))
-					for i, a := range addrs {
-						out[i] = a.String()
-					}
-					return out, nil
-				}),
-				RootCAs: ca.Pool(), Port: pol.Port(), Timeout: 5 * time.Second,
+				Resolver: adapter,
+				RootCAs:  inet.CA.Pool(), Port: inet.Policy.Port(), Timeout: 5 * time.Second,
 			},
 			Cache: mtasts.NewPolicyCache(16),
 		},
-		Roots:        ca.Pool(),
+		Roots:        inet.CA.Pool(),
 		HeloName:     "danefirst.lab",
-		AddrOverride: func(string) string { return mxAddr.String() },
+		AddrOverride: inet.DialAddr,
 		DANEEnabled:  true,
 		DNSSEC:       validator,
 		Timeout:      5 * time.Second,
@@ -138,12 +102,8 @@ func main() {
 		out.MXHost, out.Mechanism, out.CertVerified)
 
 	fmt.Println("\n[2] attacker swaps the MX key; TLSA no longer matches")
-	rogueLeaf, err := ca.Issue(pki.IssueOptions{Names: []string{mxHost}, SelfSigned: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rogueCert := rogueLeaf.TLSCertificate()
-	mx.SetBehavior(smtpd.Behavior{Hostname: mxHost, Certificate: &rogueCert, AcceptMail: true})
+	rogueCert := inet.Cert(pki.IssueOptions{Names: []string{mxHost}, SelfSigned: true})
+	mx.SetBehavior(smtpd.Behavior{Certificate: rogueCert, AcceptMail: true})
 	dnsClient.Cache.Flush()
 
 	_, err = outbound.Send(ctx, "a@sender.lab", []string{"b@" + domain}, []byte("Subject: mitm\n\nintercept\n"))

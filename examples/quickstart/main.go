@@ -10,17 +10,11 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
-	"net/netip"
-	"strconv"
 	"time"
 
 	mtastsrepro "github.com/netsecurelab/mtasts"
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
-	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/policysrv"
 	"github.com/netsecurelab/mtasts/internal/smtpd"
 )
@@ -29,75 +23,38 @@ func main() {
 	const domain = "example.com"
 	mxHost := "mx." + domain
 
-	// A test CA plays the web PKI.
-	ca, err := pki.NewCA("Quickstart CA", time.Now())
+	// 1. The loopback Internet: an authoritative DNS server, an HTTPS
+	// policy host and a test CA playing the web PKI.
+	inet, err := loopnet.Start(context.Background())
 	if err != nil {
+		log.Fatal(err)
+	}
+	defer inet.Close()
+
+	// 2. The MX host: an SMTP server with STARTTLS and a PKIX-valid
+	// certificate, on an address of its own.
+	if _, err := inet.AddMX(smtpd.Behavior{AcceptMail: true}, mxHost); err != nil {
 		log.Fatal(err)
 	}
 
-	// 1. Authoritative DNS: the MTA-STS record, the policy host address,
-	// and the MX records.
-	zone := dnszone.New(domain)
-	loopback := dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}
-	zone.MustAdd(dnsmsg.RR{Name: "_mta-sts." + domain, Type: dnsmsg.TypeTXT,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: dnsmsg.NewTXT("v=STSv1; id=20240929;")})
-	zone.MustAdd(dnsmsg.RR{Name: "mta-sts." + domain, Type: dnsmsg.TypeA,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: loopback})
-	zone.MustAdd(dnsmsg.RR{Name: domain, Type: dnsmsg.TypeMX,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: dnsmsg.MXData{Preference: 10, Host: mxHost}})
-	zone.MustAdd(dnsmsg.RR{Name: mxHost, Type: dnsmsg.TypeA,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: loopback})
-
-	dns := dnsserver.New(nil)
-	dns.AddZone(zone)
-	dnsAddr, err := dns.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dns.Close()
-
-	// 2. HTTPS policy host serving the well-known policy file.
-	policy := mtasts.Policy{
-		Version: mtasts.Version, Mode: mtasts.ModeEnforce,
-		MaxAge: 604800, MXPatterns: []string{mxHost},
-	}
-	pol := policysrv.New(ca, nil)
-	pol.AddTenant(&policysrv.Tenant{Domain: domain, Policy: policy})
-	if _, err := pol.Start("127.0.0.1:0"); err != nil {
-		log.Fatal(err)
-	}
-	defer pol.Close()
-
-	// 3. The MX host: an SMTP server with STARTTLS and a PKIX-valid
-	// certificate.
-	leaf, err := ca.Issue(pki.IssueOptions{Names: []string{mxHost}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cert := leaf.TLSCertificate()
-	mx := smtpd.New(smtpd.Behavior{Hostname: mxHost, Certificate: &cert, AcceptMail: true})
-	mxAddr, err := mx.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mx.Close()
-	_, smtpPortStr, err := net.SplitHostPort(mxAddr.String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	smtpPort, err := strconv.Atoi(smtpPortStr)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 3. The deployment: the MX record, the MTA-STS record, the policy
+	// host address, and the well-known policy file behind it.
+	inet.AddDomain(loopnet.Domain{
+		Name: domain, MX: []string{mxHost}, TXT: []string{"v=STSv1; id=20240929;"},
+		Tenant: &policysrv.Tenant{Policy: mtasts.Policy{
+			Version: mtasts.Version, Mode: mtasts.ModeEnforce,
+			MaxAge: 604800, MXPatterns: []string{mxHost},
+		}},
+	})
 
 	// 4. Validate the deployment end-to-end with the public API.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	result := mtastsrepro.CheckDomain(ctx, domain, mtastsrepro.CheckOptions{
-		DNSAddr:   dnsAddr.String(),
-		Roots:     ca.Pool(),
-		HTTPSPort: pol.Port(),
-		SMTPPort:  smtpPort,
+		DNSAddr:   inet.DNS.Addr().String(),
+		Roots:     inet.CA.Pool(),
+		HTTPSPort: inet.Policy.Port(),
+		SMTPPort:  inet.SMTPPort,
 	})
 
 	fmt.Println("MTA-STS deployment check for", domain)

@@ -13,13 +13,10 @@ import (
 	"context"
 	"fmt"
 	"log"
-
-	"net/netip"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/dnsmsg"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/policysrv"
@@ -35,8 +32,7 @@ import (
 type sendingMTA struct {
 	dns       *resolver.Client
 	validator *mtasts.Validator
-	ca        *pki.CA
-	smtpAddr  map[string]string // MX host -> dial address (loopback lab)
+	inet      *loopnet.Net // trust store and MX dial addresses of the lab
 }
 
 // send delivers one message to the recipient domain, enforcing MTA-STS.
@@ -59,10 +55,10 @@ func (m *sendingMTA) send(ctx context.Context, domain, from, to string, body []b
 
 	sender := &smtpclient.Sender{
 		HeloName:     "sender.lab",
-		Roots:        m.ca.Pool(),
+		Roots:        m.inet.CA.Pool(),
 		RequireTLS:   ev.PolicyFetched && ev.Policy.Mode == mtasts.ModeEnforce,
 		Timeout:      5 * time.Second,
-		AddrOverride: m.smtpAddr[mxHost],
+		AddrOverride: m.inet.DialAddr(mxHost),
 	}
 	res, err := sender.Deliver(ctx, mxHost, from, []string{to}, body)
 	if err != nil {
@@ -74,94 +70,48 @@ func (m *sendingMTA) send(ctx context.Context, domain, from, to string, body []b
 
 func main() {
 	const domain = "recipient.com"
-	goodMX := "mx." + domain
+	const goodMX, rogueMX = "mx." + domain, "mx.attacker.net"
 
-	ca, err := pki.NewCA("SenderMTA Lab CA", time.Now())
+	inet, err := loopnet.Start(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer inet.Close()
+
+	// The legitimate MX with a valid certificate, and an
+	// attacker-controlled MX with a self-signed one.
+	mx, err := inet.AddMX(smtpd.Behavior{AcceptMail: true}, goodMX)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rogueCert := inet.Cert(pki.IssueOptions{Names: []string{rogueMX}, SelfSigned: true})
+	rogue, err := inet.AddMX(smtpd.Behavior{Certificate: rogueCert, AcceptMail: true}, rogueMX)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Recipient infrastructure.
-	zone := dnszone.New(domain)
-	loopback := dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}
-	zone.MustAdd(dnsmsg.RR{Name: "_mta-sts." + domain, Type: dnsmsg.TypeTXT,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: dnsmsg.NewTXT("v=STSv1; id=20240929;")})
-	zone.MustAdd(dnsmsg.RR{Name: "mta-sts." + domain, Type: dnsmsg.TypeA,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: loopback})
-	zone.MustAdd(dnsmsg.RR{Name: domain, Type: dnsmsg.TypeMX,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: dnsmsg.MXData{Preference: 10, Host: goodMX}})
-	zone.MustAdd(dnsmsg.RR{Name: goodMX, Type: dnsmsg.TypeA,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: loopback})
-	dns := dnsserver.New(nil)
-	dns.AddZone(zone)
-	dnsAddr, err := dns.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dns.Close()
-
-	pol := policysrv.New(ca, nil)
-	pol.AddTenant(&policysrv.Tenant{Domain: domain, Policy: mtasts.Policy{
-		Version: mtasts.Version, Mode: mtasts.ModeEnforce,
-		MaxAge: 86400, MXPatterns: []string{goodMX},
-	}})
-	if _, err := pol.Start("127.0.0.1:0"); err != nil {
-		log.Fatal(err)
-	}
-	defer pol.Close()
-
-	// The legitimate MX with a valid certificate.
-	leaf, err := ca.Issue(pki.IssueOptions{Names: []string{goodMX}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cert := leaf.TLSCertificate()
-	mx := smtpd.New(smtpd.Behavior{Hostname: goodMX, Certificate: &cert, AcceptMail: true})
-	mxAddr, err := mx.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mx.Close()
-
-	// An attacker-controlled MX with a self-signed certificate.
-	rogueLeaf, err := ca.Issue(pki.IssueOptions{Names: []string{"mx.attacker.net"}, SelfSigned: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rogueCert := rogueLeaf.TLSCertificate()
-	rogue := smtpd.New(smtpd.Behavior{Hostname: "mx.attacker.net", Certificate: &rogueCert, AcceptMail: true})
-	rogueAddr, err := rogue.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rogue.Close()
+	// The recipient's MTA-STS deployment.
+	inet.AddDomain(loopnet.Domain{
+		Name: domain, MX: []string{goodMX}, TXT: []string{"v=STSv1; id=20240929;"},
+		Tenant: &policysrv.Tenant{Policy: mtasts.Policy{
+			Version: mtasts.Version, Mode: mtasts.ModeEnforce,
+			MaxAge: 86400, MXPatterns: []string{goodMX},
+		}},
+	})
 
 	// The sending MTA.
-	dnsClient := resolver.New(dnsAddr.String())
+	dnsClient := resolver.New(inet.DNS.Addr().String())
+	adapter := scanner.TXTResolverAdapter{Client: dnsClient}
 	mta := &sendingMTA{
-		dns: dnsClient,
-		ca:  ca,
-		smtpAddr: map[string]string{
-			goodMX:            mxAddr.String(),
-			"mx.attacker.net": rogueAddr.String(),
-		},
+		dns:  dnsClient,
+		inet: inet,
 		validator: &mtasts.Validator{
-			Resolver: scanner.TXTResolverAdapter{Client: dnsClient},
+			Resolver: adapter,
 			Fetcher: &mtasts.Fetcher{
-				Resolver: mtasts.AddrResolverFunc(func(ctx context.Context, host string) ([]string, error) {
-					addrs, err := dnsClient.LookupAddrs(ctx, host, false)
-					if err != nil {
-						return nil, err
-					}
-					out := make([]string, len(addrs))
-					for i, a := range addrs {
-						out[i] = a.String()
-					}
-					return out, nil
-				}),
-				RootCAs: ca.Pool(),
-				Port:    pol.Port(),
-				Timeout: 5 * time.Second,
+				Resolver: adapter,
+				RootCAs:  inet.CA.Pool(),
+				Port:     inet.Policy.Port(),
+				Timeout:  5 * time.Second,
 			},
 			Cache: mtasts.NewPolicyCache(64),
 		},
@@ -177,13 +127,8 @@ func main() {
 	fmt.Printf("  recipient inbox now holds %d message(s)\n\n", len(mx.Messages()))
 
 	fmt.Println("[2] DNS-poisoning attack: MX redirected to mx.attacker.net")
-	zone.Remove(domain, dnsmsg.TypeMX)
-	zone.MustAdd(dnsmsg.RR{Name: domain, Type: dnsmsg.TypeMX,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: dnsmsg.MXData{Preference: 10, Host: "mx.attacker.net"}})
-	attackerZone := dnszone.New("attacker.net")
-	attackerZone.MustAdd(dnsmsg.RR{Name: "mx.attacker.net", Type: dnsmsg.TypeA,
-		Class: dnsmsg.ClassIN, TTL: 300, Data: loopback})
-	dns.AddZone(attackerZone)
+	inet.Zone(domain).Remove(domain, dnsmsg.TypeMX)
+	inet.AddDomain(loopnet.Domain{Name: domain, MX: []string{rogueMX}})
 	dnsClient.Cache.Flush()
 
 	err = mta.send(ctx, domain, "alice@sender.lab", "bob@"+domain, []byte("Subject: secret\n\nintercept me\n"))
@@ -192,5 +137,4 @@ func main() {
 	}
 	fmt.Println("  delivery refused:", err)
 	fmt.Printf("  rogue MX received %d message(s) — the downgrade attack failed\n", len(rogue.Messages()))
-
 }

@@ -28,17 +28,14 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"net/netip"
 	"strings"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/dane"
 	"github.com/netsecurelab/mtasts/internal/dataset"
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/faults"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mta"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/pki"
@@ -227,151 +224,69 @@ func (r *AttackMatrixReport) Table() *dataset.Table {
 	return t
 }
 
-// adversaryWorld is one attack's loopback substrate: DNS, policy host,
-// the true MX, and a plaintext-only attacker MX.
+// The names every adversary world uses: the victim domain, its true MX,
+// and the attacker's plaintext-only MX.
+const victimDomain, victimMX, evilMX = "victim.test", "mx.victim.test", "mx.evil.test"
+
+// adversaryWorld is one recipient on a loopback Internet, plus — for the
+// attack matrix — the certificate an on-path MITM presents.
 type adversaryWorld struct {
-	ca       *pki.CA
-	zone     *dnszone.Zone
-	dns      *dnsserver.Server
-	pol      *policysrv.Server
-	mxSrv    *smtpd.Server
-	evilSrv  *smtpd.Server
-	dnsAddr  string
-	domain   string
-	mxHost   string
-	evilHost string
+	net      *loopnet.Net
 	evilCert *tls.Certificate
-	addrs    map[string]string
 }
 
 func buildAdversaryWorld(att faults.Attack) (*adversaryWorld, error) {
-	ca, err := pki.NewCA("Adversary Lab CA", time.Now())
+	inet, err := loopnet.Start(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	w := &adversaryWorld{
-		ca: ca, zone: dnszone.New("test"),
-		domain: "victim.test", mxHost: "mx.victim.test", evilHost: "mx.evil.test",
-		addrs: make(map[string]string),
-	}
-	w.dns = dnsserver.New(nil)
-	w.dns.AddZone(w.zone)
-	dnsAddr, err := w.dns.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	w.dnsAddr = dnsAddr.String()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := w.dns.WaitReady(ctx); err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-
-	w.pol = policysrv.New(ca, nil)
-	if _, err := w.pol.Start("127.0.0.1:0"); err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-
-	a := func(name string) dnsmsg.RR {
-		return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
-			Data: dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}}
-	}
-	w.zone.MustAdd(dnsmsg.RR{Name: w.domain, Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.MXData{Preference: 10, Host: w.mxHost}})
-	w.zone.MustAdd(dnsmsg.RR{Name: "_mta-sts." + w.domain, Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN,
-		TTL: 60, Data: dnsmsg.NewTXT("v=STSv1; id=20260801;")})
-	w.zone.MustAdd(a("mta-sts." + w.domain))
-	w.zone.MustAdd(a(w.mxHost))
-	w.zone.MustAdd(a(w.evilHost))
+	inet.AddDomain(loopnet.Domain{
+		Name: victimDomain, MX: []string{victimMX}, TXT: []string{"v=STSv1; id=20260801;"},
+		Tenant: &policysrv.Tenant{}, // runMatrixOnce sets the policy per mode
+	})
 
 	// The true MX: CA-issued certificate, honest STARTTLS.
-	leaf, err := ca.Issue(pki.IssueOptions{Names: []string{w.mxHost}})
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
+	cert := inet.Cert(pki.IssueOptions{Names: []string{victimMX}})
+	if _, err := inet.AddMX(smtpd.Behavior{Certificate: cert, AcceptMail: true}, victimMX); err != nil {
+		return nil, errors.Join(err, inet.Close())
 	}
-	cert := leaf.TLSCertificate()
-	w.mxSrv = smtpd.New(smtpd.Behavior{Hostname: w.mxHost, Certificate: &cert, AcceptMail: true})
-	mxAddr, err := w.mxSrv.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-	w.addrs[w.mxHost] = mxAddr.String()
 	if att.NeedsTLSA {
 		// Honest DANE deployment for the true MX; the adversary rewrites
 		// this RRset on the wire.
-		w.zone.MustAdd(dane.NewEE3(leaf.Cert).RR(w.mxHost, 300))
+		inet.Zone(victimMX).MustAdd(dane.NewEE3(cert.Leaf).RR(victimMX, 300))
 	}
 
 	// The attacker's MX: plaintext-only, so mail rerouted to it by the
 	// mx_impostor attack is read off the wire.
-	evilLeaf, err := ca.Issue(pki.IssueOptions{Names: []string{w.evilHost}, SelfSigned: true})
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
+	if _, err := inet.AddMX(smtpd.Behavior{DisableSTARTTLS: true, AcceptMail: true}, evilMX); err != nil {
+		return nil, errors.Join(err, inet.Close())
 	}
-	evilServerCert := evilLeaf.TLSCertificate()
-	w.evilSrv = smtpd.New(smtpd.Behavior{Hostname: w.evilHost, Certificate: &evilServerCert,
-		DisableSTARTTLS: true, AcceptMail: true})
-	evilAddr, err := w.evilSrv.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-	w.addrs[w.evilHost] = evilAddr.String()
 
 	// The attacker certificate an on-path MX MITM presents: self-signed
 	// for the true MX name (mx_wrong_cert).
-	mitmLeaf, err := ca.Issue(pki.IssueOptions{Names: []string{w.mxHost}, SelfSigned: true})
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-	mitmCert := mitmLeaf.TLSCertificate()
-	w.evilCert = &mitmCert
-	return w, nil
-}
-
-func (w *adversaryWorld) Close() error {
-	var errs []error
-	if w.mxSrv != nil {
-		errs = append(errs, w.mxSrv.Close())
-	}
-	if w.evilSrv != nil {
-		errs = append(errs, w.evilSrv.Close())
-	}
-	if w.pol != nil {
-		errs = append(errs, w.pol.Close())
-	}
-	if w.dns != nil {
-		errs = append(errs, w.dns.Close())
-	}
-	return errors.Join(errs...)
+	evilCert := inet.Cert(pki.IssueOptions{Names: []string{victimMX}, SelfSigned: true})
+	return &adversaryWorld{net: inet, evilCert: evilCert}, nil
 }
 
 // setTenant (re-)registers the victim's policy in the given mode and
 // returns the honest policy body the adversary's rollback needs.
 func (w *adversaryWorld) setTenant(mode string) mtasts.Policy {
 	p := mtasts.Policy{Version: mtasts.Version, Mode: mtasts.Mode(mode),
-		MaxAge: 86400, MXPatterns: []string{w.mxHost}}
-	w.pol.AddTenant(&policysrv.Tenant{Domain: w.domain, Policy: p})
+		MaxAge: 86400, MXPatterns: []string{victimMX}}
+	w.net.Policy.AddTenant(&policysrv.Tenant{Domain: victimDomain, Policy: p})
 	return p
-}
-
-// setAdversary installs (nil removes) the adversary on every simnet
-// server the attacked cells traverse.
-func (w *adversaryWorld) setAdversary(adv *faults.Adversary) {
-	w.dns.SetAdversary(adv)
-	w.pol.SetAdversary(adv)
-	w.mxSrv.SetAdversary(adv)
 }
 
 // outboundFor wires one sender behavior to the world with a FRESH DNS
 // client (no resolver cache — adversary DNS rewrites must reach the
 // sender) and a fresh TOFU policy cache.
 func (w *adversaryWorld) outboundFor(b sendertest.Behavior, report *tlsrpt.Report, fetchTimeout time.Duration) *mta.Outbound {
-	dnsClient := &resolver.Client{ServerAddr: w.dnsAddr, Timeout: 500 * time.Millisecond}
+	dnsClient := &resolver.Client{ServerAddr: w.net.DNS.Addr().String(), Timeout: 500 * time.Millisecond}
 	o := &mta.Outbound{
 		DNS:          dnsClient,
-		Roots:        w.ca.Pool(),
+		Roots:        w.net.CA.Pool(),
 		HeloName:     "matrix.sender.lab",
-		AddrOverride: func(mx string) string { return w.addrs[mx] },
+		AddrOverride: w.net.DialAddr,
 		Timeout:      3 * time.Second,
 		Report:       report,
 	}
@@ -382,28 +297,13 @@ func (w *adversaryWorld) outboundFor(b sendertest.Behavior, report *tlsrpt.Repor
 		return o
 	}
 	if b.ValidatesMTASTS {
-		// Worlds without an MTA-STS deployment have no policy host; the
-		// validator still runs (and finds no record) on port 0.
-		polPort := 0
-		if w.pol != nil {
-			polPort = w.pol.Port()
-		}
+		adapter := scanner.TXTResolverAdapter{Client: dnsClient}
 		o.Validator = &mtasts.Validator{
-			Resolver: scanner.TXTResolverAdapter{Client: dnsClient},
+			Resolver: adapter,
 			Fetcher: &mtasts.Fetcher{
-				Resolver: mtasts.AddrResolverFunc(func(ctx context.Context, host string) ([]string, error) {
-					addrs, err := dnsClient.LookupAddrs(ctx, host, false)
-					if err != nil {
-						return nil, err
-					}
-					out := make([]string, len(addrs))
-					for i, a := range addrs {
-						out[i] = a.String()
-					}
-					return out, nil
-				}),
-				RootCAs:     w.ca.Pool(),
-				Port:        polPort,
+				Resolver:    adapter,
+				RootCAs:     w.net.CA.Pool(),
+				Port:        w.net.Policy.Port(),
 				Timeout:     fetchTimeout,
 				MaxAttempts: 1,
 			},
@@ -532,11 +432,11 @@ func (w *adversaryWorld) runCell(att faults.Attack, mode string, mb matrixBehavi
 		att.Name+"-"+mode+"-"+mb.name, start, start.Add(time.Hour))
 	o := w.outboundFor(mb.b, report, fetchTimeout)
 	ctx := context.Background()
-	from, to := "a@sender.lab", []string{"b@" + w.domain}
+	from, to := "a@sender.lab", []string{"b@" + victimDomain}
 
 	// Warm-up: honest world. Every behavior must deliver here; STS
 	// validators cache the current-mode policy (TOFU).
-	w.setAdversary(nil)
+	w.net.SetAdversary(nil)
 	if out, err := o.Send(ctx, from, to, []byte("warmup\r\n")); err != nil || !out.Delivered {
 		cell.Problem = fmt.Sprintf("warm-up delivery failed: %v", err)
 		return cell
@@ -544,9 +444,9 @@ func (w *adversaryWorld) runCell(att faults.Attack, mode string, mb matrixBehavi
 	preFailures := failureCount(report)
 
 	// The attacked delivery.
-	w.setAdversary(adv)
+	w.net.SetAdversary(adv)
 	out, err := o.Send(ctx, from, to, []byte("attacked\r\n"))
-	w.setAdversary(nil)
+	w.net.SetAdversary(nil)
 
 	cell.Delivered = err == nil && out.Delivered
 	cell.Refused = err != nil && errors.Is(err, mta.ErrPolicyRefused)
@@ -631,15 +531,15 @@ func runMatrixOnce(cfg AttackMatrixConfig, names []string) ([]AttackCell, error)
 		for _, mode := range PolicyModes {
 			policy := w.setTenant(mode)
 			adv := faults.NewAdversary(faults.Scenario{
-				Attack: att, Seed: cfg.Seed, Domain: w.domain, MXHost: w.mxHost,
-				EvilMXHost: w.evilHost, EvilCert: w.evilCert,
+				Attack: att, Seed: cfg.Seed, Domain: victimDomain, MXHost: victimMX,
+				EvilMXHost: evilMX, EvilCert: w.evilCert,
 				PolicyBody: policy.String(),
 			})
 			for _, mb := range matrixBehaviors {
 				cells = append(cells, w.runCell(att, mode, mb, adv, cfg.FetchTimeout))
 			}
 		}
-		if err := w.Close(); err != nil {
+		if err := w.net.Close(); err != nil {
 			return nil, err
 		}
 	}
@@ -688,7 +588,7 @@ func RunAttackMatrix(cfg AttackMatrixConfig) (*AttackMatrixReport, error) {
 			rep.Mismatches = append(rep.Mismatches, id+": "+c.Problem)
 		}
 		if c.Mode == "enforce" && validates[c.Behavior] && c.Delivered {
-			if !c.UsedTLS || !c.CertVerified || c.MXHost != "mx.victim.test" {
+			if !c.UsedTLS || !c.CertVerified || c.MXHost != victimMX {
 				rep.Downgrades = append(rep.Downgrades, fmt.Sprintf(
 					"%s: delivered tls=%v certverified=%v mx=%s", id, c.UsedTLS, c.CertVerified, c.MXHost))
 			}

@@ -97,7 +97,7 @@ func TestAttackMatrixEnforceNeverPlaintext(t *testing.T) {
 			t.Errorf("%s/%s: enforce delivered with tls=%v certverified=%v",
 				c.Attack, c.Behavior, c.UsedTLS, c.CertVerified)
 		}
-		if c.MXHost != "mx.victim.test" {
+		if c.MXHost != victimMX {
 			t.Errorf("%s/%s: enforce delivered to %s", c.Attack, c.Behavior, c.MXHost)
 		}
 	}

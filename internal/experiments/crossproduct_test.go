@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/netip"
 	"testing"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/dane"
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mta"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/pki"
@@ -27,85 +24,45 @@ import (
 // with patterns that do or do not cover the MX.
 func buildRecipientWorld(t *testing.T, rc sendertest.RecipientConfig) *adversaryWorld {
 	t.Helper()
-	ca, err := pki.NewCA("Cross-Product CA", time.Now())
+	inet, err := loopnet.Start(context.Background())
 	if err != nil {
-		t.Fatalf("NewCA: %v", err)
-	}
-	w := &adversaryWorld{
-		ca: ca, zone: dnszone.New("test"),
-		domain: "victim.test", mxHost: "mx.victim.test",
-		addrs: make(map[string]string),
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := w.Close(); err != nil {
+		if err := inet.Close(); err != nil {
 			t.Errorf("world close: %v", err)
 		}
 	})
-	w.dns = dnsserver.New(nil)
-	w.dns.AddZone(w.zone)
-	dnsAddr, err := w.dns.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("dns start: %v", err)
-	}
-	w.dnsAddr = dnsAddr.String()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := w.dns.WaitReady(ctx); err != nil {
-		t.Fatalf("dns ready: %v", err)
-	}
-
-	a := func(name string) dnsmsg.RR {
-		return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
-			Data: dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}}
-	}
-	w.zone.MustAdd(dnsmsg.RR{Name: w.domain, Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.MXData{Preference: 10, Host: w.mxHost}})
-	w.zone.MustAdd(a(w.mxHost))
+	w := &adversaryWorld{net: inet}
 
 	// MX certificate: CA-issued when the config claims PKIX validity,
 	// self-signed otherwise.
-	leaf, err := ca.Issue(pki.IssueOptions{Names: []string{w.mxHost}, SelfSigned: !rc.CertPKIXValid})
-	if err != nil {
-		t.Fatalf("issue MX cert: %v", err)
+	cert := inet.Cert(pki.IssueOptions{Names: []string{victimMX}, SelfSigned: !rc.CertPKIXValid})
+	if _, err := inet.AddMX(smtpd.Behavior{Certificate: cert,
+		DisableSTARTTLS: !rc.OffersSTARTTLS, AcceptMail: true}, victimMX); err != nil {
+		t.Fatal(err)
 	}
-	cert := leaf.TLSCertificate()
-	w.mxSrv = smtpd.New(smtpd.Behavior{Hostname: w.mxHost, Certificate: &cert,
-		DisableSTARTTLS: !rc.OffersSTARTTLS, AcceptMail: true})
-	mxAddr, err := w.mxSrv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("smtpd start: %v", err)
-	}
-	w.addrs[w.mxHost] = mxAddr.String()
-
 	if rc.DANE {
-		tlsaLeaf := leaf
+		pinned := cert
 		if !rc.TLSAMatches {
-			other, err := ca.Issue(pki.IssueOptions{Names: []string{w.mxHost}})
-			if err != nil {
-				t.Fatalf("issue TLSA decoy cert: %v", err)
-			}
-			tlsaLeaf = other
+			pinned = inet.Cert(pki.IssueOptions{Names: []string{victimMX}}) // a decoy
 		}
-		w.zone.MustAdd(dane.NewEE3(tlsaLeaf.Cert).RR(w.mxHost, 300))
+		inet.Zone(victimMX).MustAdd(dane.NewEE3(pinned.Leaf).RR(victimMX, 300))
 	}
 
+	d := loopnet.Domain{Name: victimDomain, MX: []string{victimMX}}
 	if rc.MTASTS {
-		w.pol = policysrv.New(ca, nil)
-		if _, err := w.pol.Start("127.0.0.1:0"); err != nil {
-			t.Fatalf("policysrv start: %v", err)
-		}
-		w.zone.MustAdd(dnsmsg.RR{Name: "_mta-sts." + w.domain, Type: dnsmsg.TypeTXT,
-			Class: dnsmsg.ClassIN, TTL: 60, Data: dnsmsg.NewTXT("v=STSv1; id=20260801;")})
-		w.zone.MustAdd(a("mta-sts." + w.domain))
-		patterns := []string{w.mxHost}
+		patterns := []string{victimMX}
 		if !rc.MXMatchesPolicy {
 			patterns = []string{"mx.other.test"}
 		}
-		w.pol.AddTenant(&policysrv.Tenant{Domain: w.domain, Policy: mtasts.Policy{
+		d.TXT = []string{"v=STSv1; id=20260801;"}
+		d.Tenant = &policysrv.Tenant{Policy: mtasts.Policy{
 			Version: mtasts.Version, Mode: mtasts.Mode(rc.MTASTSMode),
 			MaxAge: 86400, MXPatterns: patterns,
-		}})
+		}}
 	}
+	inet.AddDomain(d)
 	return w
 }
 
@@ -143,7 +100,7 @@ func TestSenderRecipientCrossProduct(t *testing.T) {
 					rc.Name+"-"+b.Domain, start, start.Add(time.Hour))
 				o := w.outboundFor(b, report, 300*time.Millisecond)
 				out, err := o.Send(context.Background(),
-					"a@sender.lab", []string{"b@" + w.domain}, []byte("probe\r\n"))
+					"a@sender.lab", []string{"b@" + victimDomain}, []byte("probe\r\n"))
 
 				id := fmt.Sprintf("%s vs %s (tls=%v sts=%v dane=%v flip=%v pkix=%v)",
 					b.Domain, rc.Name, b.SupportsTLS, b.ValidatesMTASTS, b.ValidatesDANE,

@@ -21,21 +21,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/netip"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/dataset"
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
 	"github.com/netsecurelab/mtasts/internal/faults"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/obs"
-	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/policysrv"
 	"github.com/netsecurelab/mtasts/internal/resolver"
 	"github.com/netsecurelab/mtasts/internal/scanner"
@@ -216,110 +210,39 @@ func countsString(m map[string]int64) string {
 	return strings.Join(parts, " ")
 }
 
-// robustnessWorld is the loopback substrate: an authoritative DNS server,
-// a multi-tenant policy host, and ONE shared SMTP server whose certificate
-// lists every MX name — the scanner carries a single SMTP port, so all
-// MXes resolve to the same listener.
+// robustnessWorld is the fleet on a loopback Internet. ONE SMTP listener
+// answers for every MX name — its certificate lists them all — so the
+// injector's connection faults, keyed by the announced hostname, draw
+// from a single sequence however many domains there are.
 type robustnessWorld struct {
-	ca       *pki.CA
-	dns      *dnsserver.Server
-	zone     *dnszone.Zone
-	pol      *policysrv.Server
-	smtp     *smtpd.Server
-	dnsAddr  string
-	smtpPort int
-	domains  []string
+	net     *loopnet.Net
+	domains []string
 }
 
 func buildRobustnessWorld(n int) (*robustnessWorld, error) {
-	ca, err := pki.NewCA("Robustness CA", time.Now())
+	inet, err := loopnet.Start(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	w := &robustnessWorld{ca: ca, zone: dnszone.New("test")}
-
-	w.dns = dnsserver.New(nil)
-	w.dns.AddZone(w.zone)
-	dnsAddr, err := w.dns.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	w.dnsAddr = dnsAddr.String()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := w.dns.WaitReady(ctx); err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-
-	w.pol = policysrv.New(ca, nil)
-	if _, err := w.pol.Start("127.0.0.1:0"); err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-
-	a := func(name string) dnsmsg.RR {
-		return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
-			Data: dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}}
-	}
+	w := &robustnessWorld{net: inet}
 	mxNames := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		domain := fmt.Sprintf("d%02d.test", i)
 		mx := "mx." + domain
 		w.domains = append(w.domains, domain)
 		mxNames = append(mxNames, mx)
-		w.zone.MustAdd(dnsmsg.RR{Name: domain, Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 60,
-			Data: dnsmsg.MXData{Preference: 10, Host: mx}})
-		w.zone.MustAdd(dnsmsg.RR{Name: "_mta-sts." + domain, Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN, TTL: 60,
-			Data: dnsmsg.NewTXT("v=STSv1; id=20260801;")})
-		w.zone.MustAdd(a("mta-sts." + domain))
-		w.zone.MustAdd(a(mx))
-		w.pol.AddTenant(&policysrv.Tenant{Domain: domain, Policy: mtasts.Policy{
-			Version: mtasts.Version, Mode: mtasts.ModeEnforce, MaxAge: 86400,
-			MXPatterns: []string{mx},
-		}})
+		inet.AddDomain(loopnet.Domain{
+			Name: domain, MX: []string{mx}, TXT: []string{"v=STSv1; id=20260801;"},
+			Tenant: &policysrv.Tenant{Policy: mtasts.Policy{
+				Version: mtasts.Version, Mode: mtasts.ModeEnforce, MaxAge: 86400,
+				MXPatterns: []string{mx},
+			}},
+		})
 	}
-
-	// One listener serves every MX: the certificate carries all names.
-	leaf, err := ca.Issue(pki.IssueOptions{Names: mxNames})
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-	cert := leaf.TLSCertificate()
-	w.smtp = smtpd.New(smtpd.Behavior{Hostname: "mx.shared.test", Certificate: &cert})
-	smtpAddr, err := w.smtp.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-	_, portStr, err := net.SplitHostPort(smtpAddr.String())
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
-	}
-	w.smtpPort, err = strconv.Atoi(portStr)
-	if err != nil {
-		return nil, errors.Join(err, w.Close())
+	if _, err := inet.AddMX(smtpd.Behavior{Hostname: "mx.shared.test"}, mxNames...); err != nil {
+		return nil, errors.Join(err, inet.Close())
 	}
 	return w, nil
-}
-
-func (w *robustnessWorld) Close() error {
-	var errs []error
-	if w.smtp != nil {
-		errs = append(errs, w.smtp.Close())
-	}
-	if w.pol != nil {
-		errs = append(errs, w.pol.Close())
-	}
-	if w.dns != nil {
-		errs = append(errs, w.dns.Close())
-	}
-	return errors.Join(errs...)
-}
-
-// setFaults installs (or, with nil, removes) one injector on all three
-// substrate servers.
-func (w *robustnessWorld) setFaults(inj *faults.Injector) {
-	w.dns.SetFaults(inj)
-	w.pol.SetFaults(inj)
-	w.smtp.SetFaults(inj)
 }
 
 // scan scans the whole fleet once under the given injector. The
@@ -330,19 +253,19 @@ func (w *robustnessWorld) setFaults(inj *faults.Injector) {
 // (not the interleaving-dependent retry counts) are expected to be
 // stable.
 func (w *robustnessWorld) scan(inj *faults.Injector, maxAttempts int, cfg RobustnessConfig, staged bool) []scanner.DomainResult {
-	w.setFaults(inj)
-	defer w.setFaults(nil)
+	w.net.SetFaults(inj)
+	defer w.net.SetFaults(nil)
 
-	dns := resolver.New(w.dnsAddr)
+	dns := resolver.New(w.net.DNS.Addr().String())
 	dns.Timeout = cfg.DNSTimeout
 	dns.MaxAttempts = maxAttempts
 	dns.RetryBase = cfg.RetryBase
 	dns.Obs = cfg.Obs
 	live := &scanner.Live{
 		DNS:         dns,
-		Roots:       w.ca.Pool(),
-		HTTPSPort:   w.pol.Port(),
-		SMTPPort:    w.smtpPort,
+		Roots:       w.net.CA.Pool(),
+		HTTPSPort:   w.net.Policy.Port(),
+		SMTPPort:    w.net.SMTPPort,
 		HeloName:    "robustness.test",
 		Timeout:     5 * time.Second,
 		Obs:         cfg.Obs,
@@ -433,7 +356,7 @@ func RunRobustness(cfg RobustnessConfig) (*RobustnessReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustness substrate: %w", err)
 	}
-	defer w.Close()
+	defer w.net.Close()
 
 	rep := &RobustnessReport{Plan: cfg.Plan, Domains: cfg.Domains}
 	rep.Baseline = w.run("baseline (no faults)", nil, cfg.MaxAttempts, cfg, false)

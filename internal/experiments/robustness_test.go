@@ -82,7 +82,7 @@ func TestRobustnessPipelinedMatchesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := w.Close(); err != nil {
+		if err := w.net.Close(); err != nil {
 			t.Errorf("closing substrate: %v", err)
 		}
 	}()

@@ -3,7 +3,6 @@ package mta
 import (
 	"context"
 	"errors"
-	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -11,9 +10,8 @@ import (
 	"github.com/netsecurelab/mtasts/internal/dane"
 	"github.com/netsecurelab/mtasts/internal/dnsmsg"
 	"github.com/netsecurelab/mtasts/internal/dnssec"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
 	"github.com/netsecurelab/mtasts/internal/faults"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/pki"
@@ -26,116 +24,66 @@ import (
 	"github.com/netsecurelab/mtasts/internal/tlsrpt"
 )
 
-// lab is a loopback mail environment for outbound-MTA tests.
-type lab struct {
-	t    *testing.T
-	ca   *pki.CA
-	zone *dnszone.Zone
-	dns  *dnsserver.Server
-	pol  *policysrv.Server
-
-	addrTable map[string]string
-	inboxes   map[string]*smtpd.Server
-}
-
-func newLab(t *testing.T) *lab {
+// startNet brings up the loopback Internet the outbound-MTA tests deliver
+// into.
+func startNet(t *testing.T) *loopnet.Net {
 	t.Helper()
-	ca, err := pki.NewCA("MTA Lab CA", time.Now())
+	n, err := loopnet.Start(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	zone := dnszone.New("test")
-	dns := dnsserver.New(nil)
-	dns.AddZone(zone)
-	if _, err := dns.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dns.Close() })
-	pol := policysrv.New(ca, nil)
-	if _, err := pol.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pol.Close() })
-	return &lab{
-		t: t, ca: ca, zone: zone, dns: dns, pol: pol,
-		addrTable: make(map[string]string),
-		inboxes:   make(map[string]*smtpd.Server),
-	}
+	t.Cleanup(func() {
+		if err := n.Close(); err != nil {
+			t.Errorf("closing the loopback Internet: %v", err)
+		}
+	})
+	return n
 }
 
-func (l *lab) addRR(rr dnsmsg.RR) { l.zone.MustAdd(rr) }
-
-func (l *lab) a(name string) dnsmsg.RR {
-	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}}
-}
-
-// addMX boots an SMTP server for mxHost; selfSigned controls its cert.
-func (l *lab) addMX(mxHost string, selfSigned bool) *smtpd.Server {
-	l.t.Helper()
-	leaf, err := l.ca.Issue(pki.IssueOptions{Names: []string{mxHost}, SelfSigned: selfSigned})
+// addMX boots a mail-accepting SMTP server for mxHost (selfSigned
+// controls its certificate) and publishes the TLSA record matching that
+// certificate, so DANE tests opt in by enabling DANE on the Outbound.
+func addMX(t *testing.T, n *loopnet.Net, mxHost string, selfSigned bool) *smtpd.Server {
+	t.Helper()
+	cert := n.Cert(pki.IssueOptions{Names: []string{mxHost}, SelfSigned: selfSigned})
+	srv, err := n.AddMX(smtpd.Behavior{Certificate: cert, AcceptMail: true}, mxHost)
 	if err != nil {
-		l.t.Fatal(err)
+		t.Fatal(err)
 	}
-	cert := leaf.TLSCertificate()
-	srv := smtpd.New(smtpd.Behavior{Hostname: mxHost, Certificate: &cert, AcceptMail: true})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	l.t.Cleanup(func() { srv.Close() })
-	l.addrTable[mxHost] = addr.String()
-	l.inboxes[mxHost] = srv
-	l.addRR(l.a(mxHost))
-	// Publish the TLSA record matching this server's certificate so DANE
-	// tests can opt in by enabling DANE on the Outbound.
-	l.addRR(dane.NewEE3(leaf.Cert).RR(mxHost, 300))
+	n.Zone(mxHost).MustAdd(dane.NewEE3(cert.Leaf).RR(mxHost, 300))
 	return srv
 }
 
-// addDomain publishes MX + MTA-STS records for a recipient domain.
-func (l *lab) addDomain(domain string, mxHosts []string, policy *mtasts.Policy) {
-	l.t.Helper()
-	for i, mx := range mxHosts {
-		l.addRR(dnsmsg.RR{Name: domain, Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 60,
-			Data: dnsmsg.MXData{Preference: uint16(10 * (i + 1)), Host: mx}})
-	}
+// addDomain publishes MX records and, with a policy, the MTA-STS
+// deployment of a recipient domain.
+func addDomain(n *loopnet.Net, domain string, mxHosts []string, policy *mtasts.Policy) {
+	d := loopnet.Domain{Name: domain, MX: mxHosts}
 	if policy != nil {
-		l.addRR(dnsmsg.RR{Name: "_mta-sts." + domain, Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN,
-			TTL: 60, Data: dnsmsg.NewTXT("v=STSv1; id=20240929;")})
-		l.addRR(l.a("mta-sts." + domain))
-		l.pol.AddTenant(&policysrv.Tenant{Domain: domain, Policy: *policy})
+		d.TXT = []string{"v=STSv1; id=20240929;"}
+		d.Tenant = &policysrv.Tenant{Policy: *policy}
 	}
+	n.AddDomain(d)
 }
 
-// outbound builds an Outbound wired to the lab.
-func (l *lab) outbound(daneEnabled bool) *Outbound {
-	dnsClient := resolver.New(l.dns.Addr().String())
+// outbound builds an Outbound wired to the loopback Internet.
+func outbound(n *loopnet.Net, daneEnabled bool) *Outbound {
+	dnsClient := resolver.New(n.DNS.Addr().String())
+	adapter := scanner.TXTResolverAdapter{Client: dnsClient}
 	return &Outbound{
 		DNS: dnsClient,
 		Validator: &mtasts.Validator{
-			Resolver: scanner.TXTResolverAdapter{Client: dnsClient},
+			Resolver: adapter,
 			Fetcher: &mtasts.Fetcher{
-				Resolver: mtasts.AddrResolverFunc(func(ctx context.Context, host string) ([]string, error) {
-					addrs, err := dnsClient.LookupAddrs(ctx, host, false)
-					if err != nil {
-						return nil, err
-					}
-					out := make([]string, len(addrs))
-					for i, a := range addrs {
-						out[i] = a.String()
-					}
-					return out, nil
-				}),
-				RootCAs: l.ca.Pool(),
-				Port:    l.pol.Port(),
-				Timeout: 5 * time.Second,
+				Resolver: adapter,
+				RootCAs:  n.CA.Pool(),
+				Port:     n.Policy.Port(),
+				Timeout:  5 * time.Second,
 			},
 			Cache: mtasts.NewPolicyCache(64),
 		},
-		Roots:        l.ca.Pool(),
+		Roots:        n.CA.Pool(),
 		HeloName:     "outbound.lab",
-		AddrOverride: func(mx string) string { return l.addrTable[mx] },
+		AddrOverride: n.DialAddr,
 		DANEEnabled:  daneEnabled,
 		Timeout:      5 * time.Second,
 	}
@@ -147,11 +95,11 @@ func enforce(mx ...string) *mtasts.Policy {
 }
 
 func TestSendMTASTSHappyPath(t *testing.T) {
-	l := newLab(t)
-	l.addMX("mx.alpha.test", false)
-	l.addDomain("alpha.test", []string{"mx.alpha.test"}, enforce("mx.alpha.test"))
+	n := startNet(t)
+	addMX(t, n, "mx.alpha.test", false)
+	addDomain(n, "alpha.test", []string{"mx.alpha.test"}, enforce("mx.alpha.test"))
 
-	o := l.outbound(false)
+	o := outbound(n, false)
 	out, err := o.Send(context.Background(), "a@sender.lab", []string{"b@alpha.test"}, []byte("hello\n"))
 	if err != nil {
 		t.Fatalf("Send: %v", err)
@@ -159,19 +107,19 @@ func TestSendMTASTSHappyPath(t *testing.T) {
 	if !out.Delivered || out.Mechanism != MechanismMTASTS || !out.TLS || !out.CertVerified {
 		t.Errorf("out = %+v", out)
 	}
-	if len(l.inboxes["mx.alpha.test"].Messages()) != 1 {
+	if len(n.MX("mx.alpha.test").Messages()) != 1 {
 		t.Error("message not in inbox")
 	}
 }
 
 func TestSendDANEPrecedence(t *testing.T) {
-	l := newLab(t)
+	n := startNet(t)
 	// Self-signed MX certificate: PKIX fails, but the published TLSA
 	// record matches — DANE must take precedence and deliver.
-	l.addMX("mx.beta.test", true)
-	l.addDomain("beta.test", []string{"mx.beta.test"}, enforce("mx.beta.test"))
+	addMX(t, n, "mx.beta.test", true)
+	addDomain(n, "beta.test", []string{"mx.beta.test"}, enforce("mx.beta.test"))
 
-	o := l.outbound(true)
+	o := outbound(n, true)
 	out, err := o.Send(context.Background(), "a@sender.lab", []string{"b@beta.test"}, []byte("x\n"))
 	if err != nil {
 		t.Fatalf("Send: %v", err)
@@ -182,20 +130,18 @@ func TestSendDANEPrecedence(t *testing.T) {
 }
 
 func TestSendDANEMismatchRefuses(t *testing.T) {
-	l := newLab(t)
-	srv := l.addMX("mx.gamma.test", false)
-	l.addDomain("gamma.test", []string{"mx.gamma.test"}, enforce("mx.gamma.test"))
+	n := startNet(t)
+	srv := addMX(t, n, "mx.gamma.test", false)
+	addDomain(n, "gamma.test", []string{"mx.gamma.test"}, enforce("mx.gamma.test"))
 	// Replace the TLSA record with one for a different key: DANE must
 	// refuse even though PKIX and MTA-STS would both pass.
-	l.zone.Remove(dane.TLSAName("mx.gamma.test"), dnsmsg.TypeTLSA)
-	otherLeaf, err := l.ca.Issue(pki.IssueOptions{Names: []string{"other.test"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.addRR(dane.NewEE3(otherLeaf.Cert).RR("mx.gamma.test", 300))
+	zone := n.Zone("mx.gamma.test")
+	zone.Remove(dane.TLSAName("mx.gamma.test"), dnsmsg.TypeTLSA)
+	other := n.Cert(pki.IssueOptions{Names: []string{"other.test"}})
+	zone.MustAdd(dane.NewEE3(other.Leaf).RR("mx.gamma.test", 300))
 
-	o := l.outbound(true)
-	_, err = o.Send(context.Background(), "a@sender.lab", []string{"b@gamma.test"}, []byte("x\n"))
+	o := outbound(n, true)
+	_, err := o.Send(context.Background(), "a@sender.lab", []string{"b@gamma.test"}, []byte("x\n"))
 	if !errors.Is(err, ErrPolicyRefused) {
 		t.Fatalf("err = %v", err)
 	}
@@ -205,11 +151,11 @@ func TestSendDANEMismatchRefuses(t *testing.T) {
 }
 
 func TestSendMTASTSEnforceMismatchRefuses(t *testing.T) {
-	l := newLab(t)
-	srv := l.addMX("mx.delta.test", false)
-	l.addDomain("delta.test", []string{"mx.delta.test"}, enforce("mx.otherhost.test"))
+	n := startNet(t)
+	srv := addMX(t, n, "mx.delta.test", false)
+	addDomain(n, "delta.test", []string{"mx.delta.test"}, enforce("mx.otherhost.test"))
 
-	o := l.outbound(false)
+	o := outbound(n, false)
 	_, err := o.Send(context.Background(), "a@sender.lab", []string{"b@delta.test"}, []byte("x\n"))
 	if !errors.Is(err, ErrPolicyRefused) {
 		t.Fatalf("err = %v", err)
@@ -220,14 +166,14 @@ func TestSendMTASTSEnforceMismatchRefuses(t *testing.T) {
 }
 
 func TestSendMultiMXFailover(t *testing.T) {
-	l := newLab(t)
-	l.addMX("mx1.eps.test", false)
-	l.addMX("mx2.eps.test", false)
+	n := startNet(t)
+	addMX(t, n, "mx1.eps.test", false)
+	addMX(t, n, "mx2.eps.test", false)
 	// The policy only authorizes the second MX: the first candidate is
 	// refused per-MX, the second delivers.
-	l.addDomain("eps.test", []string{"mx1.eps.test", "mx2.eps.test"}, enforce("mx2.eps.test"))
+	addDomain(n, "eps.test", []string{"mx1.eps.test", "mx2.eps.test"}, enforce("mx2.eps.test"))
 
-	o := l.outbound(false)
+	o := outbound(n, false)
 	out, err := o.Send(context.Background(), "a@sender.lab", []string{"b@eps.test"}, []byte("x\n"))
 	if err != nil {
 		t.Fatalf("Send: %v", err)
@@ -235,17 +181,17 @@ func TestSendMultiMXFailover(t *testing.T) {
 	if out.MXHost != "mx2.eps.test" {
 		t.Errorf("delivered via %s", out.MXHost)
 	}
-	if len(l.inboxes["mx1.eps.test"].Messages()) != 0 || len(l.inboxes["mx2.eps.test"].Messages()) != 1 {
+	if len(n.MX("mx1.eps.test").Messages()) != 0 || len(n.MX("mx2.eps.test").Messages()) != 1 {
 		t.Error("wrong inbox")
 	}
 }
 
 func TestSendImplicitMX(t *testing.T) {
-	l := newLab(t)
+	n := startNet(t)
 	// No MX record: the apex A record makes the domain its own mail host
 	// (RFC 5321 §5.1).
-	l.addMX("zeta.test", false)
-	o := l.outbound(false)
+	addMX(t, n, "zeta.test", false)
+	o := outbound(n, false)
 	out, err := o.Send(context.Background(), "a@sender.lab", []string{"b@zeta.test"}, []byte("x\n"))
 	if err != nil {
 		t.Fatalf("Send: %v", err)
@@ -256,8 +202,9 @@ func TestSendImplicitMX(t *testing.T) {
 }
 
 func TestSendNoMXNoA(t *testing.T) {
-	l := newLab(t)
-	o := l.outbound(false)
+	n := startNet(t)
+	n.Zone("test") // authoritative for .test: the missing domain is NXDOMAIN, not REFUSED
+	o := outbound(n, false)
 	_, err := o.Send(context.Background(), "a@sender.lab", []string{"b@ghost.test"}, []byte("x\n"))
 	if !errors.Is(err, ErrNoMX) {
 		t.Fatalf("err = %v", err)
@@ -265,13 +212,13 @@ func TestSendNoMXNoA(t *testing.T) {
 }
 
 func TestSendTLSRPTAccounting(t *testing.T) {
-	l := newLab(t)
-	l.addMX("mx.eta.test", false)
-	l.addDomain("eta.test", []string{"mx.eta.test"}, enforce("mx.eta.test"))
-	l.addMX("mx.theta.test", false)
-	l.addDomain("theta.test", []string{"mx.theta.test"}, enforce("mx.wrong.test"))
+	n := startNet(t)
+	addMX(t, n, "mx.eta.test", false)
+	addDomain(n, "eta.test", []string{"mx.eta.test"}, enforce("mx.eta.test"))
+	addMX(t, n, "mx.theta.test", false)
+	addDomain(n, "theta.test", []string{"mx.theta.test"}, enforce("mx.wrong.test"))
 
-	o := l.outbound(false)
+	o := outbound(n, false)
 	start := time.Now()
 	o.Report = tlsrpt.NewReport("Lab", "mailto:r@lab.test", "rid", start, start.Add(24*time.Hour))
 
@@ -295,8 +242,8 @@ func TestSendTLSRPTAccounting(t *testing.T) {
 }
 
 func TestSendAddressValidation(t *testing.T) {
-	l := newLab(t)
-	o := l.outbound(false)
+	n := startNet(t)
+	o := outbound(n, false)
 	ctx := context.Background()
 	if _, err := o.Send(ctx, "a@s.lab", nil, []byte("x")); !errors.Is(err, ErrNoRecipients) {
 		t.Errorf("no recipients err = %v", err)
@@ -310,13 +257,13 @@ func TestSendAddressValidation(t *testing.T) {
 }
 
 func TestRefreshPolicies(t *testing.T) {
-	l := newLab(t)
-	l.addMX("mx.iota.test", false)
+	n := startNet(t)
+	addMX(t, n, "mx.iota.test", false)
 	pol := enforce("mx.iota.test")
 	pol.MaxAge = 3600
-	l.addDomain("iota.test", []string{"mx.iota.test"}, pol)
+	addDomain(n, "iota.test", []string{"mx.iota.test"}, pol)
 
-	o := l.outbound(false)
+	o := outbound(n, false)
 	pc := o.Validator.Cache.(*mtasts.PolicyCache)
 	now := time.Now()
 	pc.Now = func() time.Time { return now }
@@ -342,13 +289,13 @@ func TestRefreshPolicies(t *testing.T) {
 // to revalidate — the eviction-before-revalidation bug reopened the
 // TLS-fallback downgrade window on every refresh hiccup.
 func TestRefreshFailurePreservesPolicy(t *testing.T) {
-	l := newLab(t)
-	l.addMX("mx.kappa.test", false)
+	n := startNet(t)
+	addMX(t, n, "mx.kappa.test", false)
 	pol := enforce("mx.kappa.test")
 	pol.MaxAge = 3600
-	l.addDomain("kappa.test", []string{"mx.kappa.test"}, pol)
+	addDomain(n, "kappa.test", []string{"mx.kappa.test"}, pol)
 
-	o := l.outbound(false)
+	o := outbound(n, false)
 	o.Obs = obs.NewRegistry()
 	pc := o.Validator.Cache.(*mtasts.PolicyCache)
 	now := time.Now()
@@ -363,7 +310,7 @@ func TestRefreshFailurePreservesPolicy(t *testing.T) {
 
 	// Policy host dies; the entry drifts into the refresh window. The
 	// refetch fails, and the cached policy must survive untouched.
-	if err := l.pol.Close(); err != nil {
+	if err := n.Policy.Close(); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(55 * time.Minute)
@@ -387,13 +334,13 @@ func TestRefreshFailurePreservesPolicy(t *testing.T) {
 // from the durable cache, counters incrementing) instead of downgrading
 // to unvalidated TLS.
 func TestStaleServeNoDowngradeDrill(t *testing.T) {
-	l := newLab(t)
-	l.addMX("mx.lambda.test", false)
+	n := startNet(t)
+	addMX(t, n, "mx.lambda.test", false)
 	pol := enforce("mx.lambda.test")
 	pol.MaxAge = 3600
-	l.addDomain("lambda.test", []string{"mx.lambda.test"}, pol)
+	addDomain(n, "lambda.test", []string{"mx.lambda.test"}, pol)
 
-	o := l.outbound(false)
+	o := outbound(n, false)
 	now := time.Now()
 	cache, err := policycache.Open(store.NewMem(), policycache.Options{
 		Now: func() time.Time { return now },
@@ -419,7 +366,7 @@ func TestStaleServeNoDowngradeDrill(t *testing.T) {
 
 	// Policy host dies and the policy expires. Delivery must keep
 	// enforcing the stale policy from cache.
-	if err := l.pol.Close(); err != nil {
+	if err := n.Policy.Close(); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(2 * time.Hour) // past max_age, inside the stale window
@@ -440,7 +387,7 @@ func TestStaleServeNoDowngradeDrill(t *testing.T) {
 	if s.RefreshFailures == 0 {
 		t.Error("refresh_failures did not increment")
 	}
-	if len(l.inboxes["mx.lambda.test"].Messages()) != 2 {
+	if len(n.MX("mx.lambda.test").Messages()) != 2 {
 		t.Error("second message not delivered")
 	}
 }
@@ -474,21 +421,21 @@ func TestMechanismString(t *testing.T) {
 // is DNSSEC-signed, the sender runs a chain-validating resolver, and DANE
 // only applies because the TLSA RRset cryptographically validates.
 func TestSendDANEWithRealDNSSEC(t *testing.T) {
-	l := newLab(t)
-	leafSrv := l.addMX("mx.signed.test", true) // self-signed cert, TLSA matches
+	n := startNet(t)
+	leafSrv := addMX(t, n, "mx.signed.test", true) // self-signed cert, TLSA matches
 	_ = leafSrv
-	l.addDomain("signed.test", []string{"mx.signed.test"}, nil)
+	addDomain(n, "signed.test", []string{"mx.signed.test"}, nil)
 
 	// Sign the lab zone and configure the trust anchor.
 	signer, err := dnssec.NewSigner("test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dnssec.SignZone(l.zone, signer, time.Now().Add(-time.Hour), time.Now().Add(24*time.Hour)); err != nil {
+	if _, err := dnssec.SignZone(n.Zone("test"), signer, time.Now().Add(-time.Hour), time.Now().Add(24*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 
-	o := l.outbound(true)
+	o := outbound(n, true)
 	o.DNSSEC = dnssec.NewValidator(o.DNS)
 	if err := o.DNSSEC.AddAnchor(signer.DS()); err != nil {
 		t.Fatal(err)
@@ -507,11 +454,11 @@ func TestSendDANEWithRealDNSSEC(t *testing.T) {
 // and NO trust anchor, the TLSA RRset is insecure, DANE does not apply,
 // and delivery falls through to the next mechanism (opportunistic here).
 func TestSendDANESkippedWhenChainInvalid(t *testing.T) {
-	l := newLab(t)
-	l.addMX("mx.unsigned.test", false)
-	l.addDomain("unsigned.test", []string{"mx.unsigned.test"}, nil)
+	n := startNet(t)
+	addMX(t, n, "mx.unsigned.test", false)
+	addDomain(n, "unsigned.test", []string{"mx.unsigned.test"}, nil)
 
-	o := l.outbound(true)
+	o := outbound(n, true)
 	o.DNSSEC = dnssec.NewValidator(o.DNS) // no anchors: nothing validates
 
 	out, err := o.Send(context.Background(), "a@sender.lab", []string{"b@unsigned.test"}, []byte("x\n"))
@@ -528,11 +475,11 @@ func TestSendDANESkippedWhenChainInvalid(t *testing.T) {
 // leader fetches holds regardless of interleaving; the injected policy-
 // host latency makes the deliveries actually overlap.
 func TestConcurrentDeliveriesCollapseToOneFetch(t *testing.T) {
-	l := newLab(t)
-	l.addMX("mx.mu.test", false)
-	l.addDomain("mu.test", []string{"mx.mu.test"}, enforce("mx.mu.test"))
+	n := startNet(t)
+	addMX(t, n, "mx.mu.test", false)
+	addDomain(n, "mu.test", []string{"mx.mu.test"}, enforce("mx.mu.test"))
 
-	o := l.outbound(false)
+	o := outbound(n, false)
 	cache, err := policycache.Open(store.NewMem(), policycache.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -543,7 +490,7 @@ func TestConcurrentDeliveriesCollapseToOneFetch(t *testing.T) {
 		}
 	}()
 	o.Validator.Cache = cache
-	l.pol.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, LatencyRate: 1, Latency: 200 * time.Millisecond}))
+	n.Policy.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, LatencyRate: 1, Latency: 200 * time.Millisecond}))
 
 	const senders = 8
 	var wg sync.WaitGroup
@@ -565,7 +512,7 @@ func TestConcurrentDeliveriesCollapseToOneFetch(t *testing.T) {
 	if leaders := s.Misses - s.Collapsed; leaders != 1 {
 		t.Errorf("policy fetched %d times for %d concurrent deliveries (stats %+v)", leaders, senders, s)
 	}
-	if got := len(l.inboxes["mx.mu.test"].Messages()); got != senders {
+	if got := len(n.MX("mx.mu.test").Messages()); got != senders {
 		t.Errorf("inbox has %d messages, want %d", got, senders)
 	}
 }

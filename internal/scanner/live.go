@@ -394,9 +394,24 @@ func (l *Live) resolveAddrs(ctx context.Context, host string) ([]string, error) 
 	return out, nil
 }
 
-// TXTResolverAdapter adapts resolver.Client to mtasts.TXTResolver for use
-// with the sender-side Validator.
+// TXTResolverAdapter adapts resolver.Client to mtasts.TXTResolver and
+// mtasts.AddrResolver for use with the sender-side Validator and its
+// Fetcher.
 type TXTResolverAdapter struct{ Client *resolver.Client }
+
+// ResolveAddrs implements mtasts.AddrResolver the way Live resolves a
+// policy host: CNAMEs chased, A and AAAA.
+func (a TXTResolverAdapter) ResolveAddrs(ctx context.Context, host string) ([]string, error) {
+	addrs, err := a.Client.LookupAddrs(ctx, host, true)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, len(addrs))
+	for i, addr := range addrs {
+		out[i] = addr.String()
+	}
+	return out, nil
+}
 
 // ResolveTXT implements mtasts.TXTResolver.
 func (a TXTResolverAdapter) ResolveTXT(ctx context.Context, name string) ([]string, error) {

@@ -2,16 +2,11 @@ package scanner
 
 import (
 	"context"
-	"net"
-	"net/netip"
-	"strconv"
 	"testing"
 	"time"
 
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
-	"github.com/netsecurelab/mtasts/internal/dnsserver"
-	"github.com/netsecurelab/mtasts/internal/dnszone"
 	"github.com/netsecurelab/mtasts/internal/inconsistency"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/policysrv"
@@ -19,120 +14,120 @@ import (
 	"github.com/netsecurelab/mtasts/internal/smtpd"
 )
 
-// miniInternet wires the full substrate: an authoritative DNS server, a
-// multi-tenant HTTPS policy host, and per-domain SMTP servers, all on
-// loopback. It is the live-scan environment for integration tests.
-type miniInternet struct {
-	t    *testing.T
-	ca   *pki.CA
-	dns  *dnsserver.Server
-	zone *dnszone.Zone
-	pol  *policysrv.Server
-	live *Live
+// liveNow anchors the certificate windows of every described domain and
+// the offline side of the equivalence test.
+var liveNow = time.Now()
 
-	smtpServers map[string]*smtpd.Server
-}
-
-func newMiniInternet(t *testing.T) *miniInternet {
+// liveNet starts a loopback Internet and a Live scanner pointed at it.
+func liveNet(t *testing.T) (*loopnet.Net, *Live) {
 	t.Helper()
-	ca, err := pki.NewCA("Mini Internet CA", time.Now())
+	n, err := loopnet.Start(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	zone := dnszone.New("com")
-	dns := dnsserver.New(nil)
-	dns.AddZone(zone)
-	dnsAddr, err := dns.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dns.Close() })
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := dns.WaitReady(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	pol := policysrv.New(ca, nil)
-	if _, err := pol.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pol.Close() })
-
-	m := &miniInternet{
-		t: t, ca: ca, dns: dns, zone: zone, pol: pol,
-		smtpServers: make(map[string]*smtpd.Server),
-	}
-	m.live = &Live{
-		DNS:       resolver.New(dnsAddr.String()),
-		Roots:     ca.Pool(),
-		HTTPSPort: pol.Port(),
+	t.Cleanup(func() {
+		if err := n.Close(); err != nil {
+			t.Errorf("closing the loopback Internet: %v", err)
+		}
+	})
+	return n, &Live{
+		DNS:       resolver.New(n.DNS.Addr().String()),
+		Roots:     n.CA.Pool(),
+		HTTPSPort: n.Policy.Port(),
+		SMTPPort:  n.SMTPPort,
 		HeloName:  "scanner.test",
 		Timeout:   3 * time.Second,
 	}
-	return m
-}
-
-func (m *miniInternet) addRR(rr dnsmsg.RR) { m.zone.MustAdd(rr) }
-
-func (m *miniInternet) a(name string) dnsmsg.RR {
-	return dnsmsg.RR{Name: name, Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.AData{Addr: netip.MustParseAddr("127.0.0.1")}}
-}
-
-// addDomain provisions a complete MTA-STS deployment for domain: DNS
-// records, policy tenant, and an SMTP server with a certificate for the MX
-// host. certOpts mutate the MX certificate issuance.
-func (m *miniInternet) addDomain(domain string, policy mtasts.Policy, mxCert func(*pki.IssueOptions)) {
-	m.t.Helper()
-	mx := "mx." + domain
-	m.addRR(dnsmsg.RR{Name: domain, Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.MXData{Preference: 10, Host: mx}})
-	m.addRR(dnsmsg.RR{Name: "_mta-sts." + domain, Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.NewTXT("v=STSv1; id=20240929;")})
-	m.addRR(m.a("mta-sts." + domain))
-	m.addRR(m.a(mx))
-
-	m.pol.AddTenant(&policysrv.Tenant{Domain: domain, Policy: policy})
-
-	opts := pki.IssueOptions{Names: []string{mx}}
-	if mxCert != nil {
-		mxCert(&opts)
-	}
-	leaf, err := m.ca.Issue(opts)
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	cert := leaf.TLSCertificate()
-	srv := smtpd.New(smtpd.Behavior{Hostname: mx, Certificate: &cert})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	m.t.Cleanup(func() { srv.Close() })
-	m.smtpServers[domain] = srv
-	// Each smtpd instance binds its own port; tests provision one domain
-	// per miniInternet so the Live scanner can carry a single SMTP port.
-	_, portStr, err := net.SplitHostPort(addr.String())
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	m.live.SMTPPort = port
 }
 
 func enforceFor(mx ...string) mtasts.Policy {
 	return mtasts.Policy{Version: mtasts.Version, Mode: mtasts.ModeEnforce, MaxAge: 86400, MXPatterns: mx}
 }
 
-func TestLiveScanCleanDomain(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("good.com", enforceFor("mx.good.com"), nil)
+// liveArtifacts describes a complete, healthy MTA-STS deployment of
+// domain behind one MX host. Tests break a copy in one place and hand it
+// to serve, to ScanArtifacts, or to both.
+func liveArtifacts(domain, mx string) Artifacts {
+	return Artifacts{
+		Domain:             domain,
+		TXT:                []string{"v=STSv1; id=20240929;"},
+		MXHosts:            []string{mx},
+		PolicyHostResolves: true,
+		TCPOpen:            true,
+		PolicyCert:         pki.GoodProfile(liveNow, mtasts.PolicyHost(domain)),
+		HTTPStatus:         200,
+		PolicyBody:         []byte(enforceFor(mx).String()),
+		MXSTARTTLS:         map[string]bool{mx: true},
+		MXCerts:            map[string]pki.CertProfile{mx: pki.GoodProfile(liveNow, mx)},
+	}
+}
 
-	r := m.live.ScanDomain(context.Background(), "good.com")
+// serve publishes on n what a describes, so a live scan of a.Domain
+// observes what an offline scan of a is told: MX certificate profiles
+// become issued certificates, the policy certificate profile a
+// policysrv.CertMode, status and body an HTTPMode, a closed port or an
+// unresolvable policy host the matching address record. An MX host an
+// earlier domain already brought up is shared, not restarted.
+func serve(t *testing.T, n *loopnet.Net, a Artifacts) {
+	t.Helper()
+	for _, mx := range a.MXHosts {
+		if n.MX(mx) != nil {
+			continue
+		}
+		b := smtpd.Behavior{DisableSTARTTLS: !a.MXSTARTTLS[mx]}
+		if p := a.MXCerts[mx]; !b.DisableSTARTTLS {
+			b.Certificate = n.Cert(pki.IssueOptions{
+				Names: p.Names, NotBefore: p.NotBefore, NotAfter: p.NotAfter, SelfSigned: p.SelfSigned})
+		}
+		if _, err := n.AddMX(b, mx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := loopnet.Domain{Name: a.Domain, MX: a.MXHosts, TXT: a.TXT, CNAME: a.PolicyCNAME}
+	if a.TXT != nil {
+		d.Tenant = &policysrv.Tenant{}
+		switch {
+		case !a.PolicyHostResolves:
+			d.Host = loopnet.Unresolvable
+		case !a.TCPOpen:
+			d.Host = loopnet.ClosedPort
+		}
+		switch c := a.PolicyCert; {
+		case c.Missing:
+			d.Tenant.CertMode = policysrv.CertMissing
+		case c.SelfSigned:
+			d.Tenant.CertMode = policysrv.CertSelfSigned
+		case c.NotAfter.Before(liveNow):
+			d.Tenant.CertMode = policysrv.CertExpired
+		case !c.Covers(mtasts.PolicyHost(a.Domain)):
+			d.Tenant.CertMode = policysrv.CertWrongName
+		}
+		policy, err := mtasts.ParsePolicy(a.PolicyBody)
+		switch {
+		case a.HTTPStatus == 404:
+			d.Tenant.HTTPMode = policysrv.HTTPNotFound
+		case a.HTTPStatus == 500:
+			d.Tenant.HTTPMode = policysrv.HTTPServerError
+		case a.HTTPStatus == 301:
+			d.Tenant.HTTPMode = policysrv.HTTPRedirect
+		case a.HTTPStatus != 200:
+			t.Fatalf("serve: no HTTPMode answers %d", a.HTTPStatus)
+		case len(a.PolicyBody) == 0:
+			d.Tenant.HTTPMode = policysrv.HTTPEmptyBody
+		case err != nil:
+			d.Tenant.HTTPMode = policysrv.HTTPGarbage
+		default:
+			d.Tenant.Policy = policy
+		}
+	}
+	n.AddDomain(d)
+}
+
+func TestLiveScanCleanDomain(t *testing.T) {
+	n, live := liveNet(t)
+	serve(t, n, liveArtifacts("good.com", "mx.good.com"))
+
+	r := live.ScanDomain(context.Background(), "good.com")
 	if !r.RecordValid || !r.PolicyOK {
 		t.Fatalf("r = %+v", r)
 	}
@@ -146,26 +141,23 @@ func TestLiveScanCleanDomain(t *testing.T) {
 }
 
 func TestLiveScanNoRecord(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addRR(dnsmsg.RR{Name: "plain.com", Type: dnsmsg.TypeMX, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.MXData{Preference: 10, Host: "mx.plain.com"}})
-	m.addRR(m.a("mx.plain.com"))
-	r := m.live.ScanDomain(context.Background(), "plain.com")
+	n, live := liveNet(t)
+	a := liveArtifacts("plain.com", "mx.plain.com")
+	a.TXT = nil
+	serve(t, n, a)
+	r := live.ScanDomain(context.Background(), "plain.com")
 	if r.RecordPresent {
 		t.Errorf("r = %+v", r)
 	}
 }
 
 func TestLiveScanBadRecordGoodPolicy(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("badrec.com", enforceFor("mx.badrec.com"), nil)
-	// Replace the record with an invalid one.
-	m.zone.Remove("_mta-sts.badrec.com", dnsmsg.TypeTXT)
-	m.addRR(dnsmsg.RR{Name: "_mta-sts.badrec.com", Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.NewTXT("v=STSv1; id=bad-id;")})
-	m.live.DNS.Cache.Flush()
+	n, live := liveNet(t)
+	a := liveArtifacts("badrec.com", "mx.badrec.com")
+	a.TXT = []string{"v=STSv1; id=bad-id;"}
+	serve(t, n, a)
 
-	r := m.live.ScanDomain(context.Background(), "badrec.com")
+	r := live.ScanDomain(context.Background(), "badrec.com")
 	if !r.RecordPresent || r.RecordValid {
 		t.Fatalf("r.Record = %+v err=%v", r.Record, r.RecordErr)
 	}
@@ -179,35 +171,36 @@ func TestLiveScanBadRecordGoodPolicy(t *testing.T) {
 }
 
 func TestLiveScanPolicyDNSError(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("nodns.com", enforceFor("mx.nodns.com"), nil)
-	m.zone.Remove("mta-sts.nodns.com", dnsmsg.TypeA)
-	m.live.DNS.Cache.Flush()
+	n, live := liveNet(t)
+	a := liveArtifacts("nodns.com", "mx.nodns.com")
+	a.PolicyHostResolves = false
+	serve(t, n, a)
 
-	r := m.live.ScanDomain(context.Background(), "nodns.com")
+	r := live.ScanDomain(context.Background(), "nodns.com")
 	if r.PolicyOK || r.PolicyStage != mtasts.StageDNS {
 		t.Errorf("stage = %v", r.PolicyStage)
 	}
 }
 
 func TestLiveScanPolicyTLSError(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("badtls.com", enforceFor("mx.badtls.com"), nil)
-	tenant, _ := m.pol.Tenant("mta-sts.badtls.com")
-	tenant.CertMode = policysrv.CertWrongName
-	m.pol.AddTenant(tenant) // reset cached certificate
+	n, live := liveNet(t)
+	a := liveArtifacts("badtls.com", "mx.badtls.com")
+	a.PolicyCert = pki.GoodProfile(liveNow, "badtls.com")
+	serve(t, n, a)
 
-	r := m.live.ScanDomain(context.Background(), "badtls.com")
+	r := live.ScanDomain(context.Background(), "badtls.com")
 	if r.PolicyStage != mtasts.StageTLS || r.PolicyCertProblem != pki.ProblemNameMismatch {
 		t.Errorf("stage=%v problem=%v", r.PolicyStage, r.PolicyCertProblem)
 	}
 }
 
 func TestLiveScanInconsistentPolicy(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("drift.com", enforceFor("mx.formerhost.net"), nil)
+	n, live := liveNet(t)
+	a := liveArtifacts("drift.com", "mx.drift.com")
+	a.PolicyBody = []byte(enforceFor("mx.formerhost.net").String())
+	serve(t, n, a)
 
-	r := m.live.ScanDomain(context.Background(), "drift.com")
+	r := live.ScanDomain(context.Background(), "drift.com")
 	if !r.PolicyOK {
 		t.Fatalf("policy stage = %v", r.PolicyStage)
 	}
@@ -220,11 +213,12 @@ func TestLiveScanInconsistentPolicy(t *testing.T) {
 }
 
 func TestLiveScanMXBadCert(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("badmx.com", enforceFor("mx.badmx.com"), func(o *pki.IssueOptions) {
-		o.SelfSigned = true
-	})
-	r := m.live.ScanDomain(context.Background(), "badmx.com")
+	n, live := liveNet(t)
+	a := liveArtifacts("badmx.com", "mx.badmx.com")
+	a.MXCerts["mx.badmx.com"] = pki.SelfSignedProfile(liveNow, "mx.badmx.com")
+	serve(t, n, a)
+
+	r := live.ScanDomain(context.Background(), "badmx.com")
 	if p := r.MXProblems["mx.badmx.com"]; p != pki.ProblemSelfSigned {
 		t.Errorf("MX problem = %v", p)
 	}
@@ -234,16 +228,12 @@ func TestLiveScanMXBadCert(t *testing.T) {
 }
 
 func TestLiveScanPolicyDelegationCNAME(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("delegated.com", enforceFor("mx.delegated.com"), nil)
-	// Replace the A record with a CNAME to a provider host.
-	m.zone.Remove("mta-sts.delegated.com", dnsmsg.TypeA)
-	m.addRR(dnsmsg.RR{Name: "mta-sts.delegated.com", Type: dnsmsg.TypeCNAME, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.CNAMEData{Target: "provider-policy.com"}})
-	m.addRR(m.a("provider-policy.com"))
-	m.live.DNS.Cache.Flush()
+	n, live := liveNet(t)
+	a := liveArtifacts("delegated.com", "mx.delegated.com")
+	a.PolicyCNAME = "provider-policy.com"
+	serve(t, n, a)
 
-	r := m.live.ScanDomain(context.Background(), "delegated.com")
+	r := live.ScanDomain(context.Background(), "delegated.com")
 	if r.PolicyCNAME != "provider-policy.com" {
 		t.Errorf("PolicyCNAME = %q", r.PolicyCNAME)
 	}
@@ -253,9 +243,9 @@ func TestLiveScanPolicyDelegationCNAME(t *testing.T) {
 }
 
 func TestRunnerParallelScan(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("par.com", enforceFor("mx.par.com"), nil)
-	runner := &Runner{Workers: 4, Scan: m.live}
+	n, live := liveNet(t)
+	serve(t, n, liveArtifacts("par.com", "mx.par.com"))
+	runner := &Runner{Workers: 4, Scan: live}
 	results := runner.Run(context.Background(), []string{"par.com", "par.com", "par.com", "absent.com"})
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))

@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/netsecurelab/mtasts/internal/dnsmsg"
 	"github.com/netsecurelab/mtasts/internal/dnsserver"
+	"github.com/netsecurelab/mtasts/internal/loopnet"
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/resolver"
 )
@@ -41,19 +41,19 @@ func (b *syncBuffer) String() string {
 // per-stage counters are nonzero, progress completes and is monotonic,
 // and the event stream is parseable JSONL.
 func TestRunnerEmitsMetricsOverSubstrate(t *testing.T) {
-	// One provisioned domain (the substrate carries a single SMTP port),
-	// scanned repeatedly, plus a domain with no MTA-STS record.
-	m := newMiniInternet(t)
-	m.addDomain("good.com", enforceFor("mx.good.com"), nil)
+	// One provisioned domain scanned repeatedly, plus a domain with no
+	// MTA-STS record.
+	n, live := liveNet(t)
+	serve(t, n, liveArtifacts("good.com", "mx.good.com"))
 
 	reg := obs.NewRegistry()
 	var buf syncBuffer
 	sink := obs.NewEventSink(&buf)
-	m.live.Obs = reg
-	m.live.Events = sink
-	m.live.DNS.Obs = reg
+	live.Obs = reg
+	live.Events = sink
+	live.DNS.Obs = reg
 
-	runner := &Runner{Workers: 3, Scan: m.live, Obs: reg, Events: sink}
+	runner := &Runner{Workers: 3, Scan: live, Obs: reg, Events: sink}
 	domains := []string{"good.com", "good.com", "good.com", "absent.com"}
 
 	// Sample progress concurrently and assert it never decreases.
@@ -172,14 +172,13 @@ func TestRunnerEmitsMetricsOverSubstrate(t *testing.T) {
 // DomainResult.MXLookupErr and in the scan.mx_lookup.errors counter,
 // while NXDOMAIN ("no MX records") must not.
 func TestLiveScanMXLookupError(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("broken.com", enforceFor("mx.broken.com"), nil)
+	n, live := liveNet(t)
+	serve(t, n, liveArtifacts("broken.com", "mx.broken.com"))
 	reg := obs.NewRegistry()
-	m.live.Obs = reg
-	m.dns.SetBehavior(dnsserver.BehaviorServFail)
-	m.live.DNS.Cache.Flush()
+	live.Obs = reg
+	n.DNS.SetBehavior(dnsserver.BehaviorServFail)
 
-	r := m.live.ScanDomain(context.Background(), "broken.com")
+	r := live.ScanDomain(context.Background(), "broken.com")
 	if r.MXLookupErr == nil {
 		t.Fatal("SERVFAIL MX lookup not recorded on MXLookupErr")
 	}
@@ -191,10 +190,9 @@ func TestLiveScanMXLookupError(t *testing.T) {
 	}
 
 	// A domain that simply has no MX records is not a lookup error.
-	m.dns.SetBehavior(dnsserver.BehaviorNormal)
-	m.addRR(dnsmsg.RR{Name: "_mta-sts.nomx.com", Type: dnsmsg.TypeTXT, Class: dnsmsg.ClassIN, TTL: 60,
-		Data: dnsmsg.NewTXT("v=STSv1; id=20240929;")})
-	r2 := m.live.ScanDomain(context.Background(), "nomx.com")
+	n.DNS.SetBehavior(dnsserver.BehaviorNormal)
+	n.AddDomain(loopnet.Domain{Name: "nomx.com", TXT: []string{"v=STSv1; id=20240929;"}})
+	r2 := live.ScanDomain(context.Background(), "nomx.com")
 	if r2.MXLookupErr != nil {
 		t.Errorf("NXDOMAIN MX lookup treated as error: %v", r2.MXLookupErr)
 	}
@@ -206,10 +204,10 @@ func TestLiveScanMXLookupError(t *testing.T) {
 // TestLiveScanNilObsUnchanged pins the nil-registry contract: scanning
 // with observability disabled produces identical results and no panics.
 func TestLiveScanNilObsUnchanged(t *testing.T) {
-	m := newMiniInternet(t)
-	m.addDomain("plain.com", enforceFor("mx.plain.com"), nil)
+	n, live := liveNet(t)
+	serve(t, n, liveArtifacts("plain.com", "mx.plain.com"))
 	// Obs and Events are nil by default.
-	r := m.live.ScanDomain(context.Background(), "plain.com")
+	r := live.ScanDomain(context.Background(), "plain.com")
 	if !r.RecordValid || !r.PolicyOK || r.Misconfigured() {
 		t.Errorf("r = %+v", r)
 	}

@@ -42,6 +42,17 @@ type Behavior struct {
 	RejectAll bool
 }
 
+// What one client can make a session hold, whatever it streams: a line
+// of maxLineBytes (smtpclient's reply-line cap; RFC 5321 §4.5.3.1 asks
+// for 1000) and a message of maxMessageBytes. Past either the session is
+// answered 500 / 552 and closed.
+const (
+	maxLineBytes    = 4096
+	maxMessageBytes = 1 << 20
+)
+
+var errMessageTooBig = errors.New("smtpd: message over maxMessageBytes")
+
 // Message is a mail object accepted by the server.
 type Message struct {
 	From string
@@ -227,7 +238,7 @@ func (s *Server) session(conn net.Conn) {
 	sess := &session{
 		srv:  s,
 		conn: conn,
-		r:    bufio.NewReader(conn),
+		r:    bufio.NewReaderSize(conn, maxLineBytes),
 		w:    bufio.NewWriter(conn),
 	}
 	// Injected connection faults come before any protocol exchange: the
@@ -372,36 +383,44 @@ func (sess *session) upgradeTLS(b Behavior) bool {
 		return false
 	}
 	sess.conn = tlsConn
-	sess.r = bufio.NewReader(tlsConn)
+	sess.r = bufio.NewReaderSize(tlsConn, maxLineBytes)
 	sess.w = bufio.NewWriter(tlsConn)
 	sess.tls = true
 	sess.helo, sess.from, sess.rcpts = "", "", nil // RFC 3207: reset state
 	return true
 }
 
+// readLine reads one line without its terminator. The read buffer is
+// maxLineBytes, which is what bounds a line; any error ends the session.
 func (sess *session) readLine() (string, error) {
-	line, err := sess.r.ReadString('\n')
+	line, err := sess.r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		sess.reply(500, "5.5.2 line too long")
+	}
 	if err != nil {
 		return "", err
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return strings.TrimRight(string(line), "\r\n"), nil
 }
 
 // readData consumes a DATA payload up to the dot terminator.
 func (sess *session) readData() ([]byte, error) {
 	var out []byte
 	for {
-		line, err := sess.r.ReadString('\n')
+		line, err := sess.readLine()
 		if err != nil {
 			return nil, err
 		}
-		trimmed := strings.TrimRight(line, "\r\n")
-		if trimmed == "." {
+		if line == "." {
 			return out, nil
 		}
 		// Dot-unstuffing per RFC 5321 §4.5.2.
-		trimmed = strings.TrimPrefix(trimmed, ".")
-		out = append(out, trimmed...)
+		line = strings.TrimPrefix(line, ".")
+		if len(out)+len(line)+1 > maxMessageBytes {
+			sess.reply(552, "5.3.4 message too big")
+			return nil, errMessageTooBig
+		}
+		out = append(out, line...)
 		out = append(out, '\n')
 	}
 }

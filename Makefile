@@ -46,7 +46,7 @@ check: build vet lint docs test race leaktest smoke-adversary smoke-serve smoke-
 # a goroutine running. -count 1 defeats the test cache so the check is
 # live even right after `make race`.
 leaktest:
-	$(GO) test -race -count 1 ./internal/leakcheck ./internal/scanner ./internal/policycache ./internal/campaign ./internal/sf ./internal/obs ./internal/mta ./internal/smtpclient ./internal/experiments ./internal/scansvc ./internal/loopnet
+	$(GO) test -race -count 1 ./internal/leakcheck ./internal/scanner ./internal/policycache ./internal/campaign ./internal/sf ./internal/obs ./internal/mta ./internal/smtpclient ./internal/resolver ./internal/experiments ./internal/scansvc ./internal/loopnet
 
 # Docs-vs-code gates that run fast enough to gate every check: CLI
 # flags against README/docs (internal/docscheck), plus the linted

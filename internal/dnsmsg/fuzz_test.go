@@ -21,6 +21,9 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(wire2)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 12})
+	for _, wire := range hostileCountMessages() {
+		f.Add(wire)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Unpack(b)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"strings"
 )
 
 // Errors returned while decoding.
@@ -14,14 +13,23 @@ var (
 	ErrTrailingData = errors.New("dnsmsg: trailing bytes after message")
 )
 
-// Unpack parses a wire-format DNS message.
+// Unpack parses a wire-format DNS message. The returned Message shares no
+// memory with b: every name, character-string and byte field is copied
+// out, so the caller may reuse b as soon as Unpack returns (the resolver's
+// pooled reply buffer relies on it; TestUnpackDoesNotAliasInput pins it).
 func Unpack(b []byte) (*Message, error) {
-	d := &decoder{buf: b}
+	d := decoder{buf: b}
 	m := &Message{}
 	var qd, an, ns, ar int
 	var err error
 	if m.Header, qd, an, ns, ar, err = d.header(); err != nil {
 		return nil, err
+	}
+	// A section is pre-sized only when its count, the peer's claim, could
+	// fit in the bytes that are left: a question is at least 5 bytes (root
+	// name, type, class), a record at least 11 (+ TTL, RDLENGTH).
+	if qd > 0 && qd <= d.left()/5 {
+		m.Questions = make([]Question, 0, qd)
 	}
 	for i := 0; i < qd; i++ {
 		q, err := d.question()
@@ -30,11 +38,14 @@ func Unpack(b []byte) (*Message, error) {
 		}
 		m.Questions = append(m.Questions, q)
 	}
-	sections := []struct {
+	sections := [...]struct {
 		n   int
 		dst *[]RR
 	}{{an, &m.Answers}, {ns, &m.Authority}, {ar, &m.Additional}}
 	for _, sec := range sections {
+		if sec.n > 0 && sec.n <= d.left()/11 {
+			*sec.dst = make([]RR, 0, sec.n)
+		}
 		for i := 0; i < sec.n; i++ {
 			rr, err := d.rr()
 			if err != nil {
@@ -50,6 +61,8 @@ type decoder struct {
 	buf []byte
 	off int
 }
+
+func (d *decoder) left() int { return len(d.buf) - d.off }
 
 func (d *decoder) header() (h Header, qd, an, ns, ar int, err error) {
 	if len(d.buf) < 12 {
@@ -267,8 +280,11 @@ func (d *decoder) rdata(t Type, end int) (RData, error) {
 }
 
 // name decodes a possibly-compressed domain name at the current offset.
+// Labels gather in a stack scratch (253 bytes of name, plus the dot written
+// ahead of the length check) and leave as one string allocation.
 func (d *decoder) name() (string, error) {
-	var sb strings.Builder
+	var scratch [254]byte
+	name := scratch[:0]
 	off := d.off
 	jumped := false
 	// Each pointer must strictly decrease the offset it targets relative to
@@ -284,7 +300,7 @@ func (d *decoder) name() (string, error) {
 			if !jumped {
 				d.off = off + 1
 			}
-			return sb.String(), nil
+			return string(name), nil
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(d.buf) {
 				return "", ErrShortMessage
@@ -305,13 +321,13 @@ func (d *decoder) name() (string, error) {
 			if off+1+c > len(d.buf) {
 				return "", ErrShortMessage
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if len(name) > 0 {
+				name = append(name, '.')
 			}
-			if sb.Len()+c > 253 {
+			if len(name)+c > 253 {
 				return "", ErrNameTooLong
 			}
-			sb.Write(d.buf[off+1 : off+1+c])
+			name = append(name, d.buf[off+1:off+1+c]...)
 			off += 1 + c
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"net/netip"
 	"strconv"
@@ -69,8 +69,6 @@ type Client struct {
 	// RetryBudget, when non-nil, caps total retries across the run.
 	RetryBudget *retry.Budget
 
-	mu      sync.Mutex
-	rnd     *rand.Rand
 	obsOnce sync.Once
 	// flight coalesces concurrent identical (name, type) queries into
 	// one wire exchange whose answer fans out to every waiter
@@ -96,7 +94,6 @@ func New(serverAddr string) *Client {
 		ServerAddr: serverAddr,
 		Timeout:    3 * time.Second,
 		Cache:      NewCache(4096),
-		rnd:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 }
 
@@ -114,14 +111,11 @@ func (c *Client) maxCNAME() int {
 	return c.MaxCNAME
 }
 
-func (c *Client) nextID() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rnd == nil {
-		c.rnd = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	return uint16(c.rnd.Uint32())
-}
+// replyBuf is the scratch one reply is read into: the largest DNS message
+// either transport can carry. Pooled by pointer so a Put does not allocate.
+type replyBuf [65535]byte
+
+var replyBufs = sync.Pool{New: func() any { return new(replyBuf) }}
 
 // Lookup resolves (name, type), following CNAME chains across query
 // restarts, and returns the final RRset (CNAME records are not included).
@@ -379,7 +373,9 @@ func (c *Client) doExchange(ctx context.Context, name string, t dnsmsg.Type) ([]
 			}
 		}
 	}
-	query := dnsmsg.NewQuery(c.nextID(), name, t)
+	// An ID from the OS-seeded generator and dialUDP's fresh source port
+	// are what an off-path spoofer has to guess (RFC 5452).
+	query := dnsmsg.NewQuery(uint16(rand.Uint32()), name, t)
 	wire, err := query.Pack()
 	if err != nil {
 		return nil, "", fmt.Errorf("resolver: packing query for %q: %w", name, err)
@@ -399,9 +395,23 @@ func (c *Client) doExchange(ctx context.Context, name string, t dnsmsg.Type) ([]
 	return interpret(resp, name, t)
 }
 
+// dialUDP opens a fresh socket — hence a fresh ephemeral source port —
+// for one query. A literal ServerAddr, the usual case, is dialled
+// directly; only a hostname goes through the Dialer's name resolution.
+func (c *Client) dialUDP(ctx context.Context) (net.Conn, error) {
+	ap, err := netip.ParseAddrPort(c.ServerAddr)
+	if err != nil {
+		var d net.Dialer
+		return d.DialContext(ctx, "udp", c.ServerAddr)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
+}
+
 func (c *Client) exchangeUDP(ctx context.Context, wire []byte, id uint16) (*dnsmsg.Message, error) {
-	d := net.Dialer{}
-	conn, err := d.DialContext(ctx, "udp", c.ServerAddr)
+	conn, err := c.dialUDP(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("resolver: dial udp %s: %w", c.ServerAddr, err)
 	}
@@ -414,9 +424,10 @@ func (c *Client) exchangeUDP(ctx context.Context, wire []byte, id uint16) (*dnsm
 	if _, err := conn.Write(wire); err != nil {
 		return nil, fmt.Errorf("resolver: send: %w", err)
 	}
-	buf := make([]byte, 65535)
+	buf := replyBufs.Get().(*replyBuf)
+	defer replyBufs.Put(buf)
 	for {
-		n, err := conn.Read(buf)
+		n, err := conn.Read(buf[:])
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -457,7 +468,9 @@ func (c *Client) exchangeTCP(ctx context.Context, wire []byte, id uint16) (*dnsm
 	if err := readFull(conn, lenBuf[:]); err != nil {
 		return nil, tcpRecvErr(err)
 	}
-	msg := make([]byte, int(lenBuf[0])<<8|int(lenBuf[1]))
+	buf := replyBufs.Get().(*replyBuf)
+	defer replyBufs.Put(buf)
+	msg := buf[:int(lenBuf[0])<<8|int(lenBuf[1])]
 	if err := readFull(conn, msg); err != nil {
 		return nil, tcpRecvErr(err)
 	}

@@ -37,19 +37,8 @@ func startServer(t *testing.T) (*dnsserver.Server, *Client) {
 	add(dnsmsg.RR{Name: "policy.example.com", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
 		Data: dnsmsg.AData{Addr: netip.MustParseAddr("192.0.2.80")}})
 
-	srv := dnsserver.New(nil)
-	srv.AddZone(z)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := srv.WaitReady(ctx); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
-	return srv, New(addr.String())
+	srv := serveZone(t, z, "127.0.0.1:0")
+	return srv, New(srv.Addr().String())
 }
 
 func TestLookupTXT(t *testing.T) {

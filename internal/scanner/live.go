@@ -233,7 +233,7 @@ func (l *Live) sharedFetcher() *mtasts.Fetcher {
 			cache = tls.NewLRUClientSessionCache(1024)
 		}
 		l.fetcher = &mtasts.Fetcher{
-			Resolver:     mtasts.AddrResolverFunc(l.resolveAddrs),
+			Resolver:     TXTResolverAdapter{Client: l.DNS},
 			RootCAs:      l.Roots,
 			Timeout:      l.timeout(),
 			Port:         l.HTTPSPort,
@@ -380,27 +380,13 @@ func (l *Live) ProbeHost(ctx context.Context, mxHost string) ProbeOutcome {
 	return ProbeOutcome{Problem: res.CertProblem}
 }
 
-// resolveAddrs bridges the mtasts.Fetcher DNS dependency onto the wire
-// resolver, chasing CNAMEs as LookupAddrs does.
-func (l *Live) resolveAddrs(ctx context.Context, host string) ([]string, error) {
-	addrs, err := l.DNS.LookupAddrs(ctx, host, true)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(addrs))
-	for i, a := range addrs {
-		out[i] = a.String()
-	}
-	return out, nil
-}
-
 // TXTResolverAdapter adapts resolver.Client to mtasts.TXTResolver and
 // mtasts.AddrResolver for use with the sender-side Validator and its
 // Fetcher.
 type TXTResolverAdapter struct{ Client *resolver.Client }
 
-// ResolveAddrs implements mtasts.AddrResolver the way Live resolves a
-// policy host: CNAMEs chased, A and AAAA.
+// ResolveAddrs implements mtasts.AddrResolver, for Live's own fetcher
+// too: CNAMEs chased, A and AAAA.
 func (a TXTResolverAdapter) ResolveAddrs(ctx context.Context, host string) ([]string, error) {
 	addrs, err := a.Client.LookupAddrs(ctx, host, true)
 	if err != nil {

@@ -46,7 +46,7 @@ check: build vet lint docs test race leaktest smoke-adversary smoke-serve smoke-
 # a goroutine running. -count 1 defeats the test cache so the check is
 # live even right after `make race`.
 leaktest:
-	$(GO) test -race -count 1 ./internal/leakcheck ./internal/scanner ./internal/policycache ./internal/campaign ./internal/sf ./internal/obs ./internal/mta ./internal/smtpclient ./internal/resolver ./internal/experiments ./internal/scansvc ./internal/loopnet
+	$(GO) test -race -count 1 ./internal/leakcheck ./internal/scanner ./internal/mtasts ./internal/campaign ./internal/sf ./internal/obs ./internal/mta ./internal/smtpclient ./internal/resolver ./internal/experiments ./internal/scansvc ./internal/loopnet
 
 # Docs-vs-code gates that run fast enough to gate every check: CLI
 # flags against README/docs (internal/docscheck), plus the linted
@@ -134,8 +134,8 @@ fuzz:
 bench:
 	$(GO) test ./internal/scanner -run '^$$' -bench 'BenchmarkRunnerPipelined' -benchtime 1x -count 1
 	$(GO) test ./internal/scanner -run '^TestBenchScanJSON$$' -count 1 -benchscan-out $(CURDIR)/BENCH_scan.json
-	$(GO) test ./internal/policycache -run '^$$' -bench 'BenchmarkPolicyCacheDeliveries' -benchmem -count 1
-	$(GO) test ./internal/policycache -run '^TestBenchCacheJSON$$' -count 1 -benchcache-out $(CURDIR)/BENCH_cache.json
+	$(GO) test ./internal/mtasts -run '^$$' -bench 'BenchmarkPolicyCacheDeliveries' -benchmem -count 1
+	$(GO) test ./internal/mtasts -run '^TestBenchCacheJSON$$' -count 1 -benchcache-out $(CURDIR)/BENCH_cache.json
 
 # Run every Benchmark* in the module once, so none can rot (a panic or
 # b.Fatal fails the target); the numbers are not read.
@@ -156,6 +156,6 @@ bench-e2e-smoke:
 # (cmd/benchguard). CI runs this on every push.
 bench-check:
 	$(GO) test ./internal/scanner -run '^TestBenchScanJSON$$' -count 1 -benchscan-out /tmp/mtasts-bench-scan.json
-	$(GO) test ./internal/policycache -run '^TestBenchCacheJSON$$' -count 1 -benchcache-out /tmp/mtasts-bench-cache.json
+	$(GO) test ./internal/mtasts -run '^TestBenchCacheJSON$$' -count 1 -benchcache-out /tmp/mtasts-bench-cache.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_scan.json -current /tmp/mtasts-bench-scan.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_cache.json -current /tmp/mtasts-bench-cache.json

@@ -142,7 +142,7 @@ func BenchmarkAblationValidatorWarmCache(b *testing.B) {
 	}
 }
 
-func newBenchValidator(l *loopnet.Net, cache mtasts.PolicyStore) *mtasts.Validator {
+func newBenchValidator(l *loopnet.Net, cache *mtasts.PolicyCache) *mtasts.Validator {
 	adapter := scanner.TXTResolverAdapter{Client: resolver.New(l.DNS.Addr().String())}
 	return &mtasts.Validator{
 		Resolver: adapter,

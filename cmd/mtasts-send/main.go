@@ -32,7 +32,6 @@ import (
 	"github.com/netsecurelab/mtasts/internal/mta"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/obs"
-	"github.com/netsecurelab/mtasts/internal/policycache"
 	"github.com/netsecurelab/mtasts/internal/resolver"
 	"github.com/netsecurelab/mtasts/internal/scanner"
 	"github.com/netsecurelab/mtasts/internal/store"
@@ -94,7 +93,7 @@ func run() int {
 		backing = store.NewMem()
 	}
 	reg := obs.NewRegistry()
-	cache, err := policycache.Open(backing, policycache.Options{
+	cache, err := mtasts.OpenPolicyCache(backing, mtasts.CacheOptions{
 		Max: *cacheMax, StaleWindow: *staleWindow, Obs: reg,
 	})
 	if err != nil {

@@ -469,12 +469,8 @@ func (o *Outbound) RefreshPolicies(ctx context.Context, window time.Duration) in
 	if o.Validator == nil || o.Validator.Cache == nil {
 		return 0
 	}
-	rs, ok := o.Validator.Cache.(mtasts.RefreshableStore)
-	if !ok {
-		return 0
-	}
 	n := 0
-	for _, domain := range rs.ExpiringWithin(window) {
+	for _, domain := range o.Validator.Cache.ExpiringWithin(window) {
 		if err := o.Validator.Refresh(ctx, domain); err != nil {
 			o.Obs.Counter("mta.refresh.failures").Inc()
 			continue

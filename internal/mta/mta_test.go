@@ -15,7 +15,6 @@ import (
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/pki"
-	"github.com/netsecurelab/mtasts/internal/policycache"
 	"github.com/netsecurelab/mtasts/internal/policysrv"
 	"github.com/netsecurelab/mtasts/internal/resolver"
 	"github.com/netsecurelab/mtasts/internal/scanner"
@@ -87,6 +86,22 @@ func outbound(n *loopnet.Net, daneEnabled bool) *Outbound {
 		DANEEnabled:  daneEnabled,
 		Timeout:      5 * time.Second,
 	}
+}
+
+// memCache opens a policy cache over a fresh in-memory store, closed
+// when the test ends.
+func memCache(t *testing.T, o mtasts.CacheOptions) *mtasts.PolicyCache {
+	t.Helper()
+	c, err := mtasts.OpenPolicyCache(store.NewMem(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return c
 }
 
 func enforce(mx ...string) *mtasts.Policy {
@@ -264,9 +279,8 @@ func TestRefreshPolicies(t *testing.T) {
 	addDomain(n, "iota.test", []string{"mx.iota.test"}, pol)
 
 	o := outbound(n, false)
-	pc := o.Validator.Cache.(*mtasts.PolicyCache)
 	now := time.Now()
-	pc.Now = func() time.Time { return now }
+	o.Validator.Cache = memCache(t, mtasts.CacheOptions{Now: func() time.Time { return now }})
 	if _, err := o.Send(context.Background(), "a@s.lab", []string{"b@iota.test"}, []byte("x\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +299,15 @@ func TestRefreshPolicies(t *testing.T) {
 	}
 }
 
+// With no cache there is nothing to revalidate: RefreshPolicies must
+// return 0 rather than reach through a nil cache.
+func TestRefreshPoliciesNilCache(t *testing.T) {
+	o := &Outbound{Validator: &mtasts.Validator{}}
+	if n := o.RefreshPolicies(context.Background(), time.Hour); n != 0 {
+		t.Errorf("refreshed %d, want 0", n)
+	}
+}
+
 // A failed refetch must never evict the still-valid policy it was trying
 // to revalidate — the eviction-before-revalidation bug reopened the
 // TLS-fallback downgrade window on every refresh hiccup.
@@ -297,9 +320,9 @@ func TestRefreshFailurePreservesPolicy(t *testing.T) {
 
 	o := outbound(n, false)
 	o.Obs = obs.NewRegistry()
-	pc := o.Validator.Cache.(*mtasts.PolicyCache)
 	now := time.Now()
-	pc.Now = func() time.Time { return now }
+	pc := memCache(t, mtasts.CacheOptions{Now: func() time.Time { return now }})
+	o.Validator.Cache = pc
 	if _, err := o.Send(context.Background(), "a@s.lab", []string{"b@kappa.test"}, []byte("x\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -342,17 +365,7 @@ func TestStaleServeNoDowngradeDrill(t *testing.T) {
 
 	o := outbound(n, false)
 	now := time.Now()
-	cache, err := policycache.Open(store.NewMem(), policycache.Options{
-		Now: func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := cache.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
+	cache := memCache(t, mtasts.CacheOptions{Now: func() time.Time { return now }})
 	o.Validator.Cache = cache
 
 	// Cold delivery populates the cache.
@@ -480,15 +493,7 @@ func TestConcurrentDeliveriesCollapseToOneFetch(t *testing.T) {
 	addDomain(n, "mu.test", []string{"mx.mu.test"}, enforce("mx.mu.test"))
 
 	o := outbound(n, false)
-	cache, err := policycache.Open(store.NewMem(), policycache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := cache.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
+	cache := memCache(t, mtasts.CacheOptions{})
 	o.Validator.Cache = cache
 	n.Policy.SetFaults(faults.NewInjector(faults.Plan{Seed: 1, LatencyRate: 1, Latency: 200 * time.Millisecond}))
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/netsecurelab/mtasts/internal/store"
 )
 
 func testPolicy(maxAge int64) Policy {
@@ -13,8 +15,7 @@ func testPolicy(maxAge int64) Policy {
 
 func TestCacheStoreGet(t *testing.T) {
 	now := time.Unix(1000, 0)
-	pc := NewPolicyCache(10)
-	pc.Now = func() time.Time { return now }
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, Now: func() time.Time { return now }})
 
 	pc.Store("example.com", testPolicy(3600), "id1")
 	e, ok := pc.Get("example.com")
@@ -36,8 +37,7 @@ func TestCacheStoreGet(t *testing.T) {
 
 func TestCacheNeedsRefresh(t *testing.T) {
 	now := time.Unix(1000, 0)
-	pc := NewPolicyCache(10)
-	pc.Now = func() time.Time { return now }
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, Now: func() time.Time { return now }})
 
 	if !pc.NeedsRefresh("example.com", "id1") {
 		t.Error("empty cache must need refresh")
@@ -62,8 +62,7 @@ func TestCacheZeroMaxAgeNotStored(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	now := time.Unix(1000, 0)
-	pc := NewPolicyCache(3)
-	pc.Now = func() time.Time { return now }
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 3, Now: func() time.Time { return now }})
 	for i := 0; i < 3; i++ {
 		pc.Store(fmt.Sprintf("d%d.example", i), testPolicy(int64(100*(i+1))), "id")
 	}
@@ -127,9 +126,7 @@ func TestCacheConcurrent(t *testing.T) {
 
 func TestCacheGetStaleWindow(t *testing.T) {
 	now := time.Unix(1000, 0)
-	pc := NewPolicyCache(10)
-	pc.Now = func() time.Time { return now }
-	pc.StaleWindow = time.Hour
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, StaleWindow: time.Hour, Now: func() time.Time { return now }})
 	pc.Store("example.com", testPolicy(60), "id1")
 
 	// Expired but inside the stale window: Get misses, GetStale serves,
@@ -157,9 +154,7 @@ func TestCacheGetStaleWindow(t *testing.T) {
 
 func TestCacheExpiringWithinBoundaries(t *testing.T) {
 	now := time.Unix(1000, 0)
-	pc := NewPolicyCache(10)
-	pc.Now = func() time.Time { return now }
-	pc.StaleWindow = time.Hour
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, StaleWindow: time.Hour, Now: func() time.Time { return now }})
 
 	pc.Store("exact.example", testPolicy(600), "id") // expires exactly at the deadline
 	pc.Store("later.example", testPolicy(601), "id") // expires just past it

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/netsecurelab/mtasts/internal/pki"
 )
@@ -58,44 +57,6 @@ type MXVerifier interface {
 	VerifyMX(ctx context.Context, mxHost string) (pki.Problem, error)
 }
 
-// PolicyStore is the cache dependency of Validator: the sender-side TOFU
-// store of RFC 8461 §5. The in-process implementation is PolicyCache; the
-// durable, stampede-proof production implementation is
-// internal/policycache.Cache.
-type PolicyStore interface {
-	// Get returns the cached policy for domain if present and fresh.
-	Get(domain string) (CachedPolicy, bool)
-	// NeedsRefresh reports whether the cached policy (if any) must be
-	// refetched: missing, expired, or fetched under a different record id.
-	NeedsRefresh(domain, currentRecordID string) bool
-	// Store caches a freshly fetched policy under its record id.
-	Store(domain string, p Policy, recordID string)
-}
-
-// StaleStore is optionally implemented by policy stores that retain
-// expired entries for a bounded window. The validator's fallback paths use
-// it so a failed refetch keeps enforcing the old policy instead of
-// downgrading to unvalidated delivery.
-type StaleStore interface {
-	GetStale(domain string) (CachedPolicy, bool)
-}
-
-// RefreshableStore is optionally implemented by policy stores that can
-// enumerate entries due for proactive revalidation (the background
-// refresher's work list).
-type RefreshableStore interface {
-	ExpiringWithin(window time.Duration) []string
-}
-
-// FetchCoalescer is optionally implemented by policy stores that collapse
-// concurrent policy fetches for one domain into a single execution
-// (stampede protection): the first caller runs fetch, concurrent callers
-// block and share its result (shared=true). The leader's context governs
-// the network operation, so waiters can observe its cancellation error.
-type FetchCoalescer interface {
-	CoalesceFetch(domain string, fetch func() (Policy, error)) (p Policy, shared bool, err error)
-}
-
 // Validator is the sender-side MTA-STS engine: it discovers the record,
 // fetches (or reuses) the policy, matches the selected MX, verifies its
 // certificate, and renders the delivery decision — the complete flow of
@@ -103,7 +64,9 @@ type FetchCoalescer interface {
 type Validator struct {
 	Resolver TXTResolver
 	Fetcher  *Fetcher
-	Cache    PolicyStore
+	// Cache is the sender's TOFU policy store; nil disables caching, so
+	// every evaluation fetches and no fallback policy exists.
+	Cache *PolicyCache
 	// Verify checks the MX certificate; nil skips certificate validation
 	// (the caller handles it during SMTP delivery).
 	Verify MXVerifier
@@ -224,9 +187,9 @@ func (v *Validator) Validate(ctx context.Context, domain, mxHost string) (Evalua
 }
 
 // fetchAndStore retrieves the policy for domain and caches it under
-// recordID. When the store coalesces fetches, concurrent calls for one
-// domain collapse into a single network fetch (and a single Store); the
-// leader performs the write, waiters share the result.
+// recordID. Concurrent calls for one domain collapse into a single
+// network fetch (and a single Store); the leader performs the write,
+// waiters share the result.
 func (v *Validator) fetchAndStore(ctx context.Context, domain, recordID string) (Policy, error) {
 	fetch := func() (Policy, error) {
 		policy, _, err := v.Fetcher.Fetch(ctx, domain)
@@ -238,11 +201,11 @@ func (v *Validator) fetchAndStore(ctx context.Context, domain, recordID string) 
 		}
 		return policy, nil
 	}
-	if fc, ok := v.Cache.(FetchCoalescer); ok {
-		policy, _, err := fc.CoalesceFetch(domain, fetch)
-		return policy, err
+	if v.Cache == nil {
+		return fetch()
 	}
-	return fetch()
+	policy, _, err := v.Cache.CoalesceFetch(domain, fetch)
+	return policy, err
 }
 
 // Refresh revalidates the cached policy for domain in place: it re-runs
@@ -272,7 +235,7 @@ func (v *Validator) Refresh(ctx context.Context, domain string) error {
 }
 
 // cacheFresh returns the fresh cached policy for domain, tolerating a nil
-// store.
+// cache.
 func (v *Validator) cacheFresh(domain string) (CachedPolicy, bool) {
 	if v.Cache == nil {
 		return CachedPolicy{}, false
@@ -281,9 +244,8 @@ func (v *Validator) cacheFresh(domain string) (CachedPolicy, bool) {
 }
 
 // cacheGet returns a usable cached policy for the fallback paths: a fresh
-// entry when one exists, otherwise — when the store retains expired
-// entries — a stale one still inside its retention window. stale reports
-// which branch served.
+// entry when one exists, otherwise a stale one still inside the cache's
+// stale window. stale reports which branch served.
 func (v *Validator) cacheGet(domain string) (cached CachedPolicy, ok, stale bool) {
 	if v.Cache == nil {
 		return CachedPolicy{}, false, false
@@ -291,10 +253,8 @@ func (v *Validator) cacheGet(domain string) (cached CachedPolicy, ok, stale bool
 	if e, ok := v.Cache.Get(domain); ok {
 		return e, true, false
 	}
-	if ss, ok := v.Cache.(StaleStore); ok {
-		if e, ok := ss.GetStale(domain); ok {
-			return e, true, true
-		}
+	if e, ok := v.Cache.GetStale(domain); ok {
+		return e, true, true
 	}
 	return CachedPolicy{}, false, false
 }

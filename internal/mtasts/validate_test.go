@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/pki"
+	"github.com/netsecurelab/mtasts/internal/store"
 )
 
 // fixtureResolver serves TXT values from a map; absent names are not-found.
@@ -325,16 +327,16 @@ func TestValidateTransientDNSCacheHitRecordsErr(t *testing.T) {
 func TestValidateStaleFallbackWhenFetchFails(t *testing.T) {
 	v, _, _ := newValidatorEnv(t, enforcePolicy, http.StatusOK)
 	ctx := context.Background()
-	pc := v.Cache.(*PolicyCache)
 	now := time.Now()
-	pc.Now = func() time.Time { return now }
+	v.Cache = mustOpen(t, store.NewMem(), CacheOptions{
+		Max: 16, StaleWindow: 48 * time.Hour, Now: func() time.Time { return now },
+	})
 	if _, err := v.Validate(ctx, "example.com", "mx.example.com"); err != nil {
 		t.Fatal(err)
 	}
 
 	// Expire the policy and break the fetch path.
 	now = now.Add(25 * time.Hour)
-	pc.StaleWindow = 48 * time.Hour
 	v.Fetcher.Resolver = AddrResolverFunc(func(ctx context.Context, host string) ([]string, error) {
 		return nil, errors.New("policy host down")
 	})
@@ -359,7 +361,7 @@ func TestRefreshReplacesOnlyOnSuccess(t *testing.T) {
 	if _, err := v.Validate(ctx, "example.com", "mx.example.com"); err != nil {
 		t.Fatal(err)
 	}
-	pc := v.Cache.(*PolicyCache)
+	pc := v.Cache
 	before, ok := pc.Get("example.com")
 	if !ok {
 		t.Fatal("policy not cached")
@@ -387,5 +389,73 @@ func TestRefreshReplacesOnlyOnSuccess(t *testing.T) {
 	refreshed, ok := pc.Get("example.com")
 	if !ok || !refreshed.FetchedAt.After(before.FetchedAt) {
 		t.Errorf("successful Refresh did not replace the entry: %+v", refreshed)
+	}
+}
+
+// A nil Cache means "no cache": every path that would consult one —
+// the transient-DNS, malformed-record and fetch-failure fallbacks, and
+// Refresh — must run without panicking and fetch at most once.
+func TestValidateNilCache(t *testing.T) {
+	ca := newFetcherCA(t)
+	var fetches, status atomic.Int32
+	status.Store(http.StatusOK)
+	srv := startPolicyServer(t, issue(t, ca, "mta-sts.example.com"),
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fetches.Add(1)
+			policyHandler(enforcePolicy, int(status.Load())).ServeHTTP(w, r)
+		}))
+	res := &fixtureResolver{txt: map[string][]string{
+		"_mta-sts.example.com": {"v=STSv1; id=20240431;"},
+	}}
+	v := &Validator{
+		Resolver: res,
+		Fetcher: &Fetcher{
+			Resolver: loopbackResolver(), RootCAs: ca.Pool(),
+			Port: srv.port, Timeout: 3 * time.Second,
+		},
+	}
+	ctx := context.Background()
+	expect := func(path string, wantFetches int32, want Action, ev Evaluation, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if got := fetches.Swap(0); got != wantFetches {
+			t.Errorf("%s: %d policy fetches, want %d", path, got, wantFetches)
+		}
+		if ev.Action != want || ev.PolicyFromCache {
+			t.Errorf("%s: ev = %+v", path, ev)
+		}
+	}
+
+	ev, err := v.Validate(ctx, "example.com", "mx.example.com")
+	expect("uncached fetch", 1, ActionDeliver, ev, err)
+
+	res.errs = map[string]error{"_mta-sts.example.com": errors.New("SERVFAIL")}
+	ev, err = v.Validate(ctx, "example.com", "mx.example.com")
+	expect("transient DNS", 0, ActionDeliverUnvalidated, ev, err)
+	res.errs = nil
+
+	res.txt["_mta-sts.example.com"] = []string{"v=STSv1; id=bad-id;"}
+	ev, err = v.Validate(ctx, "example.com", "mx.example.com")
+	expect("malformed record", 0, ActionDeliverUnvalidated, ev, err)
+	res.txt["_mta-sts.example.com"] = []string{"v=STSv1; id=20240431;"}
+
+	status.Store(http.StatusNotFound)
+	ev, err = v.Validate(ctx, "example.com", "rogue.example.org")
+	expect("fetch failure", 1, ActionDeliverUnvalidated, ev, err)
+
+	if err := v.Refresh(ctx, "example.com"); err == nil {
+		t.Error("Refresh succeeded against a 404 policy")
+	}
+	if got := fetches.Swap(0); got != 1 {
+		t.Errorf("failed Refresh: %d policy fetches, want 1", got)
+	}
+	status.Store(http.StatusOK)
+	if err := v.Refresh(ctx, "example.com"); err != nil {
+		t.Errorf("Refresh: %v", err)
+	}
+	if got := fetches.Swap(0); got != 1 {
+		t.Errorf("Refresh: %d policy fetches, want 1", got)
 	}
 }

@@ -169,7 +169,9 @@ type RateLimiter struct {
 	tokens float64
 	last   time.Time
 	now    func() time.Time
-	sleep  func(time.Duration)
+	// sleep replaces the wait for the next token (tests); nil means a
+	// timer wait that ends early with ctx.Err() on cancellation.
+	sleep func(context.Context, time.Duration) error
 }
 
 // NewRateLimiter allows rate queries/second with the given burst.
@@ -185,7 +187,6 @@ func NewRateLimiter(rate float64, burst int) *RateLimiter {
 		burst:  float64(burst),
 		tokens: float64(burst),
 		now:    time.Now,
-		sleep:  func(d time.Duration) { time.Sleep(d) },
 	}
 }
 
@@ -212,11 +213,23 @@ func (l *RateLimiter) Wait(ctx context.Context) error {
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
+		if err := l.wait(ctx, wait); err != nil {
+			return err
 		}
-		l.sleep(wait)
+	}
+}
+
+// wait sleeps for d or until ctx is done, whichever comes first.
+func (l *RateLimiter) wait(ctx context.Context, d time.Duration) error {
+	if l.sleep != nil {
+		return l.sleep(ctx, d)
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
 	}
 }

@@ -242,9 +242,10 @@ func TestRateLimiter(t *testing.T) {
 	var slept time.Duration
 	now := time.Unix(0, 0)
 	l.now = func() time.Time { return now }
-	l.sleep = func(d time.Duration) {
+	l.sleep = func(_ context.Context, d time.Duration) error {
 		slept += d
 		now = now.Add(d)
+		return nil
 	}
 	ctx := context.Background()
 	for i := 0; i < 11; i++ {
@@ -266,9 +267,30 @@ func TestRateLimiterContextCancel(t *testing.T) {
 	}
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	l.sleep = func(time.Duration) {} // avoid real sleeping
+	l.sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() } // avoid real sleeping
 	if err := l.Wait(cctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
+	}
+}
+
+// A cancellation that arrives while Wait is already sleeping toward the
+// next token must end the wait at once, not after the refill interval
+// (20 s here): a cancelled job must not hold rate-limited workers.
+func TestRateLimiterCancelWhileWaiting(t *testing.T) {
+	l := NewRateLimiter(0.05, 1)
+	if err := l.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop := time.AfterFunc(10*time.Millisecond, cancel)
+	defer stop.Stop()
+	start := time.Now()
+	if err := l.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("want context.Canceled, got %v", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Errorf("Wait returned %v after cancellation, want well under 1s", waited)
 	}
 }
 

@@ -31,10 +31,10 @@ func NewTenantLimiter(rate, burst float64) *TenantLimiter {
 }
 
 // Admit consumes cost tokens from the tenant's bucket, reporting
-// whether the submission is within budget. A nil limiter, a
-// non-positive rate, or a cost beyond Burst against a full fresh
-// bucket... the first two always admit; the last always rejects
-// (the job can never fit, better to say so at once).
+// whether the submission is within budget. A nil limiter or a
+// non-positive rate always admits. A cost beyond Burst always rejects,
+// even against a full bucket: the job can never fit, so it is better
+// to say so at once.
 func (l *TenantLimiter) Admit(tenant string, cost int) bool {
 	if l == nil || l.Rate <= 0 {
 		return true

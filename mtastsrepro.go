@@ -45,7 +45,9 @@ type (
 	FetchError = mtasts.FetchError
 	// Stage is the policy-retrieval pipeline stage of a failure.
 	Stage = mtasts.Stage
-	// PolicyCache is the sender-side TOFU policy store.
+	// PolicyCache is the sender-side TOFU policy store: durable over
+	// an internal store, stale-window retaining, fetch-coalescing.
+	// NewPolicyCache builds the in-memory one.
 	PolicyCache = mtasts.PolicyCache
 	// Validator is the sender-side validation engine.
 	Validator = mtasts.Validator
@@ -100,7 +102,8 @@ func PolicyHost(domain string) string { return mtasts.PolicyHost(domain) }
 // PolicyURL returns the well-known HTTPS URL of a domain's policy.
 func PolicyURL(domain string) string { return mtasts.PolicyURL(domain) }
 
-// NewPolicyCache returns a TOFU policy cache bounded to max domains.
+// NewPolicyCache returns an in-memory TOFU policy cache bounded to max
+// domains.
 func NewPolicyCache(max int) *PolicyCache { return mtasts.NewPolicyCache(max) }
 
 // Scanner types: the measurement pipeline of the study.

@@ -118,7 +118,8 @@ smoke-examples:
 	$(GO) run ./examples/delegation > /dev/null
 	@echo "smoke-examples: quickstart, sendermta, danefirst, delegation ran clean"
 
-# Coverage-guided fuzzing smoke over the wire-format parsers (`go test
+# Coverage-guided fuzzing smoke over the wire-format parsers and the
+# store's segment replay (`go test
 # -fuzz` accepts one target per invocation). The committed seed corpora
 # under */testdata/fuzz/ also run as part of the plain test suite.
 fuzz:
@@ -127,6 +128,7 @@ fuzz:
 	$(GO) test ./internal/mtasts -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mtasts -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tlsrpt -run '^$$' -fuzz '^FuzzIngestReport$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzDiskReplay$$' -fuzztime $(FUZZTIME)
 
 # Scheduler benchmark plus the BENCH_scan.json rows it is tracked by
 # (docs/PIPELINE.md), and the sender policy-cache delivery benchmarks

@@ -1,0 +1,88 @@
+//go:build !race
+
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+)
+
+// TestDiskAllocBudget keeps the ledger's store rows from regressing
+// silently in allocations, on values the size of a DomainRecord (~150
+// B): an append allocates nothing of its own (the index's growth is all
+// there is), a read allocates the one buffer its value is a subslice
+// of, and a replay allocates once per distinct key. Not built under
+// -race, like the resolver's budget test.
+func TestDiskAllocBudget(t *testing.T) {
+	const n, runs = 500, 10
+	value := bytes.Repeat([]byte("v"), 150)
+	// AllocsPerRun makes one warm-up call before its runs; every call
+	// gets keys of its own so the index grows as in a campaign.
+	batches := make([][]Entry, runs+1)
+	for r := range batches {
+		for i := 0; i < n; i++ {
+			batches[r] = append(batches[r], Entry{Key: fmt.Sprintf("c/1/w/%04d/d/d%05d.example", r, i), Value: value})
+		}
+	}
+	dir := t.TempDir()
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := s.Batch(batches[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); got > n {
+		t.Errorf("Batch of %d records: %v allocations, budget ≤ %d (1 per record)", n, got, n)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	key := batches[0][7].Key
+	if got := testing.AllocsPerRun(100, func() {
+		if v, ok, err := s.Get(key); err != nil || !ok || len(v) != len(value) {
+			t.Fatalf("Get = %d bytes, %v, %v", len(v), ok, err)
+		}
+	}); got > 1 {
+		t.Errorf("Get: %v allocations, budget 1", got)
+	}
+
+	visit := func(string, []byte) error { return nil }
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := s.Scan("c/1/w/0000/", visit); err != nil {
+			t.Fatal(err)
+		}
+	}); got > n {
+		t.Errorf("Scan over %d records: %v allocations, budget ≤ %d (1 per record)", n, got, n)
+	}
+
+	// Overwrite one week so replay sees more records than keys.
+	if err := s.Batch(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// fixed covers opening the files and the index's growth steps (~120
+	// at 5 500 keys).
+	const distinct, fixed = n * (runs + 1), 160
+	if got := testing.AllocsPerRun(3, func() {
+		d, err := OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}); got > distinct+fixed {
+		t.Errorf("OpenDisk replaying %d records of %d keys: %v allocations, budget ≤ %d (1 per key + %d)",
+			distinct+n, distinct, got, distinct+fixed, fixed)
+	} else {
+		t.Logf("OpenDisk replaying %d records of %d keys: %v allocations", distinct+n, distinct, got)
+	}
+}

@@ -2,10 +2,12 @@ package store
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/base64"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,33 +21,103 @@ import (
 // the hundreds at paper scale.
 const DefaultSegmentBytes = 64 << 20
 
-// segPrefix/segSuffix name log segments: seg-000001.jsonl, ...
+// segPrefix/segSuffix name log segments: seg-000001.log, ...
 const (
 	segPrefix = "seg-"
-	segSuffix = ".jsonl"
+	segSuffix = ".log"
 )
 
-// line is the JSONL wire form of one log record. Values are base64 so
-// arbitrary bytes survive the JSON string round trip byte-exactly.
-type line struct {
-	K string `json:"k"`
-	V string `json:"v"`
+// Record framing (the layout is in Disk's comment): the checksum's
+// size, the most bytes the two lengths can take, and the longest
+// record, which must fit ref.ln.
+const (
+	crcLen    = 4
+	maxHeader = 2 * binary.MaxVarintLen64
+	maxRecord = math.MaxInt32
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// replayBufBytes sizes the replay reader: records up to this size are
+// checked in place in its buffer, larger ones are copied out.
+const replayBufBytes = 64 << 10
+
+// appendRecord appends the record for key and value to dst.
+func appendRecord(dst []byte, key string, value []byte) []byte {
+	start := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(value)))
+	dst = append(dst, key...)
+	dst = append(dst, value...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+}
+
+// recordLen decodes the lengths that open b and returns the whole
+// record's length; ok is false when b holds no complete header, the key
+// is empty, or the record would be longer than limit.
+func recordLen(b []byte, limit int64) (n int64, ok bool) {
+	klen, kn := binary.Uvarint(b)
+	if kn <= 0 || klen == 0 {
+		return 0, false
+	}
+	vlen, vn := binary.Uvarint(b[kn:])
+	if vn <= 0 {
+		return 0, false
+	}
+	limit = min(limit, maxRecord)
+	if klen > uint64(limit) || vlen > uint64(limit) {
+		return 0, false // checked apart so the sum cannot overflow
+	}
+	n = int64(kn+vn) + int64(klen) + int64(vlen) + crcLen
+	return n, n <= limit
+}
+
+// decodeRecord checks that rec is exactly one record with a matching
+// checksum and returns its key and value, both aliasing rec.
+func decodeRecord(rec []byte) (key, value []byte, err error) {
+	if n, ok := recordLen(rec, int64(len(rec))); !ok || n != int64(len(rec)) {
+		return nil, nil, errors.New("bad record length")
+	}
+	body := rec[:len(rec)-crcLen]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(rec[len(body):]) {
+		return nil, nil, errors.New("checksum mismatch")
+	}
+	klen, kn := binary.Uvarint(body)
+	_, vn := binary.Uvarint(body[kn:])
+	body = body[kn+vn:]
+	return body[:klen], body[klen:len(body):len(body)], nil
 }
 
 // ref locates a key's newest record in the log.
 type ref struct {
-	seg int   // segment number
-	off int64 // byte offset of the record's line
-	ln  int32 // line length including the trailing newline
+	off int64 // byte offset of the record in its segment
+	seg int32 // segment number
+	ln  int32 // record length, header and checksum included
 }
 
-// Disk is the append-only on-disk backend: numbered JSONL segments in
-// one directory plus an in-memory key index (a map to each key's newest
-// record, and the keys in order for Scan) rebuilt by replaying the
-// segments on Open. Writes append to the active (highest-numbered)
-// segment and rotate at SegmentBytes; Sync flushes and fsyncs the
-// active segment. A torn final line — the only damage a crash can
-// inflict on an append-only log — is detected and truncated on Open.
+// Disk is the append-only on-disk backend: numbered segments
+// (seg-000001.log, ...) in one directory plus an in-memory key index (a
+// map to each key's newest record, and the keys in order for Scan)
+// rebuilt by replaying the segments on Open. Writes append to the
+// active (highest-numbered) segment and rotate at SegmentBytes; Sync
+// flushes and fsyncs the active segment.
+//
+// A segment is a run of records, each
+//
+//	uvarint(len key) | uvarint(len value) | key | value | CRC-32C
+//
+// with the key and value as raw bytes and the checksum (Castagnoli,
+// little-endian) over every byte before it. Every read checks the
+// checksum, and Get also checks the stored key against the one asked
+// for. On Open, a record that is short, claims more bytes than its
+// segment has left, or fails its checksum ends the segment's valid
+// prefix: at the end of the active segment that is a torn append — the
+// only damage a crash can inflict on an append-only log — and is
+// truncated; in a sealed segment it is corruption and Open fails.
+//
+// A directory written in the store's first format (seg-*.jsonl: one
+// JSON line per record, values in base64) is migrated by Open, once:
+// see legacy.go.
 type Disk struct {
 	// SegmentBytes is the rotation threshold (DefaultSegmentBytes when
 	// zero); set before the first Put.
@@ -53,28 +125,31 @@ type Disk struct {
 
 	mu      sync.Mutex
 	dir     string
-	index   map[string]ref
+	index   map[string]int   // key → its slot in refs
+	refs    []ref            // each key's newest record, by slot
 	keys    keyIndex         // the keys of index, in order, for Scan
 	files   map[int]*os.File // open segment handles, including the active one
 	active  int              // active segment number
 	size    int64            // bytes across all segments
 	actSize int64            // bytes in the active segment
 	w       *bufio.Writer    // buffers appends to the active segment
+	scratch []byte           // encodes one record at a time for w
 	dirty   bool             // w holds unflushed bytes
 	closed  bool
 }
 
 // OpenDisk opens (creating if needed) the store rooted at dir and
-// replays every segment to rebuild the key index. A torn trailing line
-// in the final segment is truncated; torn data anywhere else is
-// reported as corruption.
+// replays every segment to rebuild the key index. A torn trailing
+// record in the final segment is truncated; a bad record anywhere else
+// is reported as corruption. A store in the legacy JSONL format is
+// migrated first.
 func OpenDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
 	s := &Disk{
 		dir:   dir,
-		index: make(map[string]ref),
+		index: make(map[string]int),
 		files: make(map[int]*os.File),
 	}
 	if err := s.open(); err != nil {
@@ -86,10 +161,11 @@ func OpenDisk(dir string) (*Disk, error) {
 	return s, nil
 }
 
-// open replays every existing segment into the index and positions the
-// writer at the end of the newest one.
+// open replays every existing segment into the index, positions the
+// writer at the end of the newest one, then migrates any legacy
+// segments.
 func (s *Disk) open() error {
-	segs, err := s.listSegments()
+	segs, err := s.listSegments(segSuffix)
 	if err != nil {
 		return err
 	}
@@ -97,16 +173,16 @@ func (s *Disk) open() error {
 		segs = []int{1}
 	}
 	for i, n := range segs {
-		f, err := os.OpenFile(s.segPath(n), os.O_RDWR|os.O_CREATE, 0o644)
+		f, err := os.OpenFile(s.segPath(n, segSuffix), os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
 			return fmt.Errorf("store: open segment %d: %w", n, err)
 		}
 		s.files[n] = f
-		valid, err := s.replay(f, n)
+		fi, err := f.Stat()
 		if err != nil {
 			return err
 		}
-		fi, err := f.Stat()
+		valid, err := s.replay(f, n, fi.Size())
 		if err != nil {
 			return err
 		}
@@ -114,7 +190,7 @@ func (s *Disk) open() error {
 			if i != len(segs)-1 {
 				return fmt.Errorf("store: segment %d corrupt at offset %d (not the active segment)", n, valid)
 			}
-			// Crash tore the final append; drop the partial line.
+			// Crash tore the final append; drop the partial record.
 			if err := f.Truncate(valid); err != nil {
 				return fmt.Errorf("store: truncate torn segment %d: %w", n, err)
 			}
@@ -129,7 +205,7 @@ func (s *Disk) open() error {
 			s.w = bufio.NewWriter(f)
 		}
 	}
-	return nil
+	return s.migrateLegacy()
 }
 
 // closeFiles closes every open segment handle, keeping the first error.
@@ -143,8 +219,9 @@ func (s *Disk) closeFiles() error {
 	return err
 }
 
-// listSegments returns the existing segment numbers in ascending order.
-func (s *Disk) listSegments() ([]int, error) {
+// listSegments returns the numbers of the existing segments named with
+// suffix, in ascending order.
+func (s *Disk) listSegments(suffix string) ([]int, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
@@ -152,11 +229,11 @@ func (s *Disk) listSegments() ([]int, error) {
 	var segs []int
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
 		var n int
-		if _, err := fmt.Sscanf(name, segPrefix+"%d"+segSuffix, &n); err != nil || n <= 0 {
+		if _, err := fmt.Sscanf(name, segPrefix+"%d"+suffix, &n); err != nil || n <= 0 || n > math.MaxInt32 {
 			return nil, fmt.Errorf("store: alien file %s in %s", name, s.dir)
 		}
 		segs = append(segs, n)
@@ -165,69 +242,101 @@ func (s *Disk) listSegments() ([]int, error) {
 	return segs, nil
 }
 
-func (s *Disk) segPath(n int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%06d%s", segPrefix, n, segSuffix))
+func (s *Disk) segPath(n int, suffix string) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%s%06d%s", segPrefix, n, suffix))
 }
 
-// replay scans one segment from the start, indexing every well-formed
-// line (later lines win), and returns the byte length of the valid
-// prefix.
-func (s *Disk) replay(f *os.File, seg int) (int64, error) {
+// replay reads one segment of size bytes from the start, indexing every
+// good record (later records win), and returns the byte length of the
+// valid prefix. Each record's lengths are checked against the bytes
+// left before anything is read or allocated for it.
+func (s *Disk) replay(f *os.File, seg int, size int64) (int64, error) {
 	if _, err := f.Seek(0, 0); err != nil {
 		return 0, err
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReaderSize(f, replayBufBytes)
+	var big []byte // holds a record too large for r's buffer
 	var off int64
-	for {
-		raw, err := r.ReadBytes('\n')
+	for off < size {
+		hdr, err := r.Peek(maxHeader) // short near the end of the file
+		if err != nil && err != io.EOF {
+			return 0, fmt.Errorf("store: read segment %d @%d: %w", seg, off, err)
+		}
+		n, ok := recordLen(hdr, size-off)
+		if !ok {
+			return off, nil
+		}
+		var rec []byte
+		inBuf := n <= int64(r.Size())
+		if inBuf {
+			rec, err = r.Peek(int(n))
+		} else {
+			if int64(cap(big)) < n {
+				big = make([]byte, n)
+			}
+			rec = big[:n]
+			_, err = io.ReadFull(r, rec)
+		}
 		if err != nil {
-			// EOF with a partial line (no trailing \n) is a torn write;
-			// the caller truncates. EOF with no bytes is a clean end.
+			return 0, fmt.Errorf("store: read segment %d @%d: %w", seg, off, err)
+		}
+		key, _, err := decodeRecord(rec)
+		if err != nil {
 			return off, nil
 		}
-		var l line
-		if jsonErr := json.Unmarshal(raw, &l); jsonErr != nil || l.K == "" {
-			return off, nil
+		rf := ref{seg: int32(seg), off: off, ln: int32(n)}
+		if slot, ok := s.index[string(key)]; ok {
+			s.refs[slot] = rf // an overwrite: no key string to allocate
+		} else {
+			s.setRef(string(key), rf)
 		}
-		s.setRef(l.K, ref{seg: seg, off: off, ln: int32(len(raw))})
-		off += int64(len(raw))
+		if inBuf {
+			if _, err := r.Discard(len(rec)); err != nil {
+				return 0, err
+			}
+		}
+		off += n
 	}
+	return off, nil
 }
 
 // setRef points key at its newest record and enters a key new to the
 // map into the ordered index, unsorted until a Scan; the caller holds mu.
 func (s *Disk) setRef(key string, rf ref) {
-	n := len(s.index)
-	s.index[key] = rf
-	if len(s.index) > n {
-		s.keys.add(key)
+	if slot, ok := s.index[key]; ok {
+		s.refs[slot] = rf
+		return
 	}
+	s.index[key] = len(s.refs)
+	s.refs = append(s.refs, rf)
+	s.keys.add(key)
 }
 
 // Get implements Store.
 func (s *Disk) Get(key string) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rf, ok := s.index[key]
+	slot, ok := s.index[key]
 	if !ok {
 		return nil, false, nil
 	}
-	v, err := s.readValue(rf)
+	v, err := s.readValue(key, s.refs[slot])
 	if err != nil {
 		return nil, false, err
 	}
 	return v, true, nil
 }
 
-// readValue reads and decodes one indexed record; the caller holds mu.
-func (s *Disk) readValue(rf ref) ([]byte, error) {
-	if rf.seg == s.active && s.dirty {
+// readValue reads key's record with one ReadAt, checks it, and returns
+// its value as a subslice of the one buffer read; the caller holds mu.
+func (s *Disk) readValue(key string, rf ref) ([]byte, error) {
+	if int(rf.seg) == s.active && s.dirty {
 		if err := s.w.Flush(); err != nil {
 			return nil, err
 		}
 		s.dirty = false
 	}
-	f := s.files[rf.seg]
+	f := s.files[int(rf.seg)]
 	if f == nil {
 		return nil, fmt.Errorf("store: segment %d vanished", rf.seg)
 	}
@@ -235,11 +344,14 @@ func (s *Disk) readValue(rf ref) ([]byte, error) {
 	if _, err := f.ReadAt(buf, rf.off); err != nil {
 		return nil, fmt.Errorf("store: read segment %d @%d: %w", rf.seg, rf.off, err)
 	}
-	var l line
-	if err := json.Unmarshal(buf, &l); err != nil {
-		return nil, fmt.Errorf("store: decode segment %d @%d: %w", rf.seg, rf.off, err)
+	k, v, err := decodeRecord(buf)
+	if err == nil && string(k) != key {
+		err = fmt.Errorf("holds key %q, not %q", k, key)
 	}
-	return base64.StdEncoding.DecodeString(l.V)
+	if err != nil {
+		return nil, fmt.Errorf("store: segment %d @%d: %w", rf.seg, rf.off, err)
+	}
+	return v, nil
 }
 
 // Put implements Store.
@@ -270,6 +382,9 @@ func (s *Disk) append(key string, value []byte) error {
 	if key == "" {
 		return fmt.Errorf("store: empty key")
 	}
+	if int64(len(key))+int64(len(value)) > maxRecord-maxHeader-crcLen {
+		return fmt.Errorf("store: record for %q is %d bytes, over the %d-byte limit", key, len(key)+len(value), maxRecord)
+	}
 	segBytes := s.SegmentBytes
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
@@ -279,19 +394,15 @@ func (s *Disk) append(key string, value []byte) error {
 			return err
 		}
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(line{K: key, V: base64.StdEncoding.EncodeToString(value)}); err != nil {
-		return err
-	}
-	raw := buf.Bytes() // Encode appends the newline
-	if _, err := s.w.Write(raw); err != nil {
+	s.scratch = appendRecord(s.scratch[:0], key, value)
+	n := len(s.scratch)
+	if _, err := s.w.Write(s.scratch); err != nil {
 		return err
 	}
 	s.dirty = true
-	s.setRef(key, ref{seg: s.active, off: s.actSize, ln: int32(len(raw))})
-	s.actSize += int64(len(raw))
-	s.size += int64(len(raw))
+	s.setRef(key, ref{seg: int32(s.active), off: s.actSize, ln: int32(n)})
+	s.actSize += int64(n)
+	s.size += int64(n)
 	return nil
 }
 
@@ -302,7 +413,7 @@ func (s *Disk) rotate() error {
 		return err
 	}
 	next := s.active + 1
-	f, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(s.segPath(next, segSuffix), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: rotate to segment %d: %w", next, err)
 	}

@@ -4,12 +4,22 @@
 //
 // Mem keeps everything in a map and exists so tests, experiments and
 // one-shot runs pay no I/O. Disk is the production shape for
-// longitudinal scans: an append-only log of segmented JSONL files plus
+// longitudinal scans: an append-only log of numbered segment files plus
 // an in-memory index rebuilt on open, with explicit fsync'd sync points
 // so the campaign engine can order "results are durable" before "the
 // shard checkpoint says so". Updates are last-write-wins; nothing is
 // ever rewritten in place, so a crash can at worst tear the final
 // record of the active segment, which Open detects and truncates away.
+//
+// A Disk record is uvarint(len key) | uvarint(len value) | key | value
+// | CRC-32C, the checksum (Castagnoli, little-endian) covering every
+// byte before it; keys and values are raw bytes. Every read verifies
+// the checksum. On Open a short, over-long or checksum-failing record
+// ends a segment's valid prefix: the active segment is truncated there
+// (a torn append), a sealed segment is corruption and Open fails. A
+// directory in the first on-disk format (JSONL lines with base64
+// values) is migrated to records by Open, once and crash-safely
+// (legacy.go).
 //
 // Scan visits keys in ascending lexicographic order in both backends —
 // the property the campaign layer builds byte-identical snapshot

@@ -191,20 +191,35 @@ func compareScans(t *testing.T, ref model, prefix string, backends ...Store) {
 
 // TestScanHighBytePrefix covers keys that themselves hold 0xff bytes,
 // where "the next prefix" cannot be had by incrementing the last byte.
-// Mem only: Disk's JSONL lines carry keys as JSON strings, so its keys
-// are UTF-8; the index is the same code.
+// Disk records keep keys as raw bytes, so such keys also survive a
+// reopen byte-exactly.
 func TestScanHighBytePrefix(t *testing.T) {
 	ref := model{}
 	mem := NewMem()
+	dir := t.TempDir()
+	disk, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, k := range []string{"k", "k\xfe", "k\xff", "k\xff\xff", "k\xff\xff0", "k\xff/1", "l", "\xff", "\xff\xff"} {
 		v := fmt.Sprint(i)
 		ref[k] = v
 		if err := mem.Put(k, []byte(v)); err != nil {
 			t.Fatal(err)
 		}
+		if err := disk.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if disk, err = OpenDisk(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
 	for _, p := range []string{"", "k", "k\xff", "k\xff\xff", "k\xff\xff\xff", "\xff", "\xff\xff", "\xff\xff\xff", "l", "m"} {
-		compareScans(t, ref, p, mem)
+		compareScans(t, ref, p, mem, disk)
 	}
 }
 

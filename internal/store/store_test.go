@@ -159,13 +159,14 @@ func TestDiskTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate a crash mid-append: a partial JSON line with no newline.
-	seg := filepath.Join(dir, "seg-000001.jsonl")
+	// Simulate a crash mid-append: a record cut off inside its value.
+	seg := filepath.Join(dir, "seg-000001.log")
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"k":"torn","v":"QUJ`); err != nil {
+	rec := appendRecord(nil, "torn", []byte("ABCDEF"))
+	if _, err := f.Write(rec[:len(rec)-7]); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -221,8 +222,8 @@ func TestDiskMidLogCorruptionRejected(t *testing.T) {
 	}
 
 	// Garbage in a *retired* segment is corruption, not a torn tail.
-	seg := filepath.Join(dir, "seg-000001.jsonl")
-	if err := os.WriteFile(seg, []byte("not json at all\n"), 0o644); err != nil {
+	seg := filepath.Join(dir, "seg-000001.log")
+	if err := os.WriteFile(seg, []byte("not a record at all\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if s2, err := OpenDisk(dir); err == nil {

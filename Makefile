@@ -132,12 +132,15 @@ fuzz:
 
 # Scheduler benchmark plus the BENCH_scan.json rows it is tracked by
 # (docs/PIPELINE.md), and the sender policy-cache delivery benchmarks
-# emitting BENCH_cache.json (docs/SENDER.md).
+# with their BENCH_cache.json rows (docs/SENDER.md). The rows go to /tmp,
+# as bench-check's do; the committed baselines change only on purpose:
+#   go test ./internal/scanner -run '^TestBenchScanJSON$' -count 1 -benchscan-out $PWD/BENCH_scan.json
+#   go test ./internal/mtasts -run '^TestBenchCacheJSON$' -count 1 -benchcache-out $PWD/BENCH_cache.json
 bench:
 	$(GO) test ./internal/scanner -run '^$$' -bench 'BenchmarkRunnerPipelined' -benchtime 1x -count 1
-	$(GO) test ./internal/scanner -run '^TestBenchScanJSON$$' -count 1 -benchscan-out $(CURDIR)/BENCH_scan.json
+	$(GO) test ./internal/scanner -run '^TestBenchScanJSON$$' -count 1 -benchscan-out /tmp/mtasts-bench-scan.json
 	$(GO) test ./internal/mtasts -run '^$$' -bench 'BenchmarkPolicyCacheDeliveries' -benchmem -count 1
-	$(GO) test ./internal/mtasts -run '^TestBenchCacheJSON$$' -count 1 -benchcache-out $(CURDIR)/BENCH_cache.json
+	$(GO) test ./internal/mtasts -run '^TestBenchCacheJSON$$' -count 1 -benchcache-out /tmp/mtasts-bench-cache.json
 
 # Run every Benchmark* in the module once, so none can rot (a panic or
 # b.Fatal fails the target); the numbers are not read.

@@ -4,8 +4,41 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// fixtureLoader is shared by every fixture load in the test binary, so
+// the fixtures' imports (the stdlib from source, module packages) are
+// type-checked once rather than once per load.
+var fixtureLoader = sync.OnceValues(func() (*loader, error) {
+	abs, err := filepath.Abs("../..")
+	if err != nil {
+		return nil, err
+	}
+	modPath, err := ModulePath(abs)
+	if err != nil {
+		return nil, err
+	}
+	return newLoader(abs, modPath), nil
+})
+
+// loadFixture type-checks testdata/src/<fixture>, _test.go files
+// included, as if it had importPath, and returns it as a one-package
+// Module. The fixture never enters the loader's package cache, since
+// fixtures borrow real import paths; only its imports do.
+func loadFixture(t *testing.T, fixture, importPath string) *Module {
+	t.Helper()
+	l, err := fixtureLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := l.checkDir(filepath.Join("testdata", "src", fixture), importPath, true)
+	if err != nil {
+		t.Fatalf("load fixture %s as %s: %v", fixture, importPath, err)
+	}
+	return &Module{Path: l.modPath, Dir: l.moduleDir, Fset: l.fset, Packages: []*Package{p}}
+}
 
 // want is one expectation parsed from a fixture's `// want "substring"`
 // comment: the finding must land on that file and line, and its message
@@ -57,13 +90,9 @@ func parseWants(t *testing.T, dir string) []want {
 // in both directions.
 func lintFixture(t *testing.T, fixture, importPath string, a *Analyzer) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", fixture)
-	m, _, err := LoadFixture("../..", dir, importPath)
-	if err != nil {
-		t.Fatalf("LoadFixture(%s): %v", dir, err)
-	}
+	m := loadFixture(t, fixture, importPath)
 	findings := Run(m, []*Analyzer{a})
-	wants := parseWants(t, dir)
+	wants := parseWants(t, filepath.Join("testdata", "src", fixture))
 
 	matched := make([]bool, len(findings))
 	for _, w := range wants {
@@ -126,15 +155,11 @@ func TestPkgDocMissingGolden(t *testing.T) {
 // TestCodesScope pins the analyzer to the errtax-producing packages:
 // the same fixture is quiet under any other import path.
 func TestCodesScope(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "codes")
 	for _, importPath := range []string{
 		"github.com/netsecurelab/mtasts/internal/scanner/fixcodes", // consumer, not producer
 		"github.com/netsecurelab/mtasts/cmd/fixcodes",
 	} {
-		m, _, err := LoadFixture("../..", dir, importPath)
-		if err != nil {
-			t.Fatalf("LoadFixture(%s): %v", importPath, err)
-		}
+		m := loadFixture(t, "codes", importPath)
 		if findings := Run(m, []*Analyzer{Codes()}); len(findings) != 0 {
 			t.Errorf("%s: want no findings outside producer packages, got %v", importPath, findings)
 		}
@@ -145,22 +170,15 @@ func TestCodesScope(t *testing.T) {
 // rules: the same source is quiet outside internal/ and in the
 // experiments harness.
 func TestCtxPassScope(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "ctxpass")
 	for _, importPath := range []string{
 		"github.com/netsecurelab/mtasts/cmd/fixctx", // not internal/
 	} {
-		m, _, err := LoadFixture("../..", dir, importPath)
-		if err != nil {
-			t.Fatalf("LoadFixture(%s): %v", importPath, err)
-		}
+		m := loadFixture(t, "ctxpass", importPath)
 		if findings := Run(m, []*Analyzer{CtxPass()}); len(findings) != 0 {
 			t.Errorf("%s: want no findings outside internal/, got %v", importPath, findings)
 		}
 	}
-	m, _, err := LoadFixture("../..", dir, "github.com/netsecurelab/mtasts/internal/experiments/fixctx")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadFixture(t, "ctxpass", "github.com/netsecurelab/mtasts/internal/experiments/fixctx")
 	for _, f := range Run(m, []*Analyzer{CtxPass()}) {
 		if strings.Contains(f.Message, "context.Background") || strings.Contains(f.Message, "context.TODO") {
 			t.Errorf("experiments package should mint root contexts freely, got %s", f)
@@ -188,15 +206,11 @@ func TestWGPairGolden(t *testing.T) {
 // under locks they own for process lifetime, and internal/store's
 // mutex exists to serialize file I/O.
 func TestLockHoldScope(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "lockhold")
 	for _, importPath := range []string{
 		"github.com/netsecurelab/mtasts/cmd/fixlockhold",            // not internal/
 		"github.com/netsecurelab/mtasts/internal/store/fixlockhold", // store serializes I/O by design
 	} {
-		m, _, err := LoadFixture("../..", dir, importPath)
-		if err != nil {
-			t.Fatalf("LoadFixture(%s): %v", importPath, err)
-		}
+		m := loadFixture(t, "lockhold", importPath)
 		if findings := Run(m, []*Analyzer{LockHold()}); len(findings) != 0 {
 			t.Errorf("%s: want no findings in exempt package, got %v", importPath, findings)
 		}
@@ -206,15 +220,11 @@ func TestLockHoldScope(t *testing.T) {
 // TestGoroLeakScope pins the exemptions: commands and the experiments
 // harness own their process lifecycle.
 func TestGoroLeakScope(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "goroleak")
 	for _, importPath := range []string{
 		"github.com/netsecurelab/mtasts/cmd/fixgoroleak",
 		"github.com/netsecurelab/mtasts/internal/experiments/fixgoroleak",
 	} {
-		m, _, err := LoadFixture("../..", dir, importPath)
-		if err != nil {
-			t.Fatalf("LoadFixture(%s): %v", importPath, err)
-		}
+		m := loadFixture(t, "goroleak", importPath)
 		if findings := Run(m, []*Analyzer{GoroLeak()}); len(findings) != 0 {
 			t.Errorf("%s: want no findings in exempt package, got %v", importPath, findings)
 		}
@@ -222,11 +232,7 @@ func TestGoroLeakScope(t *testing.T) {
 }
 
 func TestSleepLoopSkipsRetryPackage(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "sleeploop")
-	m, _, err := LoadFixture("../..", dir, "github.com/netsecurelab/mtasts/internal/retry")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadFixture(t, "sleeploop", "github.com/netsecurelab/mtasts/internal/retry")
 	if findings := Run(m, []*Analyzer{SleepLoop()}); len(findings) != 0 {
 		t.Errorf("internal/retry implements the sanctioned wait; want no findings, got %v", findings)
 	}

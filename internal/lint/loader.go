@@ -236,25 +236,3 @@ func Load(moduleDir string) (*Module, error) {
 	})
 	return m, nil
 }
-
-// LoadFixture type-checks the single package in dir as if it had the
-// given import path, including _test.go files. Module-internal imports
-// inside the fixture resolve against moduleDir. Analyzer golden tests
-// use this to lint small source fixtures under testdata.
-func LoadFixture(moduleDir, dir, importPath string) (*Module, *Package, error) {
-	abs, err := filepath.Abs(moduleDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	modPath, err := ModulePath(abs)
-	if err != nil {
-		return nil, nil, err
-	}
-	l := newLoader(abs, modPath)
-	p, err := l.checkDir(dir, importPath, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := &Module{Path: modPath, Dir: abs, Fset: l.fset, Packages: []*Package{p}}
-	return m, p, nil
-}

@@ -290,32 +290,32 @@ func (f *Fetcher) fetchFromHost(ctx context.Context, domain, host string) (Polic
 	defer conn.Close()
 
 	// Stage 3: TLS handshake with PKIX validation for the policy host name.
-	tlsConf := &tls.Config{
+	// crypto/tls is the gate; a chain it rejects is named by pki.Validate at
+	// the same instant, and any other handshake failure left no certificate
+	// to judge.
+	at := time.Now()
+	if f.Now != nil {
+		at = f.Now()
+	}
+	tlsConn := tls.Client(conn, &tls.Config{
 		ServerName:         host,
 		RootCAs:            f.RootCAs,
 		MinVersion:         tls.VersionTLS12,
 		ClientSessionCache: f.SessionCache,
-	}
-	if f.Now != nil {
-		tlsConf.Time = f.Now
-	}
-	tlsConn := tls.Client(conn, tlsConf)
+		Time:               func() time.Time { return at },
+	})
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	}
 	tlsSpan := f.Obs.StartSpan("mtasts.fetch.tls_handshake")
 	if err := tlsConn.HandshakeContext(ctx); err != nil {
 		tlsSpan.EndErr(err)
-		var leaf *x509.Certificate
+		problem := pki.ProblemNoCertificate
 		var certErr *tls.CertificateVerificationError
-		if errors.As(err, &certErr) && len(certErr.UnverifiedCertificates) > 0 {
-			leaf = certErr.UnverifiedCertificates[0]
+		if errors.As(err, &certErr) {
+			problem = pki.Validate(certErr.UnverifiedCertificates, host, f.RootCAs, at)
 		}
-		return Policy{}, nil, &FetchError{
-			Stage:       StageTLS,
-			CertProblem: pki.ClassifyVerifyError(err, leaf),
-			Err:         err,
-		}
+		return Policy{}, nil, &FetchError{Stage: StageTLS, CertProblem: problem, Err: err}
 	}
 	tlsSpan.End()
 

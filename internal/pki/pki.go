@@ -7,12 +7,14 @@
 //
 // Because generating millions of real certificates is infeasible, the
 // at-scale pipeline uses CertProfile, a descriptor carrying exactly the
-// attributes PKIX validation inspects; ValidateProfile applies the same
-// decision procedure (and yields the same Problem codes) as the live-path
-// x509 classification in ClassifyVerifyError.
+// attributes PKIX validation inspects. ValidateProfile is the one place a
+// Problem is decided; Validate reads a presented chain into a CertProfile
+// and returns ValidateProfile's verdict, so the policy fetch, the MX probe,
+// the sender and the offline pipeline all name a certificate the same way.
 package pki
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -26,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/strutil"
 )
 
@@ -73,6 +76,22 @@ func (p Problem) String() string {
 // Valid reports whether the outcome is OK.
 func (p Problem) Valid() bool { return p == OK }
 
+// Code positions a failed validation in the scan error taxonomy; OK and
+// ProblemNoCertificate both map to CodeNoCertificate.
+func (p Problem) Code() errtax.Code {
+	switch p {
+	case ProblemExpired:
+		return errtax.CodeExpired
+	case ProblemSelfSigned:
+		return errtax.CodeSelfSigned
+	case ProblemUntrusted:
+		return errtax.CodeUntrustedChain
+	case ProblemNameMismatch:
+		return errtax.CodeNameMismatch
+	}
+	return errtax.CodeNoCertificate
+}
+
 // CA is a certificate authority that can issue leaf certificates for the
 // live substrate servers.
 type CA struct {
@@ -83,7 +102,10 @@ type CA struct {
 	serial int64
 }
 
-// NewCA creates a self-signed root CA valid for ten years around now.
+// NewCA creates a self-signed root CA valid for ten years either side of
+// now. Like a real root it predates every leaf it signs, so a leaf that
+// expired (or was backdated) still chains to a valid root at the instants
+// inside its own window, where Validate judges the chain.
 func NewCA(name string, now time.Time) (*CA, error) {
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
@@ -92,7 +114,7 @@ func NewCA(name string, now time.Time) (*CA, error) {
 	tmpl := &x509.Certificate{
 		SerialNumber:          big.NewInt(1),
 		Subject:               pkix.Name{CommonName: name, Organization: []string{"MTA-STS Repro Test CA"}},
-		NotBefore:             now.Add(-time.Hour),
+		NotBefore:             now.AddDate(-10, 0, 0),
 		NotAfter:              now.AddDate(10, 0, 0),
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageDigitalSignature,
 		BasicConstraintsValid: true,
@@ -192,71 +214,47 @@ func (ca *CA) Issue(opts IssueOptions) (*Leaf, error) {
 }
 
 // Validate verifies a presented chain against roots for host at the given
-// time and maps the result onto the Problem taxonomy.
+// time and maps the result onto the Problem taxonomy: the leaf is read into
+// a CertProfile and ValidateProfile decides, so co-occurring defects are
+// ranked in the descriptor's order.
 func Validate(chain []*x509.Certificate, host string, roots *x509.CertPool, at time.Time) Problem {
 	if len(chain) == 0 {
 		return ProblemNoCertificate
 	}
+	return ValidateProfile(profileOf(chain, roots, at), host, at)
+}
+
+// profileOf summarises a presented chain as a descriptor. Trust comes from
+// one x509 verification for server authentication at `at` clamped into the
+// leaf's own window, so an expired leaf cannot hide a bad chain; the window
+// and the name are ValidateProfile's to judge. An unknown authority over a
+// self-issued leaf is self-signed; any other chain error (an expired
+// intermediate, an incompatible key usage) is untrusted.
+func profileOf(chain []*x509.Certificate, roots *x509.CertPool, at time.Time) CertProfile {
 	leaf := chain[0]
-	inter := x509.NewCertPool()
-	for _, c := range chain[1:] {
-		inter.AddCert(c)
+	p := CertProfile{Names: leaf.DNSNames, NotBefore: leaf.NotBefore, NotAfter: leaf.NotAfter}
+	if at.Before(leaf.NotBefore) {
+		at = leaf.NotBefore
+	} else if at.After(leaf.NotAfter) {
+		at = leaf.NotAfter
 	}
-	_, err := leaf.Verify(x509.VerifyOptions{
-		DNSName:       "", // name checked separately for a precise taxonomy
-		Roots:         roots,
-		Intermediates: inter,
-		CurrentTime:   at,
-		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	})
-	if err != nil {
-		return ClassifyVerifyError(err, leaf)
-	}
-	if err := leaf.VerifyHostname(host); err != nil {
-		return ProblemNameMismatch
-	}
-	return OK
-}
-
-// ClassifyVerifyError maps an x509/tls verification error (plus the leaf,
-// when available) onto the Problem taxonomy.
-func ClassifyVerifyError(err error, leaf *x509.Certificate) Problem {
-	if err == nil {
-		return OK
-	}
-	var invalid x509.CertificateInvalidError
-	if errors.As(err, &invalid) && invalid.Reason == x509.Expired {
-		return ProblemExpired
-	}
-	var hostErr x509.HostnameError
-	if errors.As(err, &hostErr) {
-		return ProblemNameMismatch
-	}
-	var unkAuth x509.UnknownAuthorityError
-	if errors.As(err, &unkAuth) {
-		if leaf != nil && isSelfIssued(leaf) {
-			return ProblemSelfSigned
+	var inter *x509.CertPool
+	if len(chain) > 1 {
+		inter = x509.NewCertPool()
+		for _, c := range chain[1:] {
+			inter.AddCert(c)
 		}
-		return ProblemUntrusted
 	}
-	// Fall back on string matching for tls-wrapped errors.
-	msg := err.Error()
+	_, err := leaf.Verify(x509.VerifyOptions{Roots: roots, Intermediates: inter, CurrentTime: at})
+	var unknown x509.UnknownAuthorityError
 	switch {
-	case strings.Contains(msg, "expired"):
-		return ProblemExpired
-	case strings.Contains(msg, "not valid for"), strings.Contains(msg, "doesn't contain"):
-		return ProblemNameMismatch
-	case strings.Contains(msg, "self-signed"), strings.Contains(msg, "self signed"):
-		return ProblemSelfSigned
-	case strings.Contains(msg, "no certificates"), strings.Contains(msg, "no common cipher"),
-		strings.Contains(msg, "internal error"), strings.Contains(msg, "unrecognized name"):
-		return ProblemNoCertificate
+	case err == nil:
+	case errors.As(err, &unknown) && bytes.Equal(leaf.RawSubject, leaf.RawIssuer):
+		p.SelfSigned = true
+	default:
+		p.Untrusted = true
 	}
-	return ProblemUntrusted
-}
-
-func isSelfIssued(c *x509.Certificate) bool {
-	return c.Subject.String() == c.Issuer.String()
+	return p
 }
 
 // MatchHostname implements the RFC 6125 name matching MTA-STS relies on:

@@ -3,6 +3,7 @@ package pki
 import (
 	"crypto/tls"
 	"crypto/x509"
+	"errors"
 	"net"
 	"testing"
 	"testing/quick"
@@ -150,10 +151,18 @@ func TestProfileValidatorTaxonomy(t *testing.T) {
 		{"untrusted", CertProfile{Names: []string{host}, Untrusted: true,
 			NotBefore: testNow.Add(-time.Hour), NotAfter: testNow.Add(time.Hour)}, ProblemUntrusted},
 		{"name mismatch", GoodProfile(testNow, "www.example.com"), ProblemNameMismatch},
-		{"self-signed wrong name reports self-signed", func() CertProfile {
-			p := SelfSignedProfile(testNow, "other.example.net")
+		{"self-signed wrong name reports self-signed", SelfSignedProfile(testNow, "other.example.net"), ProblemSelfSigned},
+		{"expired self-signed reports self-signed", func() CertProfile {
+			p := ExpiredProfile(testNow, host)
+			p.SelfSigned = true
 			return p
 		}(), ProblemSelfSigned},
+		{"expired untrusted reports untrusted", func() CertProfile {
+			p := ExpiredProfile(testNow, host)
+			p.Untrusted = true
+			return p
+		}(), ProblemUntrusted},
+		{"expired wrong name reports expired", ExpiredProfile(testNow, "www.example.com"), ProblemExpired},
 	}
 	for _, c := range cases {
 		if got := ValidateProfile(c.p, host, testNow); got != c.want {
@@ -162,42 +171,8 @@ func TestProfileValidatorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestLiveAndProfileAgree checks the central substitution claim: for each
-// failure mode, the live x509 path and the descriptor path yield the same
-// Problem.
-func TestLiveAndProfileAgree(t *testing.T) {
-	ca := newTestCA(t)
-	host := "mta-sts.example.com"
-	type mode struct {
-		name    string
-		issue   IssueOptions
-		profile CertProfile
-	}
-	modes := []mode{
-		{"ok", IssueOptions{Names: []string{host}, Now: testNow}, GoodProfile(testNow, host)},
-		{"expired", IssueOptions{Names: []string{host},
-			NotBefore: testNow.Add(-48 * time.Hour), NotAfter: testNow.Add(-24 * time.Hour), Now: testNow},
-			ExpiredProfile(testNow, host)},
-		{"self-signed", IssueOptions{Names: []string{host}, SelfSigned: true, Now: testNow},
-			SelfSignedProfile(testNow, host)},
-		{"name-mismatch", IssueOptions{Names: []string{"wrong.example.com"}, Now: testNow},
-			GoodProfile(testNow, "wrong.example.com")},
-	}
-	for _, m := range modes {
-		leaf, err := ca.Issue(m.issue)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		live := Validate([]*x509.Certificate{leaf.Cert}, host, ca.Pool(), testNow)
-		desc := ValidateProfile(m.profile, host, testNow)
-		if live != desc {
-			t.Errorf("%s: live=%v profile=%v", m.name, live, desc)
-		}
-	}
-}
-
 // TestTLSHandshakeClassification drives a real TLS handshake and checks
-// that the client-side error classifies onto the taxonomy.
+// that Validate names the chain crypto/tls rejected.
 func TestTLSHandshakeClassification(t *testing.T) {
 	ca := newTestCA(t)
 	leaf, err := ca.Issue(IssueOptions{Names: []string{"mta-sts.example.com"}, SelfSigned: true})
@@ -232,8 +207,12 @@ func TestTLSHandshakeClassification(t *testing.T) {
 		conn.Close()
 		t.Fatal("handshake with self-signed cert unexpectedly succeeded")
 	}
-	if got := ClassifyVerifyError(err, leaf.Cert); got != ProblemSelfSigned {
-		t.Errorf("ClassifyVerifyError = %v (err=%v), want self-signed", got, err)
+	var cve *tls.CertificateVerificationError
+	if !errors.As(err, &cve) {
+		t.Fatalf("handshake error %v is not a certificate verification error", err)
+	}
+	if got := Validate(cve.UnverifiedCertificates, "mta-sts.example.com", ca.Pool(), time.Now()); got != ProblemSelfSigned {
+		t.Errorf("Validate = %v (err=%v), want self-signed", got, err)
 	}
 }
 

@@ -4,9 +4,9 @@ import "time"
 
 // CertProfile is the descriptor form of a server certificate, carrying
 // exactly the attributes PKIX validation inspects. The at-scale (Offline)
-// scan pipeline attaches a CertProfile to every simulated TLS endpoint;
-// ValidateProfile reproduces the decision procedure of Validate so the two
-// paths yield identical Problem codes for equivalent configurations.
+// scan pipeline attaches a CertProfile to every simulated TLS endpoint, and
+// Validate reads a live chain into one, so both paths are judged by
+// ValidateProfile alone.
 type CertProfile struct {
 	// Missing means no certificate is installed for the endpoint; clients
 	// observe a TLS alert (ProblemNoCertificate).
@@ -17,7 +17,9 @@ type CertProfile struct {
 	NotBefore, NotAfter time.Time
 	// SelfSigned marks a self-issued leaf outside the trust store.
 	SelfSigned bool
-	// Untrusted marks a chain to an unknown (but not self-issued) issuer.
+	// Untrusted marks any other chain failure: an unknown (but not
+	// self-issued) issuer, a bad intermediate, or a leaf whose key usage
+	// excludes server authentication.
 	Untrusted bool
 }
 
@@ -60,10 +62,11 @@ func (p CertProfile) Covers(host string) bool {
 	return false
 }
 
-// ValidateProfile applies PKIX validation semantics to a descriptor. The
-// check order mirrors the live path: certificate presence, then chain
-// trust/validity, then name coverage — so a self-signed certificate for the
-// wrong name reports self-signed, as a live TLS client would.
+// ValidateProfile applies PKIX validation semantics to a descriptor and is
+// the single precedence between co-occurring defects: missing, then
+// self-signed, then untrusted, then outside the validity window, then
+// name — so a self-signed certificate for the wrong name, or an expired
+// one, reports self-signed wherever it is observed.
 func ValidateProfile(p CertProfile, host string, at time.Time) Problem {
 	if p.Missing {
 		return ProblemNoCertificate

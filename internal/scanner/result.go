@@ -200,7 +200,7 @@ func (r *DomainResult) deriveTaxErrors() []errtax.Error {
 		if p := r.MXProblems[mx]; !p.Valid() {
 			errs = append(errs, errtax.Error{
 				Layer: errtax.LayerProbe,
-				Code:  certProblemCode(p),
+				Code:  p.Code(),
 				Cause: &mxCertError{host: mx, problem: p},
 			})
 		}
@@ -242,21 +242,6 @@ func (r *DomainResult) policyCode() (errtax.Code, error) {
 		return errtax.CodeParse, r.PolicySyntaxErr
 	}
 	return errtax.CodeParse, nil
-}
-
-// certProblemCode maps a PKIX validation outcome onto the taxonomy.
-func certProblemCode(p pki.Problem) errtax.Code {
-	switch p {
-	case pki.ProblemExpired:
-		return errtax.CodeExpired
-	case pki.ProblemSelfSigned:
-		return errtax.CodeSelfSigned
-	case pki.ProblemUntrusted:
-		return errtax.CodeUntrustedChain
-	case pki.ProblemNameMismatch:
-		return errtax.CodeNameMismatch
-	}
-	return errtax.CodeNoCertificate
 }
 
 // mxCertError carries the host behind an MX certificate verdict without

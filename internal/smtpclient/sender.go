@@ -132,7 +132,7 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 		}
 	}
 
-	var peerChain []*x509.Certificate
+	problem := pki.ProblemNoCertificate
 	var verifyErr error
 	if starttls && tryTLS {
 		if code, _, err := text.cmd("STARTTLS"); err == nil && code == 220 {
@@ -146,14 +146,13 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 			})
 			if err := tlsConn.HandshakeContext(ctx); err == nil {
 				res.TLS = true
-				peerChain = tlsConn.ConnectionState().PeerCertificates
-				if len(peerChain) > 0 {
-					if s.VerifyPeer != nil {
-						verifyErr = s.VerifyPeer(peerChain, mxHost)
-						res.CertVerified = verifyErr == nil
-					} else {
-						res.CertVerified = verifyChain(peerChain, mxHost, s.Roots)
-					}
+				peerChain := tlsConn.ConnectionState().PeerCertificates
+				if s.VerifyPeer == nil {
+					problem = pki.Validate(peerChain, mxHost, s.Roots, time.Now())
+					res.CertVerified = problem.Valid()
+				} else if len(peerChain) > 0 {
+					verifyErr = s.VerifyPeer(peerChain, mxHost)
+					res.CertVerified = verifyErr == nil
 				}
 				text = newTextConn(tlsConn)
 				// Re-EHLO after TLS per RFC 3207.
@@ -189,12 +188,8 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 			// carry their own taxonomy position); keep it in the chain.
 			return res, fmt.Errorf("%w: %w", ErrTLSRequired, verifyErr)
 		}
-		problem := pki.ProblemNoCertificate
-		if len(peerChain) > 0 {
-			problem = pki.Validate(peerChain, mxHost, s.Roots, time.Now())
-		}
 		return res, fmt.Errorf("%w: %w", ErrTLSRequired,
-			errtax.New(errtax.LayerProbe, certCode(problem), false,
+			errtax.New(errtax.LayerProbe, problem.Code(), false,
 				fmt.Sprintf("certificate not verified: %s", problem)))
 	}
 
@@ -234,38 +229,6 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 	//lint:ignore errdrop QUIT is best-effort courtesy; the delivery already succeeded
 	text.cmd("QUIT")
 	return res, nil
-}
-
-// certCode maps a PKIX validation outcome onto the taxonomy (the same
-// mapping the scanner applies to probed MX certificates).
-func certCode(p pki.Problem) errtax.Code {
-	switch p {
-	case pki.ProblemExpired:
-		return errtax.CodeExpired
-	case pki.ProblemSelfSigned:
-		return errtax.CodeSelfSigned
-	case pki.ProblemUntrusted:
-		return errtax.CodeUntrustedChain
-	case pki.ProblemNameMismatch:
-		return errtax.CodeNameMismatch
-	}
-	return errtax.CodeNoCertificate
-}
-
-func verifyChain(chain []*x509.Certificate, host string, roots *x509.CertPool) bool {
-	if len(chain) == 0 {
-		return false
-	}
-	inter := x509.NewCertPool()
-	for _, c := range chain[1:] {
-		inter.AddCert(c)
-	}
-	_, err := chain[0].Verify(x509.VerifyOptions{
-		DNSName:       host,
-		Roots:         roots,
-		Intermediates: inter,
-	})
-	return err == nil
 }
 
 // dotStuff prepares message data for the DATA phase: CRLF line endings and

@@ -1,8 +1,6 @@
 package docscheck
 
 import (
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -19,17 +17,9 @@ type adversaryRow struct {
 // parseAdversaryCatalog extracts the attack table from docs/ADVERSARY.md.
 func parseAdversaryCatalog(t *testing.T) map[string]adversaryRow {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join(root, "docs", "ADVERSARY.md"))
-	if err != nil {
-		t.Fatalf("read ADVERSARY.md: %v", err)
-	}
 	rowRe := regexp.MustCompile("^\\| `([a-z_]+)` \\| ([a-z]+) \\| (`[a-z_]+`|—) \\| ([a-z-]+) \\| ([a-z-]+) \\| ([a-z-]+) \\|$")
 	rows := map[string]adversaryRow{}
-	for _, line := range strings.Split(string(b), "\n") {
-		m := rowRe.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
+	for _, m := range tableRows(t, "docs/ADVERSARY.md", "Attack catalog", rowRe) {
 		code := ""
 		if m[3] != "—" {
 			code = strings.Trim(m[3], "`")
@@ -39,9 +29,6 @@ func parseAdversaryCatalog(t *testing.T) map[string]adversaryRow {
 		}
 		rows[m[1]] = adversaryRow{layer: m[2], code: code,
 			none: m[4], testing: m[5], enforce: m[6]}
-	}
-	if len(rows) == 0 {
-		t.Fatal("ADVERSARY.md: no catalog rows found (format drift?)")
 	}
 	return rows
 }

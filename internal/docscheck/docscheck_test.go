@@ -163,6 +163,36 @@ func allFlags(t *testing.T) map[string]bool {
 	return union
 }
 
+// tableRows reads doc (a path under the repo root), keeps only its
+// "## section" when section is set, and returns the submatches of every
+// line that matches row, in document order. No match fails the test: a
+// table that parses to nothing is format drift, not an empty contract.
+func tableRows(t *testing.T, doc, section string, row *regexp.Regexp) [][]string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(root, doc))
+	if err != nil {
+		t.Fatalf("read %s: %v", doc, err)
+	}
+	var rows [][]string
+	in := section == ""
+	for _, line := range strings.Split(string(b), "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok && section != "" {
+			in = h == section
+			continue
+		}
+		if m := row.FindStringSubmatch(line); in && m != nil {
+			rows = append(rows, m)
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("%s: no line matches %s (format drift?)", doc, row)
+	}
+	return rows
+}
+
+// flagRowRe matches a flag table row and captures the flag's name.
+var flagRowRe = regexp.MustCompile("^\\| `-([a-z][a-z0-9-]*)` \\|")
+
 // TestDocumentedCommandFlagsCovered requires every flag of the three
 // commands whose operation the docs walk through to be mentioned, as a
 // -name token, somewhere in README.md or docs/.
@@ -213,27 +243,23 @@ func TestNoStaleFlagTokens(t *testing.T) {
 // has a table row, every table row names a defined flag.
 func TestCampaignRunbookTablesExact(t *testing.T) {
 	defined := commandFlags(t, "mtasts-campaign")
-	b, err := os.ReadFile(filepath.Join(root, "docs", "CAMPAIGN.md"))
-	if err != nil {
-		t.Fatalf("read CAMPAIGN.md: %v", err)
-	}
-	subRe := regexp.MustCompile("^`mtasts-campaign ([a-z]+)`")
-	rowRe := regexp.MustCompile("^\\| `-([a-z][a-z0-9-]*)` \\|")
+	// A "`mtasts-campaign sub`" line opens the table of sub's flags.
+	lineRe := regexp.MustCompile("^(?:`mtasts-campaign ([a-z]+)`|\\| `-([a-z][a-z0-9-]*)` \\|)")
 	documented := map[string]map[string]bool{}
 	sub := ""
-	for _, line := range strings.Split(string(b), "\n") {
-		if m := subRe.FindStringSubmatch(line); m != nil {
+	for _, m := range tableRows(t, "docs/CAMPAIGN.md", "Runbook: cmd/mtasts-campaign", lineRe) {
+		if m[1] != "" {
 			sub = m[1]
 			if sub == "resume" { // alias of run, same flag set
 				sub = "run"
 			}
 			continue
 		}
-		if m := rowRe.FindStringSubmatch(line); m != nil && sub != "" {
+		if sub != "" {
 			if documented[sub] == nil {
 				documented[sub] = map[string]bool{}
 			}
-			documented[sub][m[1]] = true
+			documented[sub][m[2]] = true
 		}
 	}
 	if len(documented) == 0 {
@@ -276,19 +302,9 @@ func TestSenderRunbookTableExact(t *testing.T) {
 	if len(defined) == 0 {
 		t.Fatal("mtasts-send: no global flags parsed (format drift?)")
 	}
-	b, err := os.ReadFile(filepath.Join(root, "docs", "SENDER.md"))
-	if err != nil {
-		t.Fatalf("read SENDER.md: %v", err)
-	}
-	rowRe := regexp.MustCompile("^\\| `-([a-z][a-z0-9-]*)` \\|")
 	documented := map[string]bool{}
-	for _, line := range strings.Split(string(b), "\n") {
-		if m := rowRe.FindStringSubmatch(line); m != nil {
-			documented[m[1]] = true
-		}
-	}
-	if len(documented) == 0 {
-		t.Fatal("SENDER.md: no flag table found (format drift?)")
+	for _, m := range tableRows(t, "docs/SENDER.md", "`mtasts-send` flags", flagRowRe) {
+		documented[m[1]] = true
 	}
 	for name := range defined {
 		if !documented[name] {

@@ -1,10 +1,7 @@
 package docscheck
 
 import (
-	"os"
-	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 
 	"github.com/netsecurelab/mtasts/internal/scansvc"
@@ -19,19 +16,9 @@ func TestServiceFlagTableExact(t *testing.T) {
 	if len(defined) == 0 {
 		t.Fatal("mtasts-serve: no flags parsed off its flag set (format drift?)")
 	}
-	b, err := os.ReadFile(filepath.Join(root, "docs", "SERVICE.md"))
-	if err != nil {
-		t.Fatalf("read SERVICE.md: %v", err)
-	}
-	rowRe := regexp.MustCompile("^\\| `-([a-z][a-z0-9-]*)` \\|")
 	documented := map[string]bool{}
-	for _, line := range strings.Split(string(b), "\n") {
-		if m := rowRe.FindStringSubmatch(line); m != nil {
-			documented[m[1]] = true
-		}
-	}
-	if len(documented) == 0 {
-		t.Fatal("SERVICE.md: no flag table found (format drift?)")
+	for _, m := range tableRows(t, "docs/SERVICE.md", "Flags", flagRowRe) {
+		documented[m[1]] = true
 	}
 	for name := range defined {
 		if !documented[name] {
@@ -50,19 +37,10 @@ func TestServiceFlagTableExact(t *testing.T) {
 // from, both ways: every route the service serves has a documented row,
 // every documented row names a served route.
 func TestServiceEndpointTableExact(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join(root, "docs", "SERVICE.md"))
-	if err != nil {
-		t.Fatalf("read SERVICE.md: %v", err)
-	}
 	rowRe := regexp.MustCompile("^\\| `([A-Z]+) (/[^`]*)` \\|")
 	documented := map[string]bool{}
-	for _, line := range strings.Split(string(b), "\n") {
-		if m := rowRe.FindStringSubmatch(line); m != nil {
-			documented[m[1]+" "+m[2]] = true
-		}
-	}
-	if len(documented) == 0 {
-		t.Fatal("SERVICE.md: no endpoint table found (format drift?)")
+	for _, m := range tableRows(t, "docs/SERVICE.md", "HTTP API", rowRe) {
+		documented[m[1]+" "+m[2]] = true
 	}
 	served := map[string]bool{}
 	for _, e := range scansvc.Endpoints {

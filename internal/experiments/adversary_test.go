@@ -14,6 +14,7 @@ import (
 // every cell matches the sendertest model, and the canonical sender
 // matches the attack registry.
 func TestAttackMatrix(t *testing.T) {
+	t.Parallel()
 	rep, err := RunAttackMatrix(AttackMatrixConfig{Seed: 7})
 	if err != nil {
 		t.Fatalf("RunAttackMatrix: %v", err)
@@ -74,6 +75,7 @@ func TestAttackMatrix(t *testing.T) {
 // bookkeeping: under EVERY attack, enforce mode with a validating
 // sender either refuses or delivers verified TLS to the true MX.
 func TestAttackMatrixEnforceNeverPlaintext(t *testing.T) {
+	t.Parallel()
 	rep, err := RunAttackMatrix(AttackMatrixConfig{Seed: 11})
 	if err != nil {
 		t.Fatalf("RunAttackMatrix: %v", err)

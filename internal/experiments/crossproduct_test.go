@@ -88,6 +88,7 @@ func allBehaviors() []sendertest.Behavior {
 // This is the drift guard: the modeled §6 decision matrix and the live
 // mta.Outbound engine must agree everywhere.
 func TestSenderRecipientCrossProduct(t *testing.T) {
+	t.Parallel()
 	behaviors := allBehaviors()
 	for _, rc := range sendertest.PlatformConfigs() {
 		rc := rc

@@ -15,6 +15,7 @@ func TestRobustnessRetriesAbsorbSeededFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-substrate fault-injection run")
 	}
+	t.Parallel()
 	rep, err := RunRobustness(RobustnessConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +77,7 @@ func TestRobustnessPipelinedMatchesFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-substrate fault-injection run")
 	}
+	t.Parallel()
 	cfg := RobustnessConfig{Seed: 1}.withDefaults()
 	w, err := buildRobustnessWorld(cfg.Domains)
 	if err != nil {
@@ -126,6 +128,7 @@ func TestRobustnessSeedMatters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-substrate fault-injection run")
 	}
+	t.Parallel()
 	a, err := RunRobustness(RobustnessConfig{Seed: 2, Domains: 4})
 	if err != nil {
 		t.Fatal(err)

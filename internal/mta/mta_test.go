@@ -256,6 +256,53 @@ func TestSendTLSRPTAccounting(t *testing.T) {
 	}
 }
 
+// An enforce-mode domain whose MX answers only HELO goes through the
+// sender's session like any other: without STARTTLS the delivery is
+// refused and RFC 8460 accounting records one starttls-not-supported
+// failure; with STARTTLS and a valid certificate the message goes out
+// over verified TLS and the session counts as a success.
+func TestSendHELOOnlyMXTLSRPT(t *testing.T) {
+	n := startNet(t)
+	if _, err := n.AddMX(smtpd.Behavior{DisableEHLO: true, DisableSTARTTLS: true, AcceptMail: true}, "mx.iota.test"); err != nil {
+		t.Fatal(err)
+	}
+	addDomain(n, "iota.test", []string{"mx.iota.test"}, enforce("mx.iota.test"))
+	cert := n.Cert(pki.IssueOptions{Names: []string{"mx.kappa.test"}})
+	if _, err := n.AddMX(smtpd.Behavior{Certificate: cert, DisableEHLO: true, AcceptMail: true}, "mx.kappa.test"); err != nil {
+		t.Fatal(err)
+	}
+	addDomain(n, "kappa.test", []string{"mx.kappa.test"}, enforce("mx.kappa.test"))
+
+	o := outbound(n, false)
+	start := time.Now()
+	o.Report = tlsrpt.NewReport("Lab", "mailto:r@lab.test", "rid", start, start.Add(24*time.Hour))
+	ctx := context.Background()
+
+	if _, err := o.Send(ctx, "a@s.lab", []string{"b@iota.test"}, []byte("x\n")); !errors.Is(err, ErrPolicyRefused) {
+		t.Errorf("HELO-only MX without STARTTLS: err = %v, want ErrPolicyRefused", err)
+	}
+	bad := o.Report.Policy(tlsrpt.PolicyTypeSTS, "iota.test")
+	if bad.Summary.TotalFailureSessionCount != 1 || bad.Summary.TotalSuccessfulSessionCount != 0 ||
+		len(bad.FailureDetails) != 1 || bad.FailureDetails[0].ResultType != tlsrpt.ResultSTARTTLSNotSupported {
+		t.Errorf("iota report = %+v, want one %s failure", bad, tlsrpt.ResultSTARTTLSNotSupported)
+	}
+	if got := len(n.MX("mx.iota.test").Messages()); got != 0 {
+		t.Errorf("refused delivery reached the inbox (%d messages)", got)
+	}
+
+	out, err := o.Send(ctx, "a@s.lab", []string{"b@kappa.test"}, []byte("x\n"))
+	if err != nil {
+		t.Fatalf("HELO-only MX with STARTTLS: %v", err)
+	}
+	if !out.Delivered || !out.TLS || !out.CertVerified {
+		t.Errorf("out = %+v, want delivered over verified TLS", out)
+	}
+	ok := o.Report.Policy(tlsrpt.PolicyTypeSTS, "kappa.test")
+	if ok.Summary.TotalSuccessfulSessionCount != 1 || ok.Summary.TotalFailureSessionCount != 0 {
+		t.Errorf("kappa summary = %+v, want one success", ok.Summary)
+	}
+}
+
 func TestSendAddressValidation(t *testing.T) {
 	n := startNet(t)
 	o := outbound(n, false)

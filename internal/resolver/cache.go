@@ -161,7 +161,8 @@ func (c *Cache) removeLocked(el *list.Element) {
 }
 
 // RateLimiter is a token-bucket limiter gating outgoing DNS queries, per
-// the paper's "rate limit our queries" methodology (§3.1).
+// the paper's "rate limit our queries" methodology (§3.1). It is also
+// the bucket behind scansvc's per-tenant admission, through Allow.
 type RateLimiter struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second
@@ -174,8 +175,9 @@ type RateLimiter struct {
 	sleep func(context.Context, time.Duration) error
 }
 
-// NewRateLimiter allows rate queries/second with the given burst.
-func NewRateLimiter(rate float64, burst int) *RateLimiter {
+// NewRateLimiter allows rate queries/second with the given burst, and
+// starts full.
+func NewRateLimiter(rate, burst float64) *RateLimiter {
 	if rate <= 0 {
 		rate = 1
 	}
@@ -184,8 +186,8 @@ func NewRateLimiter(rate float64, burst int) *RateLimiter {
 	}
 	return &RateLimiter{
 		rate:   rate,
-		burst:  float64(burst),
-		tokens: float64(burst),
+		burst:  burst,
+		tokens: burst,
 		now:    time.Now,
 	}
 }
@@ -193,30 +195,37 @@ func NewRateLimiter(rate float64, burst int) *RateLimiter {
 // Wait blocks until a token is available or ctx is done.
 func (l *RateLimiter) Wait(ctx context.Context) error {
 	for {
-		l.mu.Lock()
-		now := l.now()
-		if !l.last.IsZero() {
-			l.tokens += now.Sub(l.last).Seconds() * l.rate
-			if l.tokens > l.burst {
-				l.tokens = l.burst
-			}
-		}
-		l.last = now
-		if l.tokens >= 1 {
-			l.tokens--
-			l.mu.Unlock()
+		missing := l.take(1)
+		if missing == 0 {
 			return nil
 		}
-		need := (1 - l.tokens) / l.rate
-		l.mu.Unlock()
-		wait := time.Duration(need * float64(time.Second))
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		if err := l.wait(ctx, wait); err != nil {
+		wait := time.Duration(missing / l.rate * float64(time.Second))
+		if err := l.wait(ctx, max(wait, time.Millisecond)); err != nil {
 			return err
 		}
 	}
+}
+
+// Allow takes n tokens if the bucket holds them now and reports whether
+// it did. It never waits, and a refusal takes nothing.
+func (l *RateLimiter) Allow(n int) bool { return l.take(float64(n)) == 0 }
+
+// take credits the tokens earned since the last call, up to burst, then
+// takes n if the bucket holds them; otherwise it takes nothing and
+// returns how many are missing.
+func (l *RateLimiter) take(n float64) (missing float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	now := l.now()
+	if !l.last.IsZero() {
+		l.tokens = min(l.burst, l.tokens+now.Sub(l.last).Seconds()*l.rate)
+	}
+	l.last = now
+	if n > l.tokens {
+		return n - l.tokens
+	}
+	l.tokens -= n
+	return 0
 }
 
 // wait sleeps for d or until ctx is done, whichever comes first.

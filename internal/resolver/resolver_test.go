@@ -259,6 +259,31 @@ func TestRateLimiter(t *testing.T) {
 	}
 }
 
+// Allow shares Wait's bucket and refill: it takes n tokens when they
+// are there, refuses without taking any when they are not, and never
+// waits.
+func TestRateLimiterAllow(t *testing.T) {
+	l := NewRateLimiter(10, 3)
+	now := time.Unix(0, 0)
+	l.now = func() time.Time { return now }
+	errSlept := errors.New("slept")
+	l.sleep = func(context.Context, time.Duration) error { return errSlept }
+	if !l.Allow(2) || l.Allow(2) || !l.Allow(1) || l.Allow(1) {
+		t.Fatal("a full 3-token bucket should give 2, refuse 2, give 1, refuse 1")
+	}
+	now = now.Add(150 * time.Millisecond) // 1.5 tokens at 10/s
+	if l.Allow(2) || !l.Allow(1) {
+		t.Error("after 150ms: want 2 refused, 1 given")
+	}
+	now = now.Add(time.Hour) // refill caps at the burst
+	if l.Allow(4) || !l.Allow(3) {
+		t.Error("after an hour: want 4 refused, 3 given")
+	}
+	if err := l.Wait(context.Background()); !errors.Is(err, errSlept) {
+		t.Errorf("Wait on the bucket Allow emptied = %v, want it to sleep", err)
+	}
+}
+
 func TestRateLimiterContextCancel(t *testing.T) {
 	l := NewRateLimiter(0.001, 1)
 	ctx := context.Background()

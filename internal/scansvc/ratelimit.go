@@ -2,7 +2,8 @@ package scansvc
 
 import (
 	"sync"
-	"time"
+
+	"github.com/netsecurelab/mtasts/internal/resolver"
 )
 
 // TenantLimiter is a per-tenant token bucket over submitted domains:
@@ -17,44 +18,33 @@ type TenantLimiter struct {
 	Burst float64
 
 	mu      sync.Mutex
-	buckets map[string]*bucket
-}
-
-type bucket struct {
-	tokens float64
-	last   time.Time
+	buckets map[string]*resolver.RateLimiter
 }
 
 // NewTenantLimiter builds a limiter; rate <= 0 disables limiting.
 func NewTenantLimiter(rate, burst float64) *TenantLimiter {
-	return &TenantLimiter{Rate: rate, Burst: burst, buckets: make(map[string]*bucket)}
+	return &TenantLimiter{Rate: rate, Burst: burst, buckets: make(map[string]*resolver.RateLimiter)}
 }
 
 // Admit consumes cost tokens from the tenant's bucket, reporting
 // whether the submission is within budget. A nil limiter or a
 // non-positive rate always admits. A cost beyond Burst always rejects,
 // even against a full bucket: the job can never fit, so it is better
-// to say so at once.
+// to say so at once. A new tenant starts with a full bucket, and a
+// rejection takes nothing from it.
 func (l *TenantLimiter) Admit(tenant string, cost int) bool {
 	if l == nil || l.Rate <= 0 {
 		return true
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := time.Now()
-	b := l.buckets[tenant]
-	if b == nil {
-		b = &bucket{tokens: l.Burst, last: now}
-		l.buckets[tenant] = b
-	}
-	b.tokens += now.Sub(b.last).Seconds() * l.Rate
-	if b.tokens > l.Burst {
-		b.tokens = l.Burst
-	}
-	b.last = now
-	if float64(cost) > b.tokens {
+	if float64(cost) > l.Burst {
 		return false
 	}
-	b.tokens -= float64(cost)
-	return true
+	l.mu.Lock()
+	b := l.buckets[tenant]
+	if b == nil {
+		b = resolver.NewRateLimiter(l.Rate, l.Burst)
+		l.buckets[tenant] = b
+	}
+	l.mu.Unlock()
+	return b.Allow(cost)
 }

@@ -1,13 +1,11 @@
 package smtpclient
 
 import (
+	"cmp"
 	"context"
-	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"fmt"
-	"net"
-	"strconv"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/errtax"
@@ -18,7 +16,7 @@ import (
 // the sender-MTA example; MTA-STS policy evaluation happens in
 // mtasts.Validator before Deliver is called.
 type Sender struct {
-	// HeloName is announced in EHLO.
+	// HeloName is announced in EHLO/HELO.
 	HeloName string
 	// Roots is the PKIX trust store. Required when RequireTLS is set.
 	Roots *x509.CertPool
@@ -84,8 +82,8 @@ func (s *Sender) Deliver(ctx context.Context, mxHost, from string, to []string, 
 	return res, err
 }
 
-// attempt runs one SMTP session; tryTLS controls whether STARTTLS is used
-// when advertised.
+// attempt runs one SMTP session. tryTLS false skips STARTTLS (DisableTLS,
+// or the plaintext retry); otherwise the session's STARTTLS rule applies.
 func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, data []byte, tryTLS bool) (DeliveryResult, error) {
 	res := DeliveryResult{Host: mxHost}
 	timeout := s.Timeout
@@ -95,83 +93,48 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	addr := s.AddrOverride
-	if addr == "" {
-		port := 25
-		if s.Port != 0 {
-			port = s.Port
-		}
-		addr = net.JoinHostPort(mxHost, strconv.Itoa(port))
+	helo := cmp.Or(s.HeloName, "sender.mtasts-repro.test")
+	sess, err := open(ctx, dialAddr(mxHost, s.AddrOverride, s.Port), helo, nil)
+	if sess.conn != nil {
+		defer sess.conn.Close()
 	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return res, fmt.Errorf("smtpclient: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-
-	text := newTextConn(conn)
-	if code, _, err := text.readReply(); err != nil || code != 220 {
-		return res, fmt.Errorf("%w: greeting code %d err %v", errShortSession, code, err)
-	}
-	helo := s.HeloName
-	if helo == "" {
-		helo = "sender.mtasts-repro.test"
-	}
-	code, lines, err := text.cmd("EHLO " + helo)
-	if err != nil || code != 250 {
-		return res, fmt.Errorf("%w: EHLO code %d err %v", errShortSession, code, err)
-	}
-	starttls := false
-	for _, l := range lines {
-		if len(l) >= 8 && l[:8] == "STARTTLS" {
-			starttls = true
-		}
+		return res, err
 	}
 
 	problem := pki.ProblemNoCertificate
 	var verifyErr error
-	if starttls && tryTLS {
-		if code, _, err := text.cmd("STARTTLS"); err == nil && code == 220 {
-			tlsConn := tls.Client(conn, &tls.Config{
-				ServerName: mxHost,
-				RootCAs:    s.Roots,
-				// Verification outcome is checked explicitly below so
-				// opportunistic senders can proceed on failure.
-				InsecureSkipVerify: true,
-				MinVersion:         tls.VersionTLS12,
-			})
-			if err := tlsConn.HandshakeContext(ctx); err == nil {
-				res.TLS = true
-				peerChain := tlsConn.ConnectionState().PeerCertificates
-				if s.VerifyPeer == nil {
-					problem = pki.Validate(peerChain, mxHost, s.Roots, time.Now())
-					res.CertVerified = problem.Valid()
-				} else if len(peerChain) > 0 {
-					verifyErr = s.VerifyPeer(peerChain, mxHost)
-					res.CertVerified = verifyErr == nil
-				}
-				text = newTextConn(tlsConn)
-				// Re-EHLO after TLS per RFC 3207.
-				if code, _, err := text.cmd("EHLO " + helo); err != nil || code != 250 {
-					return res, fmt.Errorf("%w: post-TLS EHLO code %d err %v", errShortSession, code, err)
-				}
-			} else {
-				if s.RequireTLS {
-					return res, fmt.Errorf("%w: %w", ErrTLSRequired,
-						errtax.Wrap(errtax.LayerProbe, errtax.CodeTLSHandshake, false, err))
-				}
-				// The session is unusable after a failed handshake; signal
-				// the caller to retry in plaintext.
-				return res, fmt.Errorf("%w: %v", errHandshakeFailed, err)
+	if tryTLS && sess.offersTLS() {
+		code, chain, err := sess.startTLS(ctx, mxHost)
+		switch {
+		case code != 220:
+			if s.RequireTLS {
+				return res, fmt.Errorf("%w: %w", ErrTLSRequired,
+					errtax.New(errtax.LayerProbe, errtax.CodeNoSTARTTLS, false,
+						fmt.Sprintf("STARTTLS refused (code %d)", code)))
 			}
-		} else if s.RequireTLS {
-			return res, fmt.Errorf("%w: %w", ErrTLSRequired,
-				errtax.New(errtax.LayerProbe, errtax.CodeNoSTARTTLS, false,
-					fmt.Sprintf("STARTTLS refused (code %d)", code)))
+			// Opportunistic: carry on in plaintext on this session.
+		case err != nil:
+			if s.RequireTLS {
+				return res, fmt.Errorf("%w: %w", ErrTLSRequired,
+					errtax.Wrap(errtax.LayerProbe, errtax.CodeTLSHandshake, false, err))
+			}
+			// The session is unusable after a failed handshake; signal
+			// the caller to retry in plaintext.
+			return res, fmt.Errorf("%w: %v", errHandshakeFailed, err)
+		default:
+			res.TLS = true
+			if s.VerifyPeer == nil {
+				problem = pki.Validate(chain, mxHost, s.Roots, time.Now())
+				res.CertVerified = problem.Valid()
+			} else if len(chain) > 0 {
+				verifyErr = s.VerifyPeer(chain, mxHost)
+				res.CertVerified = verifyErr == nil
+			}
+			// RFC 3207: the client forgets the plaintext hello and repeats it.
+			if err := sess.hello(helo); err != nil {
+				return res, fmt.Errorf("%w: post-TLS hello: %v", errShortSession, err)
+			}
 		}
 	}
 	// The required-TLS gate carries the taxonomy position of what went
@@ -193,28 +156,21 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 				fmt.Sprintf("certificate not verified: %s", problem)))
 	}
 
-	steps := []struct {
-		cmd  string
-		want int
-	}{
-		{"MAIL FROM:<" + from + ">", 250},
-	}
+	text := sess.text
+	cmds := []string{"MAIL FROM:<" + from + ">"}
 	for _, rcpt := range to {
-		steps = append(steps, struct {
-			cmd  string
-			want int
-		}{"RCPT TO:<" + rcpt + ">", 250})
+		cmds = append(cmds, "RCPT TO:<"+rcpt+">")
 	}
-	for _, st := range steps {
-		code, _, err := text.cmd(st.cmd)
+	for _, c := range cmds {
+		code, _, err := text.cmd(c)
 		if err != nil {
 			return res, err
 		}
-		if code != st.want {
-			return res, fmt.Errorf("%w: %q answered %d", ErrRejected, st.cmd, code)
+		if code != 250 {
+			return res, fmt.Errorf("%w: %q answered %d", ErrRejected, c, code)
 		}
 	}
-	code, _, err = text.cmd("DATA")
+	code, _, err := text.cmd("DATA")
 	if err != nil || code != 354 {
 		return res, fmt.Errorf("%w: DATA answered %d (err %v)", ErrRejected, code, err)
 	}

@@ -3,19 +3,16 @@
 // (falling back to HELO), checks for the STARTTLS capability, transitions
 // to TLS, retrieves the server certificate, and closes without delivering
 // mail. It also provides a delivering client used by the sender-MTA
-// example.
+// example. Both run the one client dialogue in session.go, so the prober
+// and the sender agree on what an MX offers.
 package smtpclient
 
 import (
-	"bufio"
+	"cmp"
 	"context"
-	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"fmt"
-	"net"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/errtax"
@@ -98,7 +95,7 @@ type Prober struct {
 // Probe runs the §4.1 sequence against mxHost: connect, EHLO (HELO
 // fallback), STARTTLS, retrieve certificate, quit. It never sends mail.
 func (p *Prober) Probe(ctx context.Context, mxHost string) ProbeResult {
-	return p.ProbeAddr(ctx, mxHost, p.dialAddr(mxHost))
+	return p.ProbeAddr(ctx, mxHost, dialAddr(mxHost, p.AddrOverride, p.Port))
 }
 
 // ProbeAddr is Probe with an explicit dial address (ip:port), letting
@@ -149,98 +146,38 @@ func (p *Prober) probe(ctx context.Context, mxHost, addr string) ProbeResult {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	dialSpan := p.Obs.StartSpan("smtp.probe.dial")
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	dialSpan.EndErr(err)
-	if err != nil {
-		res.Err = fmt.Errorf("smtpclient: dial %s: %w", addr, err)
+	sess, err := open(ctx, addr, cmp.Or(p.HeloName, "prober.mtasts-repro.test"), p.Obs)
+	if sess.conn == nil {
+		res.Err = err
 		return res
 	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
+	defer sess.conn.Close()
+	res.Connected, res.Greylisted = true, errors.Is(err, ErrGreylisted)
+	res.EHLOUsed, res.STARTTLSAdvertised = sess.ehlo, sess.starttls
+	if err == nil && !sess.offersTLS() {
+		err = ErrNoSTARTTLS
 	}
-	res.Connected = true
-
-	text := newTextConn(conn)
-
-	// Greeting.
-	greetSpan := p.Obs.StartSpan("smtp.probe.greeting")
-	code, _, err := text.readReply()
-	greetSpan.EndErr(err)
-	if err != nil {
-		res.Err = fmt.Errorf("%w: %w", ErrBadGreeting, err)
-		return res
-	}
-	if code >= 400 && code < 500 {
-		res.Greylisted = true
-		res.Err = ErrGreylisted
-		return res
-	}
-	if code != 220 {
-		res.Err = fmt.Errorf("%w: code %d", ErrBadGreeting, code)
-		return res
-	}
-
-	// EHLO with HELO fallback (§4.1 footnote 3).
-	helo := p.HeloName
-	if helo == "" {
-		helo = "prober.mtasts-repro.test"
-	}
-	code, lines, err := text.cmd("EHLO " + helo)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	if code == 250 {
-		res.EHLOUsed = true
-		for _, l := range lines {
-			if strings.EqualFold(strings.Fields(l + " ")[0], "STARTTLS") {
-				res.STARTTLSAdvertised = true
-			}
-		}
-	} else {
-		code, _, err = text.cmd("HELO " + helo)
-		if err != nil || code != 250 {
-			res.Err = fmt.Errorf("smtpclient: HELO failed (code %d, err %v)", code, err)
-			return res
-		}
-		// HELO offers no capability list; try STARTTLS anyway below.
-	}
 
-	// STARTTLS.
-	code, _, err = text.cmd("STARTTLS")
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	if code != 220 {
-		if !res.STARTTLSAdvertised {
-			res.Err = ErrNoSTARTTLS
-		} else {
-			res.Err = fmt.Errorf("smtpclient: STARTTLS rejected with code %d", code)
-		}
-		return res
-	}
-
-	// Handshake with verification disabled so invalid certificates can be
-	// collected; classification happens below against p.Roots.
-	tlsConn := tls.Client(conn, &tls.Config{
-		ServerName:         mxHost,
-		InsecureSkipVerify: true,
-		MinVersion:         tls.VersionTLS12,
-	})
-	tlsSpan := p.Obs.StartSpan("smtp.probe.tls_handshake")
-	if err := tlsConn.HandshakeContext(ctx); err != nil {
-		tlsSpan.EndErr(err)
-		res.Err = fmt.Errorf("smtpclient: TLS handshake with %s: %w", mxHost, err)
+	code, chain, err := sess.startTLS(ctx, mxHost)
+	switch {
+	case code != 220 && err == nil && !res.STARTTLSAdvertised:
+		err = ErrNoSTARTTLS
+	case code != 220 && err == nil:
+		err = fmt.Errorf("smtpclient: STARTTLS rejected with code %d", code)
+	case code == 220 && err != nil:
 		res.CertProblem = pki.ProblemNoCertificate
+		err = fmt.Errorf("smtpclient: TLS handshake with %s: %w", mxHost, err)
+	}
+	if err != nil {
+		res.Err = err
 		return res
 	}
-	tlsSpan.End()
 	res.TLSEstablished = true
-	res.Certificates = tlsConn.ConnectionState().PeerCertificates
+	res.Certificates = chain
 
 	now := time.Now()
 	if p.Now != nil {
@@ -249,21 +186,9 @@ func (p *Prober) probe(ctx context.Context, mxHost, addr string) ProbeResult {
 	res.CertProblem = pki.Validate(res.Certificates, mxHost, p.Roots, now)
 
 	// End the session without delivering (QUIT over the TLS channel).
-	tlsText := newTextConn(tlsConn)
 	//lint:ignore errdrop QUIT is best-effort courtesy; the probe verdict is already complete
-	tlsText.cmd("QUIT")
+	sess.text.cmd("QUIT")
 	return res
-}
-
-func (p *Prober) dialAddr(mxHost string) string {
-	if p.AddrOverride != "" {
-		return p.AddrOverride
-	}
-	port := 25
-	if p.Port != 0 {
-		port = p.Port
-	}
-	return net.JoinHostPort(mxHost, strconv.Itoa(port))
 }
 
 // VerifyMX adapts Probe to the mtasts.MXVerifier interface: it returns the
@@ -278,75 +203,4 @@ func (p *Prober) VerifyMX(ctx context.Context, mxHost string) (pki.Problem, erro
 		return pki.ProblemNoCertificate, nil
 	}
 	return res.CertProblem, nil
-}
-
-// maxReplyLine and maxReplyLines cap what one SMTP reply can make a
-// client hold, whatever the server streams: RFC 5321 §4.5.3.1.5 sets
-// the reply line at 512 octets, and no real EHLO response comes near
-// 128 lines.
-const (
-	maxReplyLine  = 4096
-	maxReplyLines = 128
-)
-
-// textConn is a minimal SMTP reply reader/writer. Its read buffer is
-// maxReplyLine bytes, which is what bounds a reply line.
-type textConn struct {
-	r *bufio.Reader
-	w *bufio.Writer
-}
-
-func newTextConn(conn net.Conn) *textConn {
-	return &textConn{r: bufio.NewReaderSize(conn, maxReplyLine), w: bufio.NewWriter(conn)}
-}
-
-// cmd sends one command and reads the (possibly multiline) reply.
-func (t *textConn) cmd(line string) (int, []string, error) {
-	if _, err := t.w.WriteString(line + "\r\n"); err != nil {
-		return 0, nil, err
-	}
-	if err := t.w.Flush(); err != nil {
-		return 0, nil, err
-	}
-	return t.readReply()
-}
-
-// readReply parses an SMTP reply, handling "250-" continuation lines. It
-// returns the code and the text of each line (without the code prefix).
-// A line over maxReplyLine bytes or a reply over maxReplyLines lines is
-// an error, so a hostile server cannot grow the reply without bound.
-func (t *textConn) readReply() (int, []string, error) {
-	var lines []string
-	for len(lines) < maxReplyLines {
-		line, err := t.r.ReadSlice('\n')
-		if errors.Is(err, bufio.ErrBufferFull) {
-			//lint:ignore codes malformed SMTP reply: like ErrBadGreeting, classified per instance by the socket fallback
-			return 0, nil, fmt.Errorf("smtpclient: reply line over %d bytes", maxReplyLine)
-		}
-		if err != nil {
-			return 0, nil, fmt.Errorf("smtpclient: reading reply: %w", err)
-		}
-		raw := strings.TrimRight(string(line), "\r\n")
-		if len(raw) < 3 {
-			//lint:ignore codes malformed SMTP reply: like ErrBadGreeting, classified per instance by the socket fallback
-			return 0, nil, fmt.Errorf("smtpclient: short reply %q", raw)
-		}
-		code, err := strconv.Atoi(raw[:3])
-		if err != nil {
-			//lint:ignore codes malformed SMTP reply: like ErrBadGreeting, classified per instance by the socket fallback
-			return 0, nil, fmt.Errorf("smtpclient: bad reply code in %q", raw)
-		}
-		rest := ""
-		more := false
-		if len(raw) > 3 {
-			more = raw[3] == '-'
-			rest = raw[4:]
-		}
-		lines = append(lines, rest)
-		if !more {
-			return code, lines, nil
-		}
-	}
-	//lint:ignore codes malformed SMTP reply: like ErrBadGreeting, classified per instance by the socket fallback
-	return 0, nil, fmt.Errorf("smtpclient: reply over %d lines", maxReplyLines)
 }

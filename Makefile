@@ -12,8 +12,14 @@ FUZZTIME ?= 10s
 build:
 	$(GO) build ./...
 
+# test prints what `go test ./...` prints, then the ten slowest
+# top-level tests (scripts/testsummary.awk); the exit status is go test's.
 test:
-	$(GO) test ./...
+	@out=$$(mktemp); times=$$(mktemp); \
+	$(GO) test -v ./... > $$out 2>&1; st=$$?; \
+	awk -v times=$$times -f scripts/testsummary.awk $$out; \
+	echo "slowest tests:"; sort -rn $$times | head -10; \
+	rm -f $$out $$times; exit $$st
 
 # Race-check the whole module; the concurrency-heavy packages (stage
 # pools, lock-free metrics, retry/fault layers, loopback servers) all

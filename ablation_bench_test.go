@@ -12,6 +12,7 @@ package mtastsrepro
 
 import (
 	"context"
+	"crypto/tls"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"github.com/netsecurelab/mtasts/internal/policysrv"
 	"github.com/netsecurelab/mtasts/internal/resolver"
 	"github.com/netsecurelab/mtasts/internal/scanner"
+	"github.com/netsecurelab/mtasts/internal/smtpclient"
 	"github.com/netsecurelab/mtasts/internal/smtpd"
 )
 
@@ -66,13 +68,14 @@ func buildLab() (*loopnet.Net, error) {
 // probe).
 func BenchmarkAblationLiveScan(b *testing.B) {
 	l := getLab(b)
+	dns := resolver.New(l.DNS.Addr().String())
 	live := &scanner.Live{
-		DNS:       resolver.New(l.DNS.Addr().String()),
-		Roots:     l.CA.Pool(),
-		HTTPSPort: l.Policy.Port(),
-		SMTPPort:  l.SMTPPort,
-		HeloName:  "bench.invalid",
-		Timeout:   5 * time.Second,
+		DNS: dns,
+		Fetcher: &mtasts.Fetcher{Resolver: scanner.TXTResolverAdapter{Client: dns},
+			RootCAs: l.CA.Pool(), Port: l.Policy.Port(), Timeout: 5 * time.Second,
+			SessionCache: tls.NewLRUClientSessionCache(1024)},
+		Prober: &smtpclient.Prober{HeloName: "bench.invalid", Roots: l.CA.Pool(),
+			Port: l.SMTPPort, Timeout: 5 * time.Second},
 	}
 	ctx := context.Background()
 	b.ResetTimer()

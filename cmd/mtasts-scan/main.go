@@ -169,8 +169,8 @@ func main() {
 		sum.AddRow("retries", rets)
 		sum.AddRow("retry recovered", rec)
 		sum.AddRow("retry gave up", gave)
-		if live.RetryBudget != nil {
-			sum.AddRow("retry budget left", live.RetryBudget.Remaining())
+		if b := live.Fetcher.RetryBudget; b != nil {
+			sum.AddRow("retry budget left", b.Remaining())
 		}
 	}
 	report.WriteTable(os.Stderr, sum)

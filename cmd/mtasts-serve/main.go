@@ -70,7 +70,7 @@ func run(args []string) int {
 	timeout := fs.Duration("timeout", 10*time.Second, "live: per-probe timeout")
 	retries := fs.Int("retries", 1, "live: attempts per network operation (1 = no retries)")
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "live: first retry backoff delay")
-	retryBudget := fs.Int64("retry-budget", 0, "live: total retries allowed across each job (0 = unlimited)")
+	retryBudget := fs.Int64("retry-budget", 0, "live: total retries allowed across every job the process runs, one shared budget (0 = unlimited)")
 	caFile := fs.String("ca", "", "live: PEM file with extra trusted roots (e.g. mtasts-host -ca-out)")
 	workers := fs.Int("workers", 16, "workers per scan stage (DNS, policy fetch, MX probe) per job")
 	stageWorkersSpec := fs.String("stage-workers", "",

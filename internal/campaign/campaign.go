@@ -195,7 +195,7 @@ func (e *Engine) runShard(ctx context.Context, week, ix int, domains []string) (
 		// let a resume re-scan the shard cleanly.
 		return false, ctx.Err()
 	}
-	entries := make([]store.Entry, 0, len(results))
+	entries := make([]store.Entry, 0, len(results)+1)
 	for i := range results {
 		rec := FromResult(&results[i])
 		v, err := rec.Encode()
@@ -204,20 +204,17 @@ func (e *Engine) runShard(ctx context.Context, week, ix int, domains []string) (
 		}
 		entries = append(entries, store.Entry{Key: recordKey(e.ID, week, rec.Domain), Value: v})
 	}
-	if err := e.Store.Batch(entries); err != nil {
-		return false, err
-	}
-	// Order matters: results must be durable before the checkpoint can
-	// claim them (docs/CAMPAIGN.md "Crash recovery").
-	if err := e.Store.Sync(); err != nil {
-		return false, err
-	}
-	ckStart := time.Now()
+	// The checkpoint goes last in the shard's one batch, under one Sync:
+	// the store's durable-prefix rule means a crash can keep it only
+	// together with every result before it (docs/CAMPAIGN.md
+	// "Checkpoints and recovery").
 	raw, err := json.Marshal(ck)
 	if err != nil {
 		return false, err
 	}
-	if err := e.Store.Put(ckKey, raw); err != nil {
+	entries = append(entries, store.Entry{Key: ckKey, Value: raw})
+	ckStart := time.Now()
+	if err := e.Store.Batch(entries); err != nil {
 		return false, err
 	}
 	if err := e.Store.Sync(); err != nil {
@@ -226,7 +223,7 @@ func (e *Engine) runShard(ctx context.Context, week, ix int, domains []string) (
 	if e.Obs.Enabled() {
 		e.Obs.Histogram("campaign.checkpoint.seconds", nil).ObserveSince(ckStart)
 		e.Obs.Counter("campaign.shards.completed").Inc()
-		e.Obs.Counter("campaign.domains.stored").Add(int64(len(entries)))
+		e.Obs.Counter("campaign.domains.stored").Add(int64(len(results)))
 		if sz, ok := e.Store.(store.Sizer); ok {
 			e.Obs.Gauge("campaign.store.bytes").Set(sz.SizeBytes())
 		}

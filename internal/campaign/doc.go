@@ -8,8 +8,10 @@
 // each shard internally parallel via scanner.Runner — so peak memory is
 // bounded by one shard regardless of campaign size; results stream to
 // the store as each shard completes and are never accumulated run-wide.
-// After a shard's results are durably synced, the engine writes a
-// checkpoint keyed by (campaign ID, week, shard); a killed run resumed
+// Each shard's results and its checkpoint, keyed by (campaign ID, week,
+// shard), go to the store in one batch, checkpoint last, under one sync;
+// the store keeps a prefix of that batch across a crash, so a
+// checkpoint is never durable without its results. A killed run resumed
 // over the same source skips checkpointed shards and idempotently
 // re-scans at most the one partial shard, so the exported week snapshot
 // is byte-identical to an uninterrupted run (proven by resume_test.go).

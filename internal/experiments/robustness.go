@@ -19,6 +19,7 @@ package experiments
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"sort"
@@ -33,6 +34,7 @@ import (
 	"github.com/netsecurelab/mtasts/internal/policysrv"
 	"github.com/netsecurelab/mtasts/internal/resolver"
 	"github.com/netsecurelab/mtasts/internal/scanner"
+	"github.com/netsecurelab/mtasts/internal/smtpclient"
 	"github.com/netsecurelab/mtasts/internal/smtpd"
 )
 
@@ -261,16 +263,21 @@ func (w *robustnessWorld) scan(inj *faults.Injector, maxAttempts int, cfg Robust
 	dns.MaxAttempts = maxAttempts
 	dns.RetryBase = cfg.RetryBase
 	dns.Obs = cfg.Obs
+	roots := w.net.CA.Pool()
 	live := &scanner.Live{
-		DNS:         dns,
-		Roots:       w.net.CA.Pool(),
-		HTTPSPort:   w.net.Policy.Port(),
-		SMTPPort:    w.net.SMTPPort,
-		HeloName:    "robustness.test",
-		Timeout:     5 * time.Second,
-		Obs:         cfg.Obs,
-		MaxAttempts: maxAttempts,
-		RetryBase:   cfg.RetryBase,
+		DNS: dns,
+		Fetcher: &mtasts.Fetcher{
+			Resolver: scanner.TXTResolverAdapter{Client: dns}, RootCAs: roots,
+			Port: w.net.Policy.Port(), Timeout: 5 * time.Second, Obs: cfg.Obs,
+			MaxAttempts: maxAttempts, RetryBase: cfg.RetryBase,
+			SessionCache: tls.NewLRUClientSessionCache(1024),
+		},
+		Prober: &smtpclient.Prober{
+			HeloName: "robustness.test", Roots: roots,
+			Port: w.net.SMTPPort, Timeout: 5 * time.Second, Obs: cfg.Obs,
+			MaxAttempts: maxAttempts, RetryBase: cfg.RetryBase,
+		},
+		Obs: cfg.Obs,
 	}
 	if staged {
 		runner := &scanner.Runner{

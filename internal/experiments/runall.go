@@ -6,7 +6,6 @@ import (
 
 	"github.com/netsecurelab/mtasts/internal/dataset"
 	"github.com/netsecurelab/mtasts/internal/report"
-	"github.com/netsecurelab/mtasts/internal/simnet"
 )
 
 // RunAll renders every table and figure to w and returns the shape-check
@@ -130,8 +129,3 @@ func maxi(a, b int) int {
 // DefaultScale is the scale cmd/reproduce uses by default: full paper
 // scale.
 const DefaultScale = 1.0
-
-// Quick returns an Env at a reduced scale for fast iteration.
-func Quick(seed int64) *Env {
-	return NewEnv(simnet.Config{Seed: seed, Scale: 0.05})
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -253,24 +252,6 @@ func (i *Injector) Counts() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// CountsString renders the counts sorted by name, for logs and tables.
-func (i *Injector) CountsString() string {
-	counts := i.Counts()
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, counts[k]))
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
 }
 
 // unitHash maps (seed, label, seq) to a uniform float64 in [0, 1) via

@@ -101,10 +101,13 @@ func TestConcurrentWorldsDoNotCollide(t *testing.T) {
 		}
 	}
 	for w, n := range nets {
+		dns := resolver.New(n.DNS.Addr().String())
 		live := &scanner.Live{
-			DNS: resolver.New(n.DNS.Addr().String()), Roots: n.CA.Pool(),
-			HTTPSPort: n.Policy.Port(), SMTPPort: n.SMTPPort,
-			HeloName: "loopnet.test", Timeout: 3 * time.Second,
+			DNS: dns,
+			Fetcher: &mtasts.Fetcher{Resolver: scanner.TXTResolverAdapter{Client: dns},
+				RootCAs: n.CA.Pool(), Port: n.Policy.Port(), Timeout: 3 * time.Second},
+			Prober: &smtpclient.Prober{HeloName: "loopnet.test", Roots: n.CA.Pool(),
+				Port: n.SMTPPort, Timeout: 3 * time.Second},
 		}
 		for i := 0; i < 2; i++ {
 			d := domain(w, i)

@@ -402,10 +402,6 @@ func isTextPlain(contentType string) bool {
 	return strings.EqualFold(strings.TrimSpace(mediaType), "text/plain")
 }
 
-// IsNoRecord reports whether an error indicates the absence of MTA-STS
-// (rather than a broken deployment).
-func IsNoRecord(err error) bool { return errors.Is(err, ErrNoRecord) }
-
 // StageOf extracts the retrieval stage from an error chain, or StageNone.
 func StageOf(err error) Stage {
 	var fe *FetchError

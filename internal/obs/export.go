@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -122,13 +121,6 @@ func sortedNames[V any](m map[string]V) []string {
 
 func fmtSeconds(sec float64) string {
 	return time.Duration(sec * float64(time.Second)).Round(10 * time.Microsecond).String()
-}
-
-// WriteJSON writes the snapshot as an indented JSON document.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // Handler serves the snapshot — the /metrics endpoint. The response

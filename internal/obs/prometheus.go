@@ -61,7 +61,7 @@ func (PrometheusExporter) Export(w io.Writer, s Snapshot) error {
 }
 
 // WritePrometheus writes the registry's snapshot in the Prometheus text
-// format — the library-level twin of WriteJSON.
+// format, for callers that want it without going through Handler.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	return PrometheusExporter{}.Export(w, r.Snapshot())
 }

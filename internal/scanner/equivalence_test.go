@@ -11,9 +11,10 @@ import (
 
 // TestLiveOfflineEquivalence pins the central substitution claim of the
 // reproduction over the whole defect table (the kinds bench/world.go
-// generates): for every failure mode, scanning real sockets (Live, one
-// domain at a time and through the Runner) and evaluating materialized
-// artifacts (ScanArtifacts) produce the same ClassificationKey. Each
+// generates) and over co-occurring defects: for every row, scanning real
+// sockets (Live, one domain at a time and through the Runner with dedup
+// off and on) and evaluating materialized artifacts (ScanArtifacts)
+// produce the same ClassificationKey. Each
 // case is ONE Artifacts value, served on the loopback Internet by serve
 // and handed as is to ScanArtifacts; all domains live in one world, on
 // one SMTP port, and two of them share an MX host.
@@ -79,6 +80,45 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 			a.MXSTARTTLS[mx] = false
 			delete(a.MXCerts, mx)
 		}},
+		// Co-occurring defects: the paper's Figure 4 categories overlap.
+		{name: "policy TLS expired + mx without STARTTLS", defect: func(a *Artifacts, mx string) {
+			a.PolicyCert = pki.ExpiredProfile(liveNow, mtasts.PolicyHost(a.Domain))
+			a.MXSTARTTLS[mx] = false
+			delete(a.MXCerts, mx)
+		}},
+		{name: "bad record id + policy HTTP 404", defect: func(a *Artifacts, _ string) {
+			a.TXT = []string{"v=STSv1; id=bad-id;"}
+			a.HTTPStatus = 404
+		}},
+		{name: "mx pattern mismatch + mx cert self-signed", defect: func(a *Artifacts, mx string) {
+			a.PolicyBody = []byte(enforceFor("mx.formerhost.net").String())
+			a.MXCerts[mx] = pki.SelfSignedProfile(liveNow, mx)
+		}},
+		{name: "two MXes, one expired, one wrong name", defect: func(a *Artifacts, mx string) {
+			mx2 := "mx2." + a.Domain
+			a.MXHosts = append(a.MXHosts, mx2)
+			a.PolicyBody = []byte(enforceFor(mx, mx2).String())
+			a.MXSTARTTLS[mx2] = true
+			a.MXCerts[mx] = pki.ExpiredProfile(liveNow, mx)
+			a.MXCerts[mx2] = pki.GoodProfile(liveNow, "*.other-provider.com")
+		}},
+		{name: "garbage policy + mx cert expired", defect: func(a *Artifacts, mx string) {
+			a.PolicyBody = []byte("<html><body>It works!</body></html>\n")
+			a.MXCerts[mx] = pki.ExpiredProfile(liveNow, mx)
+		}},
+		{name: "policy host unresolvable + mx without STARTTLS", defect: func(a *Artifacts, mx string) {
+			a.PolicyHostResolves = false
+			a.MXSTARTTLS[mx] = false
+			delete(a.MXCerts, mx)
+		}},
+		{name: "bad record + policy TLS wrong name + two bad MXes", defect: func(a *Artifacts, mx string) {
+			a.TXT = []string{"v=STSv1; id=bad-id;"}
+			a.PolicyCert = pki.GoodProfile(liveNow, a.Domain)
+			mx2 := "mx2." + a.Domain
+			a.MXHosts = append(a.MXHosts, mx2)
+			a.MXSTARTTLS[mx2] = false
+			a.MXCerts[mx] = pki.SelfSignedProfile(liveNow, mx)
+		}},
 	}
 
 	n, live := liveNet(t)
@@ -96,9 +136,12 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 		}
 		serve(t, n, arts[i])
 	}
-	staged := make(map[string]DomainResult, len(cases))
-	for _, r := range (&Runner{Workers: 4, Scan: live}).Run(context.Background(), domains) {
-		staged[r.Domain] = r
+	staged := map[bool]map[string]DomainResult{}
+	for _, dedup := range []bool{false, true} {
+		staged[dedup] = make(map[string]DomainResult, len(cases))
+		for _, r := range (&Runner{Workers: 4, Scan: live, Dedup: dedup}).Run(context.Background(), domains) {
+			staged[dedup][r.Domain] = r
+		}
 	}
 
 	for i, c := range cases {
@@ -115,9 +158,11 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 			if got := sequential.ClassificationKey(); got != want {
 				t.Errorf("Live.ScanDomain ≠ ScanArtifacts\n live:    %s\n offline: %s", got, want)
 			}
-			r := staged[domains[i]]
-			if got := r.ClassificationKey(); got != want {
-				t.Errorf("Runner.Run ≠ ScanArtifacts\n live:    %s\n offline: %s", got, want)
+			for dedup, results := range staged {
+				r := results[domains[i]]
+				if got := r.ClassificationKey(); got != want {
+					t.Errorf("Runner.Run (dedup %v) ≠ ScanArtifacts\n live:    %s\n offline: %s", dedup, got, want)
+				}
 			}
 		})
 	}

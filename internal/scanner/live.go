@@ -2,8 +2,6 @@ package scanner
 
 import (
 	"context"
-	"crypto/tls"
-	"crypto/x509"
 	"errors"
 	"net"
 	"strconv"
@@ -23,57 +21,29 @@ import (
 // Live scans real infrastructure: DNS over UDP/TCP, the policy file over
 // HTTPS, and each MX over SMTP with STARTTLS. Pointed at the substrate
 // servers it exercises the exact sockets and state machines a real scan
-// would.
+// would. Live is its clients: each is configured once (trust store,
+// port, timeout, retries) and serves every domain, which is what lets
+// the fetcher's TLS sessions resume and the pipeline's dedup layer share
+// outcomes. scansvc.LiveSpec.Build assembles the production stack.
 type Live struct {
-	// DNS answers every record lookup.
+	// DNS answers every record lookup and resolves each MX host.
 	DNS *resolver.Client
-	// Roots is the PKIX trust store for both the policy fetch and the MX
-	// probes.
-	Roots *x509.CertPool
-	// HTTPSPort and SMTPPort override 443/25 for loopback substrates.
-	HTTPSPort int
-	SMTPPort  int
-	// HeloName is used by the SMTP prober.
-	HeloName string
-	// Timeout bounds each component probe. Zero means 5s.
-	Timeout time.Duration
-	// Now anchors certificate validation.
-	Now func() time.Time
+	// Fetcher retrieves and parses each domain's policy.
+	Fetcher *mtasts.Fetcher
+	// Prober runs the STARTTLS probe against each MX host's first
+	// address, on Prober.Port (25 when zero).
+	Prober *smtpclient.Prober
 	// Obs, when non-nil, receives per-stage timings (scan.{mx_lookup,
 	// record_lookup,policy_fetch,mx_probe}.seconds) and the error-taxonomy
 	// counters of Figures 4–6 — scan.policy.stage_errors.<stage> keyed by
-	// mtasts.Stage and scan.mx.cert.<problem> keyed by pki.Problem. It is
-	// also handed down to the policy Fetcher and SMTP Prober.
+	// mtasts.Stage and scan.mx.cert.<problem> keyed by pki.Problem. The
+	// clients carry registries of their own.
 	Obs *obs.Registry
 	// Events, when non-nil, receives one "scan.domain" JSONL event per
 	// scanned domain for post-hoc analysis.
 	Events *obs.EventSink
-	// MaxAttempts enables transient-failure retries in the policy
-	// fetcher and SMTP prober this scanner constructs. The DNS client
-	// carries its own retry configuration (resolver.Client.MaxAttempts);
-	// set both for end-to-end robustness. Zero or one means single
-	// attempts.
-	MaxAttempts int
-	// RetryBase overrides the first backoff delay of those layers.
-	RetryBase time.Duration
-	// RetryBudget, when non-nil, caps total retries across the run,
-	// shared by every layer it is handed to.
-	RetryBudget *retry.Budget
-	// SessionCache overrides the TLS session cache handed to the shared
-	// policy fetcher. Nil gets a per-scanner LRU cache, so repeated
-	// fetches against the same provider resume instead of re-handshaking.
-	SessionCache tls.ClientSessionCache
 
-	// One fetcher and one prober serve every domain this scanner
-	// touches; both are stateless per call, and sharing them is what
-	// lets the session cache and the pipeline's dedup layer work.
-	// Built lazily from the fields above on first use — configure the
-	// scanner before the first ScanDomain/stage call.
-	fetcherOnce sync.Once
-	fetcher     *mtasts.Fetcher
-	proberOnce  sync.Once
-	prober      *smtpclient.Prober
-	errTaxOnce  sync.Once
+	errTaxOnce sync.Once
 }
 
 // registerErrTaxCounters pre-registers one scan.error.<code> counter per
@@ -93,13 +63,6 @@ func (l *Live) registerErrTaxCounters() {
 	})
 }
 
-func (l *Live) timeout() time.Duration {
-	if l.Timeout <= 0 {
-		return 5 * time.Second
-	}
-	return l.Timeout
-}
-
 // ScanDomain runs the full §4.1 pipeline for one domain, timing each
 // stage and counting its outcome against Obs, and emitting one
 // "scan.domain" event to Events.
@@ -108,25 +71,8 @@ func (l *Live) ScanDomain(ctx context.Context, domain string) DomainResult {
 	// Every retry loop under this context (resolver, fetcher, prober)
 	// feeds the same per-domain stats.
 	ctx, stats := retry.WithStats(ctx)
-	r := l.scanDomain(ctx, domain)
+	r := scanStages(ctx, l, domain, l.Obs)
 	finish(l, &r, stats, sp.End())
-	return r
-}
-
-// scanDomain composes the pipeline stages sequentially, under the
-// scan.domain and scan.mx_probe spans only this single-domain path
-// emits (docs/PIPELINE.md).
-func (l *Live) scanDomain(ctx context.Context, domain string) DomainResult {
-	r, done := l.Discover(ctx, domain)
-	if done {
-		return r
-	}
-	applyFetch(&r, l.FetchPolicy(ctx, domain))
-	probeSpan := l.Obs.StartSpan("scan.mx_probe")
-	for _, mx := range r.MXHosts {
-		applyProbe(&r, mx, l.ProbeHost(ctx, mx))
-	}
-	probeSpan.End()
 	return r
 }
 
@@ -163,21 +109,13 @@ func (l *Live) Discover(ctx context.Context, domain string) (DomainResult, bool)
 		r.PolicyStage = mtasts.StageDNS
 		return r, true
 	}
-	rec, recErr := mtasts.DiscoverRecord(txts)
-	if errors.Is(recErr, mtasts.ErrNoRecord) {
+	if !applyRecord(&r, txts) {
 		// "No record" is the common case at Internet scale, not a lookup
 		// error — don't count it in scan.record_lookup.errors.
 		recSpan.End()
 		return r, true
 	}
-	recSpan.EndErr(recErr)
-	r.RecordPresent = true
-	if recErr != nil {
-		r.RecordErr = recErr
-	} else {
-		r.RecordValid = true
-		r.Record = rec
-	}
+	recSpan.EndErr(r.RecordErr)
 
 	// Policy host delegation (for provider attribution).
 	if target, err := l.DNS.LookupCNAME(ctx, mtasts.PolicyHost(domain)); err == nil {
@@ -192,7 +130,7 @@ func (l *Live) Discover(ctx context.Context, domain string) (DomainResult, bool)
 // domain.
 func (l *Live) FetchPolicy(ctx context.Context, domain string) FetchOutcome {
 	fetchSpan := l.Obs.StartSpan("scan.policy_fetch")
-	policy, _, fetchErr := l.sharedFetcher().Fetch(ctx, domain)
+	policy, _, fetchErr := l.Fetcher.Fetch(ctx, domain)
 	fetchSpan.EndErr(fetchErr)
 	if fetchErr == nil {
 		return FetchOutcome{OK: true, Policy: policy}
@@ -216,55 +154,8 @@ func (l *Live) FetchPolicy(ctx context.Context, domain string) FetchOutcome {
 // stage is done; it then materializes the typed error taxonomy, feeds
 // the error-taxonomy counters, and emits the per-domain scan event.
 func (l *Live) Finalize(r *DomainResult, took time.Duration) {
-	if r.PolicyOK {
-		r.Mismatch = inconsistency.Analyze(r.Domain, r.Policy, r.MXHosts)
-	}
-	r.Errors = r.deriveTaxErrors()
+	r.verdict()
 	l.recordOutcome(r, took)
-}
-
-// sharedFetcher lazily builds the one policy fetcher this scanner uses
-// for every domain — previously a throwaway per domain, now shared so
-// TLS sessions resume across fetches.
-func (l *Live) sharedFetcher() *mtasts.Fetcher {
-	l.fetcherOnce.Do(func() {
-		cache := l.SessionCache
-		if cache == nil {
-			cache = tls.NewLRUClientSessionCache(1024)
-		}
-		l.fetcher = &mtasts.Fetcher{
-			Resolver:     TXTResolverAdapter{Client: l.DNS},
-			RootCAs:      l.Roots,
-			Timeout:      l.timeout(),
-			Port:         l.HTTPSPort,
-			Now:          l.Now,
-			Obs:          l.Obs,
-			MaxAttempts:  l.MaxAttempts,
-			RetryBase:    l.RetryBase,
-			RetryBudget:  l.RetryBudget,
-			SessionCache: cache,
-		}
-	})
-	return l.fetcher
-}
-
-// sharedProber lazily builds the one SMTP prober shared by every MX
-// probe; the dial address is passed per call (ProbeAddr), so no
-// per-probe Prober construction is needed.
-func (l *Live) sharedProber() *smtpclient.Prober {
-	l.proberOnce.Do(func() {
-		l.prober = &smtpclient.Prober{
-			HeloName:    l.HeloName,
-			Roots:       l.Roots,
-			Timeout:     l.timeout(),
-			Now:         l.Now,
-			Obs:         l.Obs,
-			MaxAttempts: l.MaxAttempts,
-			RetryBase:   l.RetryBase,
-			RetryBudget: l.RetryBudget,
-		}
-	})
-	return l.prober
 }
 
 // recordOutcome translates one DomainResult into the error-taxonomy
@@ -365,12 +256,12 @@ func (l *Live) ProbeHost(ctx context.Context, mxHost string) ProbeOutcome {
 	if err != nil || len(addrs) == 0 {
 		return ProbeOutcome{Problem: pki.ProblemNoCertificate}
 	}
-	port := l.SMTPPort
+	port := l.Prober.Port
 	if port == 0 {
 		port = 25
 	}
 	addr := net.JoinHostPort(addrs[0].String(), strconv.Itoa(port))
-	res := l.sharedProber().ProbeAddr(ctx, mxHost, addr)
+	res := l.Prober.ProbeAddr(ctx, mxHost, addr)
 	if errors.Is(res.Err, smtpclient.ErrNoSTARTTLS) {
 		return ProbeOutcome{NoSTARTTLS: true}
 	}

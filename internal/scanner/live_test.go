@@ -11,6 +11,7 @@ import (
 	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/policysrv"
 	"github.com/netsecurelab/mtasts/internal/resolver"
+	"github.com/netsecurelab/mtasts/internal/smtpclient"
 	"github.com/netsecurelab/mtasts/internal/smtpd"
 )
 
@@ -30,13 +31,17 @@ func liveNet(t *testing.T) (*loopnet.Net, *Live) {
 			t.Errorf("closing the loopback Internet: %v", err)
 		}
 	})
+	dns := resolver.New(n.DNS.Addr().String())
 	return n, &Live{
-		DNS:       resolver.New(n.DNS.Addr().String()),
-		Roots:     n.CA.Pool(),
-		HTTPSPort: n.Policy.Port(),
-		SMTPPort:  n.SMTPPort,
-		HeloName:  "scanner.test",
-		Timeout:   3 * time.Second,
+		DNS: dns,
+		Fetcher: &mtasts.Fetcher{
+			Resolver: TXTResolverAdapter{Client: dns}, RootCAs: n.CA.Pool(),
+			Port: n.Policy.Port(), Timeout: 3 * time.Second,
+		},
+		Prober: &smtpclient.Prober{
+			HeloName: "scanner.test", Roots: n.CA.Pool(),
+			Port: n.SMTPPort, Timeout: 3 * time.Second,
+		},
 	}
 }
 

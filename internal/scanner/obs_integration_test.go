@@ -52,6 +52,8 @@ func TestRunnerEmitsMetricsOverSubstrate(t *testing.T) {
 	live.Obs = reg
 	live.Events = sink
 	live.DNS.Obs = reg
+	live.Fetcher.Obs = reg
+	live.Prober.Obs = reg
 
 	runner := &Runner{Workers: 3, Scan: live, Obs: reg, Events: sink}
 	domains := []string{"good.com", "good.com", "good.com", "absent.com"}

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/inconsistency"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/pki"
@@ -57,17 +59,9 @@ type ProbeOutcome struct {
 }
 
 // StageScanner is a Scanner decomposed into the three pipeline stages
-// plus a finalizer. ScanDomain is their sequential composition, which
-// the Runner reproduces with each stage on its own pool:
-//
-//	r, done := Discover(ctx, d)     // DNS: MX, TXT record, CNAME
-//	if !done {
-//	    applyFetch(&r, FetchPolicy(ctx, d))
-//	    for _, mx := range r.MXHosts {
-//	        applyProbe(&r, mx, ProbeHost(ctx, mx))
-//	    }
-//	}
-//	Finalize(&r, took)              // consistency analysis + outcome obs
+// plus a finalizer. ScanDomain is their sequential composition
+// (scanStages, then Finalize), which the Runner reproduces with each
+// stage on its own pool.
 //
 // FetchPolicy and ProbeHost take only scan-global state plus their key
 // (domain / MX host) so the dedup layer can safely share their results
@@ -110,6 +104,50 @@ func applyProbe(r *DomainResult, mxHost string, p ProbeOutcome) {
 		return
 	}
 	r.MXProblems[mxHost] = p.Problem
+}
+
+// applyRecord folds the TXT values at _mta-sts.<domain> into the result
+// and reports whether the domain has an MTA-STS record at all.
+func applyRecord(r *DomainResult, txts []string) bool {
+	rec, err := mtasts.DiscoverRecord(txts)
+	if errors.Is(err, mtasts.ErrNoRecord) {
+		return false
+	}
+	r.RecordPresent = true
+	if err != nil {
+		r.RecordErr = err
+	} else {
+		r.RecordValid = true
+		r.Record = rec
+	}
+	return true
+}
+
+// verdict is every backend's Finalize step: the consistency analysis
+// (§4.4) against the policy actually served, then the typed error
+// taxonomy.
+func (r *DomainResult) verdict() {
+	if r.PolicyOK {
+		r.Mismatch = inconsistency.Analyze(r.Domain, r.Policy, r.MXHosts)
+	}
+	r.Errors = r.deriveTaxErrors()
+}
+
+// scanStages composes s's stages sequentially, exactly as the Runner
+// composes them concurrently; the MX probes run under one
+// scan.mx_probe span on o (docs/PIPELINE.md).
+func scanStages(ctx context.Context, s StageScanner, domain string, o *obs.Registry) DomainResult {
+	r, done := s.Discover(ctx, domain)
+	if done {
+		return r
+	}
+	applyFetch(&r, s.FetchPolicy(ctx, domain))
+	sp := o.StartSpan("scan.mx_probe")
+	for _, mx := range r.MXHosts {
+		applyProbe(&r, mx, s.ProbeHost(ctx, mx))
+	}
+	sp.End()
+	return r
 }
 
 // StageWorkers sizes the Runner's per-stage pools. Zero or negative

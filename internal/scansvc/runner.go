@@ -1,15 +1,18 @@
 package scansvc
 
 import (
+	"crypto/tls"
 	"crypto/x509"
 	"fmt"
 	"os"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/resolver"
 	"github.com/netsecurelab/mtasts/internal/retry"
 	"github.com/netsecurelab/mtasts/internal/scanner"
+	"github.com/netsecurelab/mtasts/internal/smtpclient"
 )
 
 // RunnerSpec is the CLI-shaped description of a scanner.Runner: worker
@@ -47,9 +50,9 @@ func (sp RunnerSpec) Build(scan scanner.Scanner, reg *obs.Registry, events *obs.
 }
 
 // LiveSpec is the CLI-shaped description of the live scan stack
-// (resolver + rate limit + retry budget + scanner.Live) that
-// cmd/mtasts-scan assembles and cmd/mtasts-serve reuses for live-socket
-// jobs.
+// (resolver + rate limit + retry budget + scanner.Live): the one
+// assembler behind cmd/mtasts-scan, cmd/mtasts-check and cmd/mtasts-serve's
+// live-socket jobs.
 type LiveSpec struct {
 	// DNSAddr is the recursive resolver, host:port. Required.
 	DNSAddr string
@@ -58,11 +61,11 @@ type LiveSpec struct {
 	// HTTPSPort and SMTPPort default to 443 and 25.
 	HTTPSPort int
 	SMTPPort  int
-	// Timeout is the per-probe timeout (scanner default if 0).
+	// Timeout is the per-probe timeout (5s if 0).
 	Timeout time.Duration
 	// Retries is attempts per network operation (1 = no retries);
 	// RetryBase the first backoff delay; RetryBudget the total retries
-	// allowed across the run (0 = unlimited).
+	// allowed across every scan of the built scanner (0 = unlimited).
 	Retries     int
 	RetryBase   time.Duration
 	RetryBudget int64
@@ -73,9 +76,12 @@ type LiveSpec struct {
 	HeloName string
 }
 
-// Build assembles the live scanner, sharing one retry budget across
-// every layer (DNS, policy fetch, SMTP probes) so a pathological
-// population cannot multiply the scan cost.
+// Build assembles the live scanner: one resolver, one policy fetcher
+// (with an LRU session cache, so repeated fetches against a provider
+// resume instead of re-handshaking) and one SMTP prober, each timing out
+// after Timeout (5s if 0). All three draw on one retry budget so a
+// pathological population cannot multiply the scan cost; a process that
+// builds once, as mtasts-serve does, shares that budget across every job.
 func (sp LiveSpec) Build(reg *obs.Registry, events *obs.EventSink) (*scanner.Live, error) {
 	if sp.DNSAddr == "" {
 		return nil, fmt.Errorf("scansvc: live scan needs a DNS server address")
@@ -103,29 +109,27 @@ func (sp LiveSpec) Build(reg *obs.Registry, events *obs.EventSink) (*scanner.Liv
 	if sp.Rate > 0 {
 		dns.Limiter = resolver.NewRateLimiter(sp.Rate, 10)
 	}
-	httpsPort := sp.HTTPSPort
-	if httpsPort == 0 {
-		httpsPort = 443
-	}
-	smtpPort := sp.SMTPPort
-	if smtpPort == 0 {
-		smtpPort = 25
+	timeout := sp.Timeout
+	if timeout <= 0 {
+		timeout = 5 * time.Second
 	}
 	helo := sp.HeloName
 	if helo == "" {
 		helo = "mtasts-scan.invalid"
 	}
 	return &scanner.Live{
-		DNS:         dns,
-		Roots:       roots,
-		HTTPSPort:   httpsPort,
-		SMTPPort:    smtpPort,
-		HeloName:    helo,
-		Timeout:     sp.Timeout,
-		Obs:         reg,
-		Events:      events,
-		MaxAttempts: sp.Retries,
-		RetryBase:   sp.RetryBase,
-		RetryBudget: budget,
+		DNS: dns,
+		Fetcher: &mtasts.Fetcher{
+			Resolver: scanner.TXTResolverAdapter{Client: dns}, RootCAs: roots,
+			Port: sp.HTTPSPort, Timeout: timeout, Obs: reg,
+			MaxAttempts: sp.Retries, RetryBase: sp.RetryBase, RetryBudget: budget,
+			SessionCache: tls.NewLRUClientSessionCache(1024),
+		},
+		Prober: &smtpclient.Prober{
+			HeloName: helo, Roots: roots, Port: sp.SMTPPort, Timeout: timeout, Obs: reg,
+			MaxAttempts: sp.Retries, RetryBase: sp.RetryBase, RetryBudget: budget,
+		},
+		Obs:    reg,
+		Events: events,
 	}, nil
 }

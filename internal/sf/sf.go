@@ -89,8 +89,19 @@ func (c *Cache[V]) Do(key string, fn func() V) (val V, shared bool) {
 		c.hits.Add(1)
 		return v, true
 	}
-	val, shared = c.g.Do(key, func() V {
-		v := fn()
+	// A leader that finished between the check above and this call has
+	// already memoized key and left the group, so the group's leader
+	// looks again before running fn.
+	ran := false
+	val, _ = c.g.Do(key, func() V {
+		c.mu.RLock()
+		v, ok := c.vals[key]
+		c.mu.RUnlock()
+		if ok {
+			return v
+		}
+		ran = true
+		v = fn()
 		c.mu.Lock()
 		if c.vals == nil {
 			c.vals = make(map[string]V)
@@ -99,12 +110,12 @@ func (c *Cache[V]) Do(key string, fn func() V) (val V, shared bool) {
 		c.mu.Unlock()
 		return v
 	})
-	if shared {
+	if !ran {
 		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+		return val, true
 	}
-	return val, shared
+	c.misses.Add(1)
+	return val, false
 }
 
 // Get returns the memoized result for key without computing anything.

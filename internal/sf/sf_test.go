@@ -135,23 +135,28 @@ func TestCacheMemoizesAndCounts(t *testing.T) {
 
 // TestCacheAnalyticHitIdentity pins the identity the scanner's dedup
 // stress test relies on: T concurrent calls over U keys yield exactly
-// U misses and T-U hits.
+// U misses and T-U hits, and fn runs once per key. Many short rounds
+// give a caller that misses the memo just as its key's leader finishes
+// the chance to start a second computation.
 func TestCacheAnalyticHitIdentity(t *testing.T) {
-	var c Cache[int]
-	const T, U = 400, 13
-	var wg sync.WaitGroup
-	for i := 0; i < T; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			key := string(rune('a' + i%U))
-			c.Do(key, func() int { return i })
-		}()
-	}
-	wg.Wait()
-	s := c.Stats()
-	if s.Misses != U || s.Hits != T-U {
-		t.Fatalf("stats %+v, want Misses=%d Hits=%d", s, U, T-U)
+	const rounds, T, U = 300, 64, 3
+	for r := 0; r < rounds; r++ {
+		var c Cache[int]
+		var calls atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < T; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				key := string(rune('a' + i%U))
+				c.Do(key, func() int { calls.Add(1); return i })
+			}()
+		}
+		wg.Wait()
+		if s := c.Stats(); s.Misses != U || s.Hits != T-U || calls.Load() != U {
+			t.Fatalf("round %d: stats %+v and %d calls, want Misses=%d Hits=%d and %d calls",
+				r, s, calls.Load(), U, T-U, U)
+		}
 	}
 }

@@ -195,20 +195,6 @@ func (d *Domain) PolicyPatternsAt(t int) []string {
 	return mxs
 }
 
-// MismatchActiveAt reports whether the domain's plan manifests as a
-// mismatch at snapshot t (obsolete-MX plans only mismatch after the
-// migration).
-func (d *Domain) MismatchActiveAt(t int) bool {
-	switch d.Mismatch {
-	case MismatchNone:
-		return false
-	case MismatchDomainObsolete:
-		return t >= d.MigrationMonth
-	default:
-		return true
-	}
-}
-
 func stripFirstLabel(host string) string {
 	for i := 0; i < len(host); i++ {
 		if host[i] == '.' {

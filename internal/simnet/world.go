@@ -3,8 +3,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-
-	"github.com/netsecurelab/mtasts/internal/policysrv"
 )
 
 // Config parameterizes world generation.
@@ -388,7 +386,3 @@ func (w *World) TLSRPTAt(d *Domain, t int) bool {
 	target := 0.38 + 0.34*float64(t)/float64(Months-1)
 	return unit(w.Cfg.Seed, d.Name, "tlsrpt") < target
 }
-
-// PolicyProviderRegistry exposes the Table 2 providers for experiment
-// code (re-exported to avoid a policysrv dependency downstream).
-func PolicyProviderRegistry() []policysrv.Provider { return policysrv.Registry }

@@ -5,9 +5,10 @@
 // Mem keeps everything in a map and exists so tests, experiments and
 // one-shot runs pay no I/O. Disk is the production shape for
 // longitudinal scans: an append-only log of numbered segment files plus
-// an in-memory index rebuilt on open, with explicit fsync'd sync points
-// so the campaign engine can order "results are durable" before "the
-// shard checkpoint says so". Updates are last-write-wins; nothing is
+// an in-memory index rebuilt on open, with explicit fsync'd sync points.
+// Writes survive a crash as a prefix, so the campaign engine batches a
+// shard's checkpoint after its results and syncs once: the checkpoint
+// cannot outlive what it vouches for. Updates are last-write-wins; nothing is
 // ever rewritten in place, so a crash can at worst tear the final
 // record of the active segment, which Open detects and truncates away.
 //

@@ -25,14 +25,22 @@ type Store interface {
 	Put(key string, value []byte) error
 	// Batch writes the entries in order, equivalent to sequential Puts
 	// but letting the backend amortize locking and buffering.
+	//
+	// Writes are durable as a prefix: after a crash, the surviving
+	// writes since the last Sync are some prefix of those made, in
+	// order. Disk gets this from replay, which keeps the longest valid
+	// prefix of the active segment, and from rotate, which fsyncs the old
+	// segment before the next one exists. So an entry placed after
+	// others in one Batch (the campaign's shard checkpoint after its
+	// results) survives only if they all do.
 	Batch(entries []Entry) error
 	// Scan visits every pair whose key has the given prefix, in
 	// ascending key order, until fn returns an error (ErrStop stops
 	// cleanly). Mutating the store from fn is unsupported.
 	Scan(prefix string, fn func(key string, value []byte) error) error
 	// Sync makes every completed write durable before returning. The
-	// campaign engine calls it before writing a shard checkpoint so the
-	// checkpoint can never claim results the log does not hold.
+	// campaign engine calls it once per shard, after the Batch that ends
+	// in the shard's checkpoint.
 	Sync() error
 	// Close releases resources; the store is unusable afterwards.
 	Close() error

@@ -29,6 +29,7 @@ import (
 	"github.com/netsecurelab/mtasts/internal/resolver"
 	"github.com/netsecurelab/mtasts/internal/scanner"
 	"github.com/netsecurelab/mtasts/internal/simnet"
+	"github.com/netsecurelab/mtasts/internal/smtpclient"
 )
 
 // Core RFC 8461 types.
@@ -145,13 +146,21 @@ type CheckOptions struct {
 // error taxonomy, MX STARTTLS certificate collection, and consistency
 // analysis.
 func CheckDomain(ctx context.Context, domain string, opts CheckOptions) DomainResult {
+	timeout := opts.Timeout
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	dns := resolver.New(opts.DNSAddr)
 	live := &scanner.Live{
-		DNS:       resolver.New(opts.DNSAddr),
-		Roots:     opts.Roots,
-		HTTPSPort: opts.HTTPSPort,
-		SMTPPort:  opts.SMTPPort,
-		HeloName:  "mtastsrepro.invalid",
-		Timeout:   opts.Timeout,
+		DNS: dns,
+		Fetcher: &mtasts.Fetcher{
+			Resolver: scanner.TXTResolverAdapter{Client: dns}, RootCAs: opts.Roots,
+			Port: opts.HTTPSPort, Timeout: timeout,
+		},
+		Prober: &smtpclient.Prober{
+			HeloName: "mtastsrepro.invalid", Roots: opts.Roots,
+			Port: opts.SMTPPort, Timeout: timeout,
+		},
 	}
 	return live.ScanDomain(ctx, domain)
 }

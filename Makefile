@@ -79,16 +79,22 @@ smoke-faults:
 smoke-adversary:
 	$(GO) run ./cmd/reproduce -experiment sendertest -seed 7
 
-# Campaign crash drill over a real on-disk store: run two weeks but
-# stop mid-week-0 (exit 3 is the drill succeeding), resume to
+# Campaign crash smoke over a real on-disk store: run two weeks, then
+# tear the log mid-week-1 (cut halfway between week 1's first record
+# and the end), as a kill mid-write leaves it. status must then report
+# only week 0 done, so the cut is known to be mid-run; resume to
 # completion, then require status/diff to see the full campaign and the
 # week-1 export to be byte-identical to a fresh uninterrupted run
-# (docs/CAMPAIGN.md). Built first because `go run` would mask exit 3.
+# (docs/CAMPAIGN.md). Every other crash point is enumerated in tier-1.
 smoke-campaign:
 	$(GO) build -o /tmp/mtasts-campaign-smoke ./cmd/mtasts-campaign
 	rm -rf /tmp/mtasts-campaign-smoke-store /tmp/mtasts-campaign-smoke-ref
-	/tmp/mtasts-campaign-smoke run -dir /tmp/mtasts-campaign-smoke-store -weeks 2 -scale 0.02 -shard-size 64 -stop-after-shards 3; \
-		test $$? -eq 3 || { echo "smoke-campaign: expected exit 3 from the crash drill"; exit 1; }
+	/tmp/mtasts-campaign-smoke run -dir /tmp/mtasts-campaign-smoke-store -weeks 2 -scale 0.02 -shard-size 64
+	seg=/tmp/mtasts-campaign-smoke-store/seg-000001.log; \
+		first=$$(grep -abo 'c/campaign/w/0001/d/' $$seg | head -1 | cut -d: -f1); \
+		test -n "$$first" || { echo "smoke-campaign: no week-1 record in $$seg"; exit 1; }; \
+		truncate -s $$(( (first + $$(stat -c %s $$seg)) / 2 )) $$seg
+	/tmp/mtasts-campaign-smoke status -dir /tmp/mtasts-campaign-smoke-store | grep -q ": 1 weeks done" || { echo "smoke-campaign: the cut store does not report exactly 1 completed week"; exit 1; }
 	/tmp/mtasts-campaign-smoke resume -dir /tmp/mtasts-campaign-smoke-store -weeks 2 -scale 0.02 -shard-size 64
 	/tmp/mtasts-campaign-smoke status -dir /tmp/mtasts-campaign-smoke-store | grep -q "2 weeks done" || { echo "smoke-campaign: status does not report 2 completed weeks"; exit 1; }
 	/tmp/mtasts-campaign-smoke diff -dir /tmp/mtasts-campaign-smoke-store -old 0 -new 1 > /dev/null
@@ -105,12 +111,13 @@ smoke-campaign:
 smoke-send:
 	$(GO) test ./cmd/mtasts-send -run '^TestSmokeSend$$' -count 1 -sendsmoke -v
 
-# Service crash drill with the real mtasts-serve binary: submit a job
-# over HTTP, scrape Prometheus /metrics off the live process, kill the
-# service mid-job (-drill-stop-after-shards), restart on the same store,
-# watch the job resume to done, ingest a TLSRPT report and fetch the
-# joined results — then require the resumed job's result bytes to equal
-# a fresh uninterrupted run's (docs/SERVICE.md).
+# Service crash smoke with the real mtasts-serve binary: submit a job
+# over HTTP, scrape Prometheus /metrics off the live process, SIGKILL
+# it once the job is done, tear the log inside the job's results,
+# restart on the same store, watch the job resume to done, ingest a
+# TLSRPT report and fetch the joined results — then require the resumed
+# job's result bytes to equal a fresh uninterrupted run's
+# (docs/SERVICE.md).
 smoke-serve:
 	$(GO) test ./cmd/mtasts-serve -run '^TestSmokeServe$$' -count 1 -servesmoke -v
 

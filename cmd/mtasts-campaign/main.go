@@ -10,7 +10,7 @@
 //
 //	mtasts-campaign run    -dir store/ -id prod [-weeks 4] [-start-week 0]
 //	                       [-shard-size 1024] [-workers 16] [-seed 1] [-scale 0.05]
-//	                       [-stop-after-shards 0] [-metrics-addr host:port] [-events-out f]
+//	                       [-metrics-addr host:port] [-events-out f]
 //	mtasts-campaign resume -dir store/ -id prod [-weeks 4] ... (same flags as run)
 //	mtasts-campaign status -dir store/ -id prod
 //	mtasts-campaign diff   -dir store/ -id prod -old 0 -new 1 [-json]
@@ -19,8 +19,7 @@
 // run scans weeks start-week..start-week+weeks-1, checkpointing every
 // shard; resume is the same verb run over an existing store — shards
 // whose checkpoint exists are skipped, so it continues exactly where a
-// crash (or -stop-after-shards, which exits with code 3 and exists for
-// crash drills) left off. status prints stored weeks, shard counts and
+// crash left off. status prints stored weeks, shard counts and
 // store size. diff merge-joins two stored weeks; export writes one
 // week's canonical snapshot (byte-identical across resumed and
 // uninterrupted runs) to stdout.
@@ -29,7 +28,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -66,10 +64,6 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		if errors.Is(err, campaign.ErrStopped) {
-			fmt.Fprintln(os.Stderr, "mtasts-campaign:", err)
-			os.Exit(3)
-		}
 		fmt.Fprintln(os.Stderr, "mtasts-campaign:", err)
 		os.Exit(1)
 	}
@@ -106,8 +100,6 @@ func cmdRun(args []string) error {
 	workers := fs.Int("workers", 16, "workers per scan stage (DNS, policy fetch, MX probe) per shard")
 	seed := fs.Int64("seed", 1, "simnet world seed")
 	scale := fs.Float64("scale", 0.05, "simnet population scale (1.0 = paper scale)")
-	stopAfter := fs.Int("stop-after-shards", 0,
-		"crash drill: stop with exit code 3 after scanning this many shards (0 = run to completion)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics on this host:port while running")
 	eventsOut := fs.String("events-out", "", "append JSONL campaign events to this file")
 	if err := fs.Parse(args); err != nil {
@@ -139,13 +131,12 @@ func cmdRun(args []string) error {
 			return err
 		}
 		eng := &campaign.Engine{
-			Store:           s,
-			Runner:          runner,
-			ID:              *id,
-			ShardSize:       *shardSize,
-			Obs:             tel.Obs,
-			Events:          tel.Events,
-			StopAfterShards: *stopAfter,
+			Store:     s,
+			Runner:    runner,
+			ID:        *id,
+			ShardSize: *shardSize,
+			Obs:       tel.Obs,
+			Events:    tel.Events,
 		}
 		if err := eng.RunWeek(context.Background(), w, src); err != nil {
 			return err

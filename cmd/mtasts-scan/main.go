@@ -89,22 +89,21 @@ func main() {
 	}
 
 	live, err := scansvc.LiveSpec{
-		DNSAddr:     *dnsAddr,
-		Rate:        *rate,
-		HTTPSPort:   *httpsPort,
-		SMTPPort:    *smtpPort,
-		Timeout:     *timeout,
-		Retries:     *retries,
-		RetryBase:   *retryBase,
-		RetryBudget: *retryBudget,
-		CAFile:      *caFile,
+		DNSAddr:   *dnsAddr,
+		Rate:      *rate,
+		HTTPSPort: *httpsPort,
+		SMTPPort:  *smtpPort,
+		Timeout:   *timeout,
+		Retries:   *retries,
+		RetryBase: *retryBase,
+		CAFile:    *caFile,
 	}.Build(tel.Obs, tel.Events)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	runner, err := scansvc.RunnerSpec{
-		Workers: *workers, StageWorkers: *stageWorkersSpec, Dedup: *dedup,
+		Workers: *workers, StageWorkers: *stageWorkersSpec, Dedup: *dedup, RetryBudget: *retryBudget,
 	}.Build(live, tel.Obs, tel.Events)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -169,7 +168,7 @@ func main() {
 		sum.AddRow("retries", rets)
 		sum.AddRow("retry recovered", rec)
 		sum.AddRow("retry gave up", gave)
-		if b := live.Fetcher.RetryBudget; b != nil {
+		if b := runner.RetryBudget; b != nil {
 			sum.AddRow("retry budget left", b.Remaining())
 		}
 	}

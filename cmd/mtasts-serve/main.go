@@ -24,13 +24,10 @@
 //	             [-workers 16] [-stage-workers auto] [-dedup]
 //	             [-shard-size 1024] [-max-jobs 2] [-max-queue 1024]
 //	             [-tenant-rate 0] [-tenant-burst 0] [-events-out svc.jsonl]
-//	             [-drill-stop-after-shards 0]
 //
 // The service shuts down gracefully on SIGINT/SIGTERM: in-flight jobs
-// checkpoint at the next shard boundary and resume on the next start.
-// -drill-stop-after-shards arms the crash drill: the first job stops
-// mid-run and the process exits with code 3, leaving the store exactly
-// as a crash would (make smoke-serve).
+// checkpoint at the next shard boundary and resume on the next start,
+// as they do after a kill (make smoke-serve).
 package main
 
 import (
@@ -70,7 +67,7 @@ func run(args []string) int {
 	timeout := fs.Duration("timeout", 10*time.Second, "live: per-probe timeout")
 	retries := fs.Int("retries", 1, "live: attempts per network operation (1 = no retries)")
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "live: first retry backoff delay")
-	retryBudget := fs.Int64("retry-budget", 0, "live: total retries allowed across every job the process runs, one shared budget (0 = unlimited)")
+	retryBudget := fs.Int64("retry-budget", 0, "live: total retries allowed per job, each job its own budget (0 = unlimited)")
 	caFile := fs.String("ca", "", "live: PEM file with extra trusted roots (e.g. mtasts-host -ca-out)")
 	workers := fs.Int("workers", 16, "workers per scan stage (DNS, policy fetch, MX probe) per job")
 	stageWorkersSpec := fs.String("stage-workers", "",
@@ -83,8 +80,6 @@ func run(args []string) int {
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant admission rate, domains per second (0 = unlimited)")
 	tenantBurst := fs.Float64("tenant-burst", 0, "per-tenant admission burst, domains (defaults to -tenant-rate)")
 	eventsOut := fs.String("events-out", "", "append JSONL service events to this file")
-	drill := fs.Int("drill-stop-after-shards", 0,
-		"crash drill: stop the first job after this many shards and exit with code 3 (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -117,15 +112,14 @@ func run(args []string) int {
 	var scan scanner.Scanner
 	if *dnsAddr != "" {
 		live, err := scansvc.LiveSpec{
-			DNSAddr:     *dnsAddr,
-			Rate:        *rate,
-			HTTPSPort:   *httpsPort,
-			SMTPPort:    *smtpPort,
-			Timeout:     *timeout,
-			Retries:     *retries,
-			RetryBase:   *retryBase,
-			RetryBudget: *retryBudget,
-			CAFile:      *caFile,
+			DNSAddr:   *dnsAddr,
+			Rate:      *rate,
+			HTTPSPort: *httpsPort,
+			SMTPPort:  *smtpPort,
+			Timeout:   *timeout,
+			Retries:   *retries,
+			RetryBase: *retryBase,
+			CAFile:    *caFile,
 		}.Build(tel.Obs, tel.Events)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mtasts-serve:", err)
@@ -138,15 +132,14 @@ func run(args []string) int {
 	}
 
 	svc := &scansvc.Service{
-		Store:           st,
-		Scan:            scan,
-		Runner:          scansvc.RunnerSpec{Workers: *workers, StageWorkers: *stageWorkersSpec, Dedup: *dedup},
-		Obs:             tel.Obs,
-		Events:          tel.Events,
-		MaxConcurrent:   *maxJobs,
-		MaxQueue:        *maxQueue,
-		ShardSize:       *shardSize,
-		StopAfterShards: *drill,
+		Store:         st,
+		Scan:          scan,
+		Runner:        scansvc.RunnerSpec{Workers: *workers, StageWorkers: *stageWorkersSpec, Dedup: *dedup, RetryBudget: *retryBudget},
+		Obs:           tel.Obs,
+		Events:        tel.Events,
+		MaxConcurrent: *maxJobs,
+		MaxQueue:      *maxQueue,
+		ShardSize:     *shardSize,
 	}
 	if *tenantRate > 0 {
 		burst := *tenantBurst
@@ -184,11 +177,6 @@ func run(args []string) int {
 
 	exit := 0
 	select {
-	case err := <-svc.Fatal():
-		// The crash drill fired: exit 3 with the job's stored state still
-		// running, exactly what a crash leaves behind.
-		fmt.Fprintln(os.Stderr, "mtasts-serve:", err)
-		exit = 3
 	case sig := <-sigs:
 		fmt.Fprintf(os.Stderr, "mtasts-serve: %v, shutting down\n", sig)
 	case err := <-serveErr:

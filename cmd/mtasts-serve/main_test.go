@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -23,8 +24,8 @@ import (
 )
 
 // serveSmoke gates the service crash-restart smoke: it builds the real
-// binary and drives it over HTTP through a kill-and-restart drill. Run
-// via make smoke-serve.
+// binary and drives it over HTTP through a kill, a torn log and a
+// restart. Run via make smoke-serve.
 var serveSmoke = flag.Bool("servesmoke", false, "run the mtasts-serve crash-restart smoke (builds the binary)")
 
 // The smoke pins the world so the test process can compute the same
@@ -190,13 +191,14 @@ func smokeReport(t *testing.T, domain string) string {
 	return string(data)
 }
 
-// TestSmokeServe is the service's end-to-end crash drill: a job is
+// TestSmokeServe is the service's end-to-end crash smoke: a job is
 // submitted over HTTP against the simnet world, Prometheus /metrics is
-// scraped while the service runs, the process is killed mid-job by the
-// drill (exit 3), a restarted process resumes the job from its shard
-// checkpoints, a TLSRPT report is ingested and joined into the results
-// — and the final classifications are byte-identical to a fresh
-// uninterrupted run.
+// scraped while the service runs, the process is SIGKILLed once the job
+// is done and its log cut inside the job's result records — the torn
+// tail a kill mid-write leaves — so a restarted process must resume the
+// job from its shard checkpoints. A TLSRPT report is then ingested and
+// joined into the results, and the final classifications must be
+// byte-identical to a fresh uninterrupted run.
 func TestSmokeServe(t *testing.T) {
 	if !*serveSmoke {
 		t.Skip("run via make smoke-serve (-servesmoke not set)")
@@ -216,9 +218,8 @@ func TestSmokeServe(t *testing.T) {
 	worldFlags := []string{"-store-dir", storeDir, "-seed", fmt.Sprint(smokeSeed),
 		"-scale", smokeScale, "-shard-size", "16", "-workers", "8"}
 
-	// Process 1: armed with the crash drill — it will kill itself after
-	// two of the job's four shards.
-	p1 := startServe(t, bin, append([]string{"-drill-stop-after-shards", "2"}, worldFlags...)...)
+	// Process 1 runs the job to done and is then killed.
+	p1 := startServe(t, bin, worldFlags...)
 
 	// Scrape Prometheus /metrics off the live service: negotiated by
 	// Accept header, typed, and already carrying the scansvc series.
@@ -245,7 +246,6 @@ func TestSmokeServe(t *testing.T) {
 		}
 	}
 
-	// Submit the job; the drill will fire mid-run.
 	var job struct {
 		ID     string `json:"id"`
 		Shards int    `json:"shards"`
@@ -254,26 +254,48 @@ func TestSmokeServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	if job.Shards != 4 {
-		t.Fatalf("job has %d shards, want 4 (drill stops after 2)", job.Shards)
+		t.Fatalf("job has %d shards, want 4 (the cut tears the third)", job.Shards)
+	}
+	if mid := api(t, "GET", p1.base+"/metrics?format=prometheus", "", 200); !strings.Contains(string(mid), "scansvc_jobs_submitted 1") {
+		t.Fatalf("scrape after submitting does not show the job:\n%s", mid)
+	}
+	waitJobDone(t, p1.base, job.ID)
+	if err := p1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	if code := p1.wait(t); code != -1 {
+		t.Fatalf("killed process exit code = %d, want -1 (signaled)\n%s", code, p1.stderr.String())
 	}
 
-	// A second scrape mid-job is best-effort: the drill exits the
-	// process quickly, so a dead connection here is not a failure.
-	if resp, err := http.Get(p1.base + "/metrics?format=prometheus"); err == nil {
-		mid, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !strings.Contains(string(mid), "scansvc_jobs_submitted 1") {
-			t.Fatalf("mid-run scrape does not show the submitted job:\n%s", mid)
+	// Cut the log inside the first result record of the third shard:
+	// shards 0 and 1 stay checkpointed, the job's done state is gone.
+	seg := filepath.Join(storeDir, "seg-000001.log")
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offs []int
+	for off, key := 0, []byte("c/"+job.ID+"/w/0000/d/"); ; {
+		i := bytes.Index(raw[off:], key)
+		if i < 0 {
+			break
 		}
+		offs = append(offs, off+i)
+		off += i + len(key)
+	}
+	if len(offs) != len(domains) {
+		t.Fatalf("log holds %d result records, want %d", len(offs), len(domains))
+	}
+	if err := os.Truncate(seg, int64(offs[len(domains)/2]+4)); err != nil {
+		t.Fatal(err)
 	}
 
-	if code := p1.wait(t); code != 3 {
-		t.Fatalf("drill exit code = %d, want 3\n%s", code, p1.stderr.String())
-	}
-
-	// Process 2: same store, no drill. Start must resume the interrupted
-	// job from its checkpoints and run it to done.
+	// Process 2: same store. Start must resume the torn job from its
+	// checkpoints and run it to done.
 	p2 := startServe(t, bin, worldFlags...)
+	if prom := api(t, "GET", p2.base+"/metrics?format=prometheus", "", 200); !strings.Contains(string(prom), "scansvc_jobs_resumed 1") {
+		t.Fatalf("restarted service did not resume the torn job:\n%s", prom)
+	}
 	waitJobDone(t, p2.base, job.ID)
 	if !strings.Contains(p2.stderr.String()+string(api(t, "GET", p2.base+"/api/v1/jobs", "", 200)), job.ID) {
 		t.Fatalf("restarted service does not know job %s", job.ID)
@@ -320,8 +342,8 @@ func TestSmokeServe(t *testing.T) {
 		t.Fatalf("graceful shutdown exit code = %d\n%s", code, p2.stderr.String())
 	}
 
-	// Process 3: fresh store, same world, no drill — the uninterrupted
-	// reference run. Its results must match the resumed run byte for
+	// Process 3: fresh store, same world — the uninterrupted reference
+	// run. Its results must match the resumed run byte for
 	// byte.
 	refFlags := []string{"-store-dir", filepath.Join(t.TempDir(), "ref"), "-seed", fmt.Sprint(smokeSeed),
 		"-scale", smokeScale, "-shard-size", "16", "-workers", "8"}
@@ -345,5 +367,5 @@ func TestSmokeServe(t *testing.T) {
 		t.Fatalf("resumed results differ from uninterrupted run: %d vs %d bytes",
 			len(resumed), len(reference))
 	}
-	fmt.Println("smoke-serve: job survived kill-and-restart; resumed classifications byte-identical")
+	fmt.Println("smoke-serve: job survived a kill and a torn log; resumed classifications byte-identical")
 }

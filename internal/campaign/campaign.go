@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -19,11 +18,6 @@ import (
 // is unset: large enough to keep the runner's worker pool busy, small
 // enough that a shard's results are a trivial memory bound.
 const DefaultShardSize = 1024
-
-// ErrStopped is returned by RunWeek when the engine hit its
-// StopAfterShards budget: the run is healthy but deliberately
-// interrupted (the CLI maps it to exit code 3 for crash drills).
-var ErrStopped = errors.New("campaign: stopped after shard budget")
 
 // DomainSource streams a campaign's domain list in a stable order; the
 // engine never materializes the full list. Returning an error from fn
@@ -75,11 +69,6 @@ type Engine struct {
 	// Events, when non-nil, receives campaign.week.start/end and
 	// campaign.shard.done events.
 	Events *obs.EventSink
-	// StopAfterShards, when > 0, makes RunWeek return ErrStopped after
-	// that many shards have been *scanned* (skipped checkpointed shards
-	// do not count) — the crash-drill hook behind the CLI's
-	// -stop-after-shards flag and the resume tests.
-	StopAfterShards int
 }
 
 func (e *Engine) shardSize() int {
@@ -113,26 +102,15 @@ func (e *Engine) RunWeek(ctx context.Context, week int, src DomainSource) error 
 	var (
 		shard   = make([]string, 0, e.shardSize())
 		shardIx = 0
-		scanned = 0
 	)
 	flush := func() error {
 		if len(shard) == 0 {
 			return nil
 		}
-		ix := shardIx
+		err := e.runShard(ctx, week, shardIx, shard)
 		shardIx++
-		done, err := e.runShard(ctx, week, ix, shard)
 		shard = shard[:0]
-		if err != nil {
-			return err
-		}
-		if done {
-			scanned++
-			if e.StopAfterShards > 0 && scanned >= e.StopAfterShards {
-				return ErrStopped
-			}
-		}
-		return nil
+		return err
 	}
 	err := src(func(d string) error {
 		if d == "" {
@@ -170,37 +148,37 @@ func (e *Engine) RunWeek(ctx context.Context, week int, src DomainSource) error 
 }
 
 // runShard scans one shard unless its checkpoint says it is already
-// stored. done reports whether a scan actually ran (vs. a resume skip).
-func (e *Engine) runShard(ctx context.Context, week, ix int, domains []string) (done bool, err error) {
+// stored.
+func (e *Engine) runShard(ctx context.Context, week, ix int, domains []string) error {
 	ck := Checkpoint{Count: len(domains), Hash: shardHash(domains)}
 	ckKey := checkpointKey(e.ID, week, ix)
 	if raw, ok, err := e.Store.Get(ckKey); err != nil {
-		return false, err
+		return err
 	} else if ok {
 		var have Checkpoint
 		if err := json.Unmarshal(raw, &have); err != nil {
-			return false, fmt.Errorf("campaign: decode checkpoint %s: %w", ckKey, err)
+			return fmt.Errorf("campaign: decode checkpoint %s: %w", ckKey, err)
 		}
 		if have != ck {
-			return false, fmt.Errorf("campaign: shard %d of week %d was checkpointed over a different domain list (have %d domains hash %s, resuming with %d hash %s) — the source changed between run and resume",
+			return fmt.Errorf("campaign: shard %d of week %d was checkpointed over a different domain list (have %d domains hash %s, resuming with %d hash %s) — the source changed between run and resume",
 				ix, week, have.Count, have.Hash, ck.Count, ck.Hash)
 		}
 		e.Obs.Counter("campaign.shards.skipped").Inc()
-		return false, nil
+		return nil
 	}
 
 	results := e.Runner.Run(ctx, domains)
 	if ctx.Err() != nil {
 		// Canceled placeholders are partial evidence; store nothing and
 		// let a resume re-scan the shard cleanly.
-		return false, ctx.Err()
+		return ctx.Err()
 	}
 	entries := make([]store.Entry, 0, len(results)+1)
 	for i := range results {
 		rec := FromResult(&results[i])
 		v, err := rec.Encode()
 		if err != nil {
-			return false, err
+			return err
 		}
 		entries = append(entries, store.Entry{Key: recordKey(e.ID, week, rec.Domain), Value: v})
 	}
@@ -210,15 +188,15 @@ func (e *Engine) runShard(ctx context.Context, week, ix int, domains []string) (
 	// "Checkpoints and recovery").
 	raw, err := json.Marshal(ck)
 	if err != nil {
-		return false, err
+		return err
 	}
 	entries = append(entries, store.Entry{Key: ckKey, Value: raw})
 	ckStart := time.Now()
 	if err := e.Store.Batch(entries); err != nil {
-		return false, err
+		return err
 	}
 	if err := e.Store.Sync(); err != nil {
-		return false, err
+		return err
 	}
 	if e.Obs.Enabled() {
 		e.Obs.Histogram("campaign.checkpoint.seconds", nil).ObserveSince(ckStart)
@@ -233,7 +211,7 @@ func (e *Engine) runShard(ctx context.Context, week, ix int, domains []string) (
 			"campaign": e.ID, "week": week, "shard": ix, "domains": len(domains),
 		})
 	}
-	return true, nil
+	return nil
 }
 
 // finishWeek records week as done in the campaign metadata.

@@ -42,22 +42,21 @@ func weekSnapshot(w int) int {
 	return t
 }
 
-func runTestWeek(t *testing.T, s store.Store, id string, week, shardSize, stopAfter int) (int, error) {
+func runTestWeek(t *testing.T, s store.Store, id string, week, shardSize int) (int, error) {
 	t.Helper()
 	src, scan, n := snapshotSource(testWorld, weekSnapshot(week))
 	eng := &Engine{
-		Store:           s,
-		Runner:          &scanner.Runner{Workers: 8, Scan: scan},
-		ID:              id,
-		ShardSize:       shardSize,
-		StopAfterShards: stopAfter,
+		Store:     s,
+		Runner:    &scanner.Runner{Workers: 8, Scan: scan},
+		ID:        id,
+		ShardSize: shardSize,
 	}
 	return n, eng.RunWeek(context.Background(), week, src)
 }
 
 func TestRunWeekStoresEveryDomain(t *testing.T) {
 	s := NewMemForTest()
-	n, err := runTestWeek(t, s, "w1", 0, 64, 0)
+	n, err := runTestWeek(t, s, "w1", 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestRunWeekStoresEveryDomain(t *testing.T) {
 
 func TestResumeSkipsCheckpointedShards(t *testing.T) {
 	s := NewMemForTest()
-	if _, err := runTestWeek(t, s, "w2", 0, 64, 0); err != nil {
+	if _, err := runTestWeek(t, s, "w2", 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	// Re-running the identical week must scan nothing.
@@ -131,7 +130,7 @@ func TestResumeSkipsCheckpointedShards(t *testing.T) {
 
 func TestResumeRejectsChangedSource(t *testing.T) {
 	s := NewMemForTest()
-	if _, err := runTestWeek(t, s, "w3", 0, 64, 0); err != nil {
+	if _, err := runTestWeek(t, s, "w3", 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	src, scan, _ := snapshotSource(testWorld, weekSnapshot(1)) // different snapshot = different list
@@ -142,25 +141,6 @@ func TestResumeRejectsChangedSource(t *testing.T) {
 	}
 	if err := eng.RunWeek(context.Background(), 0, src); err == nil {
 		t.Fatal("resume over a changed source succeeded; want checkpoint mismatch")
-	}
-}
-
-func TestStopAfterShards(t *testing.T) {
-	s := NewMemForTest()
-	n, err := runTestWeek(t, s, "w4", 0, 32, 2)
-	if err != ErrStopped {
-		t.Fatalf("RunWeek = %v, want ErrStopped", err)
-	}
-	got, lenErr := store.Len(s, weekPrefix("w4", 0))
-	if lenErr != nil || got != 2*32 {
-		t.Fatalf("stored %d records err=%v, want exactly 2 shards (%d)", got, lenErr, 2*32)
-	}
-	if n <= 2*32 {
-		t.Fatalf("snapshot has %d domains; too small to interrupt meaningfully", n)
-	}
-	// The interrupted week must not be marked done.
-	if _, ok, err := LoadMeta(s, "w4"); err != nil || ok {
-		t.Fatalf("meta exists after interrupted week (ok=%v err=%v)", ok, err)
 	}
 }
 

@@ -5,119 +5,46 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"github.com/netsecurelab/mtasts/internal/scanner"
 	"github.com/netsecurelab/mtasts/internal/store"
 )
 
-// TestCrashResumeByteIdentical is the tentpole determinism proof: a
-// campaign killed after two shards — with a further shard's records
-// half-written and unchecked-pointed, the worst state an append-only
-// store can wake up in — must, after resume, export week snapshots and
-// diffs byte-identical to an uninterrupted run over the same seed.
+// TestCrashResumeByteIdentical is the determinism proof, at every
+// commit boundary: a two-week campaign of three shards a week is
+// crashed at each of its store writes and syncs, and inside each shard's
+// batch after each entry; the crash image is reopened and both weeks
+// resumed. Every resumed store must export week snapshots and a diff
+// byte-identical to an uninterrupted run.
 func TestCrashResumeByteIdentical(t *testing.T) {
-	const (
-		id        = "crash"
-		shardSize = 32
-	)
-
-	// Reference: uninterrupted weeks 0 and 1 on a fresh disk store.
-	refDir := t.TempDir()
-	ref, err := store.OpenDisk(refDir)
+	run := commitWorld(t, 4)
+	ref := store.NewMem()
+	if err := run(ref, 2); err != nil {
+		t.Fatal(err)
+	}
+	refDiff, err := ComputeDiff(ref, "commit", 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for week := 0; week <= 1; week++ {
-		if _, err := runTestWeek(t, ref, id, week, shardSize, 0); err != nil {
-			t.Fatal(err)
+	points := crashEvery(t, func(s store.Store) error { return run(s, 2) }, func(s store.Store, at, entry int) {
+		if err := run(s, 2); err != nil {
+			t.Fatalf("crash at call %d entry %d: resume: %v", at, entry, err)
 		}
-	}
-
-	// Crashed run: week 0 completes, week 1 dies after 2 shards...
-	crashDir := t.TempDir()
-	crash, err := store.OpenDisk(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runTestWeek(t, crash, id, 0, shardSize, 0); err != nil {
-		t.Fatal(err)
-	}
-	n, err := runTestWeek(t, crash, id, 1, shardSize, 2)
-	if err != ErrStopped {
-		t.Fatalf("interrupted week: %v, want ErrStopped", err)
-	}
-	if n <= 3*shardSize {
-		t.Fatalf("snapshot has only %d domains; cannot leave a shard un-checkpointed", n)
-	}
-
-	// ...mid-shard: shard 2's first few records were written (with
-	// whatever partial verdicts were in flight) but never checkpointed.
-	var names []string
-	for _, d := range testWorld.Domains {
-		if _, ok := testWorld.ArtifactsAt(d, weekSnapshot(1)); ok {
-			names = append(names, d.Name)
+		for week := 0; week <= 1; week++ {
+			if a, b := snapshotBytes(t, ref, week), snapshotBytes(t, s, week); len(a) == 0 || !bytes.Equal(a, b) {
+				t.Fatalf("crash at call %d entry %d: week %d snapshot differs (%d vs %d bytes)", at, entry, week, len(a), len(b))
+			}
 		}
-	}
-	sort.Strings(names)
-	for _, dom := range names[2*shardSize : 2*shardSize+3] {
-		junk := DomainRecord{Domain: dom, Canceled: true, Class: "deadbeefdeadbeef"}
-		v, err := junk.Encode()
+		d, err := ComputeDiff(s, "commit", 0, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := crash.Put(recordKey(id, 1, dom), v); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(d, refDiff) {
+			t.Fatalf("crash at call %d entry %d: diff diverges:\nref:   %+v\ncrash: %+v", at, entry, refDiff, d)
 		}
-	}
-
-	// Crash: reopen the store cold and resume week 1 to completion.
-	if err := crash.Close(); err != nil {
-		t.Fatal(err)
-	}
-	crash, err = store.OpenDisk(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runTestWeek(t, crash, id, 1, shardSize, 0); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-
-	for week := 0; week <= 1; week++ {
-		var a, b bytes.Buffer
-		if err := WriteSnapshot(&a, ref, id, week); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteSnapshot(&b, crash, id, week); err != nil {
-			t.Fatal(err)
-		}
-		if a.Len() == 0 {
-			t.Fatalf("week %d snapshot empty", week)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("week %d snapshot differs between uninterrupted and resumed runs (%d vs %d bytes)",
-				week, a.Len(), b.Len())
-		}
-	}
-
-	refDiff, err := ComputeDiff(ref, id, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashDiff, err := ComputeDiff(crash, id, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(refDiff, crashDiff) {
-		t.Fatalf("diffs diverge:\nref:   %+v\ncrash: %+v", refDiff, crashDiff)
-	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := crash.Close(); err != nil {
-		t.Fatal(err)
-	}
+	})
+	t.Logf("%d crash points", points)
 }
 
 // TestSnapshotBackendIndependent pins the other half of determinism:
@@ -130,7 +57,7 @@ func TestSnapshotBackendIndependent(t *testing.T) {
 	}
 	defer disk.Close()
 	for _, s := range []store.Store{mem, disk} {
-		if _, err := runTestWeek(t, s, "x", 0, 64, 0); err != nil {
+		if _, err := runTestWeek(t, s, "x", 0, 64); err != nil {
 			t.Fatal(err)
 		}
 	}

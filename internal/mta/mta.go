@@ -14,8 +14,6 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
-	"net"
-	"strconv"
 	"strings"
 	"time"
 
@@ -492,19 +490,5 @@ func (o *Outbound) RunRefreshLoop(ctx context.Context, interval, window time.Dur
 		case <-ticker.C:
 			o.RefreshPolicies(ctx, window)
 		}
-	}
-}
-
-// DialAddrFor builds an AddrOverride function from a static host→address
-// table (loopback labs and tests).
-func DialAddrFor(table map[string]string, defaultPort int) func(string) string {
-	return func(mxHost string) string {
-		if addr, ok := table[mxHost]; ok {
-			return addr
-		}
-		if defaultPort == 0 {
-			return ""
-		}
-		return net.JoinHostPort(mxHost, strconv.Itoa(defaultPort))
 	}
 }

@@ -452,20 +452,6 @@ func TestStaleServeNoDowngradeDrill(t *testing.T) {
 	}
 }
 
-func TestDialAddrFor(t *testing.T) {
-	f := DialAddrFor(map[string]string{"mx.a.test": "127.0.0.1:2525"}, 25)
-	if f("mx.a.test") != "127.0.0.1:2525" {
-		t.Error("table lookup failed")
-	}
-	if f("mx.b.test") != "mx.b.test:25" {
-		t.Errorf("default = %q", f("mx.b.test"))
-	}
-	f0 := DialAddrFor(nil, 0)
-	if f0("x") != "" {
-		t.Error("zero default should return empty")
-	}
-}
-
 func TestMechanismString(t *testing.T) {
 	for m, want := range map[Mechanism]string{
 		MechanismNone: "none", MechanismOpportunistic: "opportunistic",

@@ -2,6 +2,9 @@ package mtasts
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,20 +46,165 @@ func mustOpen(t *testing.T, st store.Store, o CacheOptions) *PolicyCache {
 	return c
 }
 
-// syncCounter is a store.Store that counts Sync calls and, when err is
-// set, fails them.
-type syncCounter struct {
+// errCrashed is what every mutating call returns once crashStore has
+// crashed.
+var errCrashed = errors.New("crashed")
+
+// crashStore wraps a store and records its mutating calls (Put, Batch,
+// Sync). When at > 0 it crashes at call at: the store's write buffer
+// goes out to the OS, the directory dir, if set, is copied to image as
+// the OS holds it at that instant, and that call and every later one
+// fail with errCrashed.
+type crashStore struct {
 	store.Store
-	syncs atomic.Int32
-	err   error
+	dir, image string
+	at         int
+
+	mu    sync.Mutex
+	calls []string // "put", "batch" or "sync", in call order
 }
 
-func (s *syncCounter) Sync() error {
-	s.syncs.Add(1)
-	if s.err != nil {
-		return s.err
+func (c *crashStore) step(kind string, write func() error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.at > 0 && len(c.calls) >= c.at {
+		return errCrashed
 	}
-	return s.Store.Sync()
+	c.calls = append(c.calls, kind)
+	if len(c.calls) != c.at {
+		return write()
+	}
+	if c.dir != "" {
+		if err := c.Store.Sync(); err != nil {
+			return err
+		}
+		c.image = c.dir + ".image"
+		if err := copyDir(c.dir, c.image); err != nil {
+			panic(err)
+		}
+	}
+	return errCrashed
+}
+
+// copyDir copies the files of src into a new directory dst.
+func copyDir(src, dst string) error {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		return err
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *crashStore) Put(key string, value []byte) error {
+	return c.step("put", func() error { return c.Store.Put(key, value) })
+}
+
+func (c *crashStore) Batch(entries []store.Entry) error {
+	return c.step("batch", func() error { return c.Store.Batch(entries) })
+}
+
+func (c *crashStore) Sync() error { return c.step("sync", c.Store.Sync) }
+
+// count reports how many calls of kind the store has seen.
+func (c *crashStore) count(kind string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, k := range c.calls {
+		if k == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRefreshCrashEveryCall crashes a refresh round — four cached
+// domains revalidated to a new policy and record id, each a Put and a
+// Sync — at each of its store calls. The cache reopened over the crash
+// image must hold every domain at its old or its new policy, whole:
+// never missing, never one policy under the other's id.
+func TestRefreshCrashEveryCall(t *testing.T) {
+	clk := newClock()
+	domains := []string{"a.test", "b.test", "c.test", "d.test"}
+	policy := func(d, gen string) Policy { return mxPolicy("mx."+gen+"."+d, 3600) }
+	seed := t.TempDir()
+	st, err := store.OpenDisk(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, st, CacheOptions{Now: clk.Now})
+	for _, d := range domains {
+		c.Store(d, policy(d, "old"), "id1")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(50 * time.Minute) // every entry is now inside the refresh window
+
+	// round opens the cache over a copy of seed and refreshes it; the
+	// copy's directory is what the crash image is taken from.
+	round := func(at int) *crashStore {
+		dir := filepath.Join(t.TempDir(), "store")
+		if err := copyDir(seed, dir); err != nil {
+			t.Fatal(err)
+		}
+		d, err := store.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := &crashStore{Store: d, dir: dir, at: at}
+		c := mustOpen(t, cs, CacheOptions{Now: clk.Now})
+		for _, dom := range c.ExpiringWithin(time.Hour) {
+			if _, _, err := c.CoalesceFetch(dom, func() (Policy, error) {
+				p := policy(dom, "new")
+				c.Store(dom, p, "id2")
+				return p, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	calls := len(round(0).calls)
+	if calls != 2*len(domains) {
+		t.Fatalf("refresh round made %d store calls, want a Put and a Sync per domain", calls)
+	}
+	for at := 1; at <= calls; at++ {
+		st, err := store.OpenDisk(round(at).image)
+		if err != nil {
+			t.Fatalf("crash at call %d: reopen: %v", at, err)
+		}
+		c := mustOpen(t, st, CacheOptions{Now: clk.Now})
+		for _, d := range domains {
+			e, ok := c.Get(d)
+			switch {
+			case !ok:
+				t.Fatalf("crash at call %d: %s missing", at, d)
+			case !(e.RecordID == "id1" && reflect.DeepEqual(e.Policy, policy(d, "old"))) &&
+				!(e.RecordID == "id2" && reflect.DeepEqual(e.Policy, policy(d, "new"))):
+				t.Fatalf("crash at call %d: %s reopened torn: %+v", at, d, e)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d crash points", calls)
 }
 
 func TestStoreGetStats(t *testing.T) {
@@ -380,18 +528,18 @@ func TestInvalidateUnknownDomainIsNoop(t *testing.T) {
 // before Invalidate returns, so a crash cannot bring the policy back, and
 // a failed sync is counted like any other persist error.
 func TestInvalidateSyncsTombstone(t *testing.T) {
-	st := &syncCounter{Store: store.NewMem()}
+	st := &crashStore{Store: store.NewMem()}
 	c := mustOpen(t, st, CacheOptions{})
 	c.Store("a.test", mxPolicy("mx.a.test", 3600), "id1")
 	c.Store("b.test", mxPolicy("mx.b.test", 3600), "id1")
 
-	before := st.syncs.Load()
+	before := st.count("sync")
 	c.Invalidate("a.test")
-	if got := st.syncs.Load() - before; got != 1 {
+	if got := st.count("sync") - before; got != 1 {
 		t.Errorf("Invalidate synced %d times, want 1", got)
 	}
 
-	st.err = errors.New("disk full")
+	st.at = len(st.calls) + 2 // the tombstone's Put lands, its Sync fails
 	c.Invalidate("b.test")
 	if got := c.Stats().PersistErrors; got != 1 {
 		t.Errorf("PersistErrors = %d after a failed tombstone sync, want 1", got)

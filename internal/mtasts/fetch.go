@@ -201,8 +201,6 @@ type Fetcher struct {
 	MaxAttempts int
 	// RetryBase overrides the first backoff delay (default 100ms).
 	RetryBase time.Duration
-	// RetryBudget, when non-nil, caps total retries across the run.
-	RetryBudget *retry.Budget
 	// SessionCache, when non-nil, enables TLS session resumption across
 	// fetches from this Fetcher. A scan shares one Fetcher across all
 	// its domains, so repeated fetches against the same provider skip
@@ -229,7 +227,6 @@ func (f *Fetcher) FetchFromHost(ctx context.Context, domain, host string) (Polic
 		Name:        "mtasts.fetch",
 		MaxAttempts: f.MaxAttempts,
 		BaseDelay:   f.RetryBase,
-		Budget:      f.RetryBudget,
 		Obs:         f.Obs,
 	}.Do(ctx, func(ctx context.Context) error {
 		var opErr error

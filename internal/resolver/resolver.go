@@ -66,8 +66,6 @@ type Client struct {
 	MaxAttempts int
 	// RetryBase overrides the first backoff delay (default 100ms).
 	RetryBase time.Duration
-	// RetryBudget, when non-nil, caps total retries across the run.
-	RetryBudget *retry.Budget
 
 	obsOnce sync.Once
 	// flight coalesces concurrent identical (name, type) queries into
@@ -277,7 +275,6 @@ func (c *Client) retryPolicy() retry.Policy {
 		Name:        "resolver",
 		MaxAttempts: c.MaxAttempts,
 		BaseDelay:   c.RetryBase,
-		Budget:      c.RetryBudget,
 		// Transient is left nil: retry defaults to errtax.Transient, which
 		// reads each sentinel's transient bit and falls back to the shared
 		// socket-level heuristic for untyped errors.

@@ -12,8 +12,9 @@ import (
 
 // Budget caps the total number of retries (attempts beyond an
 // operation's first) spent across a whole run, so a badly degraded
-// network cannot multiply scan cost without bound. A nil *Budget means
-// unlimited. Safe for concurrent use.
+// network cannot multiply scan cost without bound. A run carries it in
+// its context (WithBudget), so two runs never drain each other's. A nil
+// *Budget means unlimited. Safe for concurrent use.
 type Budget struct{ left atomic.Int64 }
 
 // NewBudget returns a budget allowing n retries in total.
@@ -41,6 +42,14 @@ func (b *Budget) Remaining() int64 {
 		return n
 	}
 	return 0
+}
+
+type budgetKey struct{}
+
+// WithBudget derives a context whose Policy.Do calls draw their retries
+// from b.
+func WithBudget(ctx context.Context, b *Budget) context.Context {
+	return context.WithValue(ctx, budgetKey{}, b)
 }
 
 // Stats accumulates attempt accounting for every Policy.Do call that
@@ -125,9 +134,6 @@ type Policy struct {
 	// errtax.Transient — the taxonomy-wide classifier, which is what
 	// every pipeline layer uses; override only in tests.
 	Transient func(error) bool
-	// Budget, when non-nil, is the run-wide retry allowance shared with
-	// other policies.
-	Budget *Budget
 	// Obs, when non-nil, receives the retry counters.
 	Obs *obs.Registry
 	// Sleep replaces the backoff sleep (tests). Nil means a
@@ -136,10 +142,10 @@ type Policy struct {
 }
 
 // Do runs op with the policy's retry loop: transient errors are retried
-// with exponential backoff and jitter until the attempt or budget limit
-// is hit, the context is done, or the error is persistent. It returns
-// the last error. Attempts are recorded against the context's Stats
-// (WithStats) and the policy's obs counters.
+// with exponential backoff and jitter until the attempt limit or the
+// context's budget (WithBudget) is hit, the context is done, or the
+// error is persistent. It returns the last error. Attempts are recorded
+// against the context's Stats (WithStats) and the policy's obs counters.
 func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
 	maxAttempts := p.MaxAttempts
 	if maxAttempts < 1 {
@@ -169,7 +175,7 @@ func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
 		if !classify(err) || ctx.Err() != nil {
 			return err
 		}
-		if attempt >= maxAttempts || !p.Budget.Take() {
+		if budget, _ := ctx.Value(budgetKey{}).(*Budget); attempt >= maxAttempts || !budget.Take() {
 			// Transient and out of attempts: the caller's verdict may
 			// not reflect the endpoint's steady state.
 			if maxAttempts > 1 {

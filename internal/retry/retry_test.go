@@ -108,22 +108,36 @@ func TestDoStopsOnContextCancel(t *testing.T) {
 
 func TestBudgetSharedAcrossPolicies(t *testing.T) {
 	b := NewBudget(3)
-	p := Policy{MaxAttempts: 10, Budget: b}
+	ctx := WithBudget(context.Background(), b)
+	p, q := Policy{MaxAttempts: 10}, Policy{Name: "other", MaxAttempts: 10}
 	noSleep(&p)
+	noSleep(&q)
 	calls := 0
 	// One op burns the whole budget: 1 first attempt + 3 retried.
-	p.Do(context.Background(), func(context.Context) error { calls++; return errTransient })
+	p.Do(ctx, func(context.Context) error { calls++; return errTransient })
 	if calls != 4 {
 		t.Fatalf("calls = %d, want 4 (1 + 3 budgeted retries)", calls)
 	}
-	// The next op gets no retries at all.
+	// The next op under the same context gets no retries at all, from
+	// either policy.
 	calls = 0
-	p.Do(context.Background(), func(context.Context) error { calls++; return errTransient })
+	q.Do(ctx, func(context.Context) error { calls++; return errTransient })
 	if calls != 1 {
 		t.Errorf("calls = %d after budget exhausted, want 1", calls)
 	}
 	if b.Remaining() != 0 {
 		t.Errorf("Remaining = %d", b.Remaining())
+	}
+	// A context carrying its own budget, or none, is unaffected.
+	for other, want := range map[context.Context]int{
+		WithBudget(context.Background(), NewBudget(3)): 4,
+		context.Background():                           10,
+	} {
+		calls = 0
+		p.Do(other, func(context.Context) error { calls++; return errTransient })
+		if calls != want {
+			t.Errorf("calls = %d under another run's context, want %d", calls, want)
+		}
 	}
 }
 

@@ -318,6 +318,9 @@ func runStage(workers int, so stageObs, in <-chan *pipeJob, out chan<- *pipeJob,
 // equals len(domains), the stage gauges drain to zero, and the progress
 // tracker finishes at done == total.
 func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
+	if r.RetryBudget != nil {
+		ctx = retry.WithBudget(ctx, r.RetryBudget)
+	}
 	scan, ok := r.Scan.(StageScanner)
 	if !ok {
 		scan = wholeScan{r.Scan}

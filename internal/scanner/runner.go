@@ -5,6 +5,7 @@ import (
 
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/obs"
+	"github.com/netsecurelab/mtasts/internal/retry"
 )
 
 // Scanner is the per-domain scan interface shared by Live and artifact
@@ -44,6 +45,10 @@ type Runner struct {
 	// run (scanner.dedup.hits/misses count the effect; docs/PIPELINE.md
 	// discusses when sharing is sound).
 	Dedup bool
+	// RetryBudget, when non-nil, caps the retries of every Run of this
+	// Runner together: Run puts it in the scan context, where each
+	// client's retry.Policy draws on it.
+	RetryBudget *retry.Budget
 }
 
 // Summary aggregates a snapshot of results into the headline counts of

@@ -77,10 +77,8 @@ func rptKey(domain, window, reportID string) string {
 	return rptDomainPrefix(domain) + window + "/" + reportID
 }
 
-// putJob persists a job's state. Sync is the caller's choice: state
-// transitions that gate resume semantics sync, list-only cosmetics may
-// not.
-func putJob(s store.Store, j *Job, sync bool) error {
+// putJob persists and syncs a job's state.
+func putJob(s store.Store, j *Job) error {
 	v, err := json.Marshal(j)
 	if err != nil {
 		return err
@@ -88,10 +86,7 @@ func putJob(s store.Store, j *Job, sync bool) error {
 	if err := s.Put(jobKey(j.ID), v); err != nil {
 		return err
 	}
-	if sync {
-		return s.Sync()
-	}
-	return nil
+	return s.Sync()
 }
 
 // getJob loads one job by ID.

@@ -29,6 +29,10 @@ type RunnerSpec struct {
 	StageWorkers string
 	// Dedup collapses duplicate in-flight policy fetches and MX probes.
 	Dedup bool
+	// RetryBudget is the total retries one built Runner may spend across
+	// its Runs (0 = unlimited). Each Build has its own budget, so each
+	// service job has its own.
+	RetryBudget int64
 }
 
 // Build assembles the Runner for one run over the given scanner and
@@ -43,14 +47,18 @@ func (sp RunnerSpec) Build(scan scanner.Scanner, reg *obs.Registry, events *obs.
 	if workers <= 0 {
 		workers = 16
 	}
-	return &scanner.Runner{
+	r := &scanner.Runner{
 		Workers: workers, Scan: scan, Obs: reg, Events: events,
 		StageWorkers: sw, Dedup: sp.Dedup,
-	}, nil
+	}
+	if sp.RetryBudget > 0 {
+		r.RetryBudget = retry.NewBudget(sp.RetryBudget)
+	}
+	return r, nil
 }
 
 // LiveSpec is the CLI-shaped description of the live scan stack
-// (resolver + rate limit + retry budget + scanner.Live): the one
+// (resolver + rate limit + retries + scanner.Live): the one
 // assembler behind cmd/mtasts-scan, cmd/mtasts-check and cmd/mtasts-serve's
 // live-socket jobs.
 type LiveSpec struct {
@@ -64,11 +72,10 @@ type LiveSpec struct {
 	// Timeout is the per-probe timeout (5s if 0).
 	Timeout time.Duration
 	// Retries is attempts per network operation (1 = no retries);
-	// RetryBase the first backoff delay; RetryBudget the total retries
-	// allowed across every scan of the built scanner (0 = unlimited).
-	Retries     int
-	RetryBase   time.Duration
-	RetryBudget int64
+	// RetryBase the first backoff delay. The retry budget is the
+	// Runner's (RunnerSpec.RetryBudget).
+	Retries   int
+	RetryBase time.Duration
 	// CAFile, when non-empty, adds PEM roots to the trust store (e.g.
 	// mtasts-host -ca-out).
 	CAFile string
@@ -79,9 +86,8 @@ type LiveSpec struct {
 // Build assembles the live scanner: one resolver, one policy fetcher
 // (with an LRU session cache, so repeated fetches against a provider
 // resume instead of re-handshaking) and one SMTP prober, each timing out
-// after Timeout (5s if 0). All three draw on one retry budget so a
-// pathological population cannot multiply the scan cost; a process that
-// builds once, as mtasts-serve does, shares that budget across every job.
+// after Timeout (5s if 0). All three draw on the retry budget of the
+// Runner that drives them.
 func (sp LiveSpec) Build(reg *obs.Registry, events *obs.EventSink) (*scanner.Live, error) {
 	if sp.DNSAddr == "" {
 		return nil, fmt.Errorf("scansvc: live scan needs a DNS server address")
@@ -97,15 +103,10 @@ func (sp LiveSpec) Build(reg *obs.Registry, events *obs.EventSink) (*scanner.Liv
 			return nil, fmt.Errorf("scansvc: no certificates found in %s", sp.CAFile)
 		}
 	}
-	var budget *retry.Budget
-	if sp.RetryBudget > 0 {
-		budget = retry.NewBudget(sp.RetryBudget)
-	}
 	dns := resolver.New(sp.DNSAddr)
 	dns.Obs = reg
 	dns.MaxAttempts = sp.Retries
 	dns.RetryBase = sp.RetryBase
-	dns.RetryBudget = budget
 	if sp.Rate > 0 {
 		dns.Limiter = resolver.NewRateLimiter(sp.Rate, 10)
 	}
@@ -122,12 +123,12 @@ func (sp LiveSpec) Build(reg *obs.Registry, events *obs.EventSink) (*scanner.Liv
 		Fetcher: &mtasts.Fetcher{
 			Resolver: scanner.TXTResolverAdapter{Client: dns}, RootCAs: roots,
 			Port: sp.HTTPSPort, Timeout: timeout, Obs: reg,
-			MaxAttempts: sp.Retries, RetryBase: sp.RetryBase, RetryBudget: budget,
+			MaxAttempts: sp.Retries, RetryBase: sp.RetryBase,
 			SessionCache: tls.NewLRUClientSessionCache(1024),
 		},
 		Prober: &smtpclient.Prober{
 			HeloName: helo, Roots: roots, Port: sp.SMTPPort, Timeout: timeout, Obs: reg,
-			MaxAttempts: sp.Retries, RetryBase: sp.RetryBase, RetryBudget: budget,
+			MaxAttempts: sp.Retries, RetryBase: sp.RetryBase,
 		},
 		Obs:    reg,
 		Events: events,

@@ -55,11 +55,6 @@ type Service struct {
 	// Tenants, when non-nil, applies per-tenant token-bucket admission
 	// (one token per submitted domain).
 	Tenants *TenantLimiter
-	// StopAfterShards, when > 0, arms the crash drill: the first job
-	// stops with campaign.ErrStopped after that many shards, the error
-	// surfaces on Fatal(), and the job's stored state stays running so
-	// a restarted service resumes it (make smoke-serve).
-	StopAfterShards int
 
 	mu      sync.Mutex
 	started bool
@@ -69,7 +64,6 @@ type Service struct {
 	pending int                           // queued-but-not-started count
 
 	queue  chan string
-	fatal  chan error
 	wg     sync.WaitGroup
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -92,7 +86,6 @@ func (s *Service) Start() error {
 	s.started = true
 	s.cancels = make(map[string]context.CancelFunc)
 	s.queue = make(chan string, s.maxQueue())
-	s.fatal = make(chan error, 1)
 	//lint:ignore ctxpass the service owns its own lifetime root; Close cancels it
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.mu.Unlock()
@@ -162,10 +155,6 @@ func (s *Service) Close() error {
 	s.wg.Wait()
 	return nil
 }
-
-// Fatal delivers the crash-drill error (campaign.ErrStopped) when
-// StopAfterShards fires. Nothing else is ever sent.
-func (s *Service) Fatal() <-chan error { return s.fatal }
 
 func (s *Service) maxConcurrent() int {
 	if s.MaxConcurrent > 0 {
@@ -270,7 +259,7 @@ func (s *Service) Submit(tenant string, domains []string) (*Job, error) {
 	if err := s.Store.Put(domKey(id), dv); err != nil {
 		return nil, err
 	}
-	if err := putJob(s.Store, j, true); err != nil {
+	if err := putJob(s.Store, j); err != nil {
 		return nil, err
 	}
 
@@ -334,7 +323,7 @@ func (s *Service) Cancel(id string) (*Job, error) {
 	// but not yet dequeued): mark terminal now.
 	j.State = StateCanceled
 	j.FinishedAt = time.Now().UTC()
-	if err := putJob(s.Store, j, true); err != nil {
+	if err := putJob(s.Store, j); err != nil {
 		return nil, err
 	}
 	s.Obs.Counter("scansvc.jobs.canceled").Inc()
@@ -374,7 +363,7 @@ func (s *Service) runJob(id string) {
 	}
 
 	j.State = StateRunning
-	if err := putJob(s.Store, j, true); err != nil {
+	if err := putJob(s.Store, j); err != nil {
 		s.finishJob(j, StateFailed, err)
 		return
 	}
@@ -390,13 +379,12 @@ func (s *Service) runJob(id string) {
 	runner, err := s.Runner.Build(s.Scan, s.Obs, s.Events)
 	if err == nil {
 		eng := &campaign.Engine{
-			Store:           s.Store,
-			Runner:          runner,
-			ID:              id,
-			ShardSize:       s.ShardSize,
-			Obs:             s.Obs,
-			Events:          s.Events,
-			StopAfterShards: s.StopAfterShards,
+			Store:     s.Store,
+			Runner:    runner,
+			ID:        id,
+			ShardSize: s.ShardSize,
+			Obs:       s.Obs,
+			Events:    s.Events,
 		}
 		err = eng.RunWeek(ctx, resultsWeek, campaign.SliceSource(domains))
 	}
@@ -411,14 +399,6 @@ func (s *Service) runJob(id string) {
 	switch {
 	case err == nil:
 		s.finishJob(j, StateDone, nil)
-	case errors.Is(err, campaign.ErrStopped):
-		// Crash drill: leave the stored state running — exactly what a
-		// real crash leaves behind — and surface the drill upward.
-		s.event("scansvc.job.drill_stop", j, map[string]any{"error": err.Error()})
-		select {
-		case s.fatal <- err:
-		default:
-		}
 	case errors.Is(err, context.Canceled) && s.ctx.Err() != nil:
 		// Service shutdown, not a job-level verdict: stored state stays
 		// running so the next Start resumes from the checkpoints.
@@ -437,7 +417,7 @@ func (s *Service) finishJob(j *Job, st State, cause error) {
 	if cause != nil {
 		j.Error = cause.Error()
 	}
-	if err := putJob(s.Store, j, true); err != nil && j.Error == "" {
+	if err := putJob(s.Store, j); err != nil && j.Error == "" {
 		j.Error = err.Error()
 	}
 	switch st {

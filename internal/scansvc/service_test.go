@@ -3,12 +3,20 @@ package scansvc
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/campaign"
 	"github.com/netsecurelab/mtasts/internal/experiments"
+	"github.com/netsecurelab/mtasts/internal/retry"
 	"github.com/netsecurelab/mtasts/internal/scanner"
 	"github.com/netsecurelab/mtasts/internal/simnet"
 	"github.com/netsecurelab/mtasts/internal/store"
@@ -77,7 +85,7 @@ func waitState(t *testing.T, svc *Service, id string, want State) *Job {
 		if ok && (j.State == want || (want == "" && j.State.Terminal())) {
 			return j
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
 	j, _, _ := svc.Get(id)
 	t.Fatalf("job %s never reached %q (now %+v)", id, want, j)
@@ -128,72 +136,172 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestCrashResumeByteIdentical is the queue-level half of the
-// smoke-serve contract: a job stopped mid-run by the crash drill and
-// restarted on a fresh service over the same store completes with
-// results byte-identical to an uninterrupted job over the same
-// population.
-func TestCrashResumeByteIdentical(t *testing.T) {
-	scan, names := worldScan()
-	population := names[:64] // 4 shards at ShardSize 16
+// errCrashed is what every mutating call returns once crashStore has
+// crashed.
+var errCrashed = errors.New("crashed")
 
-	// Reference: uninterrupted run on its own store.
-	refStore := store.NewMem()
-	ref := newTestService(t, refStore, nil)
+// crashStore wraps a store and records its mutating calls (Put, Batch,
+// Sync). When at > 0 it crashes at call at: a Batch there first writes
+// its first entry entries, the store's write buffer goes out to the OS,
+// down is set, the directory dir is copied to image as the OS holds it
+// at that instant, crashed is closed, and that call and every later one
+// fail with errCrashed.
+type crashStore struct {
+	store.Store
+	dir, image string
+	at, entry  int
+	crashed    chan struct{}
+	down       atomic.Bool
+
+	mu    sync.Mutex
+	calls []int // per mutating call: the Batch's length, or 0
+}
+
+func newCrashStore(s store.Store, dir string, at, entry int) *crashStore {
+	return &crashStore{Store: s, dir: dir, at: at, entry: entry, crashed: make(chan struct{})}
+}
+
+func (c *crashStore) step(n int, write func(n int) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.down.Load() {
+		return errCrashed
+	}
+	c.calls = append(c.calls, n)
+	if len(c.calls) != c.at {
+		return write(n)
+	}
+	if n > 0 {
+		if err := write(c.entry); err != nil {
+			return err
+		}
+	}
+	if err := c.Store.Sync(); err != nil {
+		return err
+	}
+	c.down.Store(true)
+	c.image = c.dir + ".image"
+	if err := copyDir(c.dir, c.image); err != nil {
+		panic(err)
+	}
+	close(c.crashed)
+	return errCrashed
+}
+
+// copyDir copies the files of src into a new directory dst.
+func copyDir(src, dst string) error {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		return err
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *crashStore) Put(key string, value []byte) error {
+	return c.step(0, func(int) error { return c.Store.Put(key, value) })
+}
+
+func (c *crashStore) Batch(entries []store.Entry) error {
+	return c.step(len(entries), func(n int) error { return c.Store.Batch(entries[:n]) })
+}
+
+func (c *crashStore) Sync() error { return c.step(0, func(int) error { return c.Store.Sync() }) }
+
+// TestCrashResumeByteIdentical crashes a three-shard job at each of the
+// store writes and syncs the service makes for it, from Submit to the
+// final state, and inside each shard's batch after each entry. A fresh
+// service over the reopened crash image must finish the job (the client
+// resubmits if the crash lost an unacknowledged Submit) with results
+// byte-identical to an uninterrupted run, and a job state read back as
+// terminal before the crash must not revert after it.
+func TestCrashResumeByteIdentical(t *testing.T) {
+	_, names := worldScan()
+	population := names[:12]
+	shards := func(sv *Service) { sv.ShardSize = 4 }
+	results := func(svc *Service, id string) []byte {
+		var b bytes.Buffer
+		if err := svc.WriteResults(&b, id, false); err != nil {
+			t.Fatalf("results: %v", err)
+		}
+		return b.Bytes()
+	}
+
+	count := newCrashStore(store.NewMem(), "", 0, 0)
+	ref := newTestService(t, count, shards)
 	rj, err := ref.Submit("acme", population)
 	if err != nil {
-		t.Fatalf("ref Submit: %v", err)
+		t.Fatal(err)
 	}
 	waitState(t, ref, rj.ID, StateDone)
-	var want bytes.Buffer
-	if err := ref.WriteResults(&want, rj.ID, false); err != nil {
-		t.Fatalf("ref results: %v", err)
-	}
+	ref.Close()
+	want := results(ref, rj.ID)
 
-	// Drilled: stop after 2 of 4 shards, "crash" (Close), restart.
-	s := store.NewMem()
-	svc := &Service{Store: s, Scan: scan, Runner: RunnerSpec{Workers: 8},
-		ShardSize: 16, StopAfterShards: 2}
-	if err := svc.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	j, err := svc.Submit("acme", population)
-	if err != nil {
-		svc.Close()
-		t.Fatalf("Submit: %v", err)
-	}
-	select {
-	case err := <-svc.Fatal():
-		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("stopped")) {
-			t.Fatalf("drill error = %v", err)
+	points := 0
+	for i, n := range count.calls {
+		for entry := 0; entry < max(n, 1); entry++ {
+			points++
+			dir := filepath.Join(t.TempDir(), "store")
+			d, err := store.OpenDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := newCrashStore(d, dir, i+1, entry)
+			svc := newTestService(t, cs, shards)
+			svc.Submit("acme", population) //nolint:errcheck // a crash inside Submit leaves it unacknowledged
+			var seen State
+			for crashed := false; !crashed; {
+				select {
+				case <-cs.crashed:
+					crashed = true
+				case <-time.After(time.Millisecond):
+					if j, ok, err := svc.Get(rj.ID); err == nil && ok && j.State.Terminal() && !cs.down.Load() {
+						seen = j.State
+					}
+				}
+			}
+			svc.Close()
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := store.OpenDisk(cs.image)
+			if err != nil {
+				t.Fatalf("crash at call %d entry %d: reopen: %v", i+1, entry, err)
+			}
+			svc2 := newTestService(t, r, shards)
+			if _, ok, err := svc2.Get(rj.ID); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				if _, err := svc2.Submit("acme", population); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := waitState(t, svc2, rj.ID, "")
+			if seen != "" && got.State != seen {
+				t.Fatalf("crash at call %d entry %d: job read back %s before the crash, %s after", i+1, entry, seen, got.State)
+			}
+			if got.State != StateDone || !bytes.Equal(results(svc2, rj.ID), want) {
+				t.Fatalf("crash at call %d entry %d: resumed job %s, results differ from the uninterrupted run", i+1, entry, got.State)
+			}
+			svc2.Close()
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	case <-time.After(30 * time.Second):
-		svc.Close()
-		t.Fatal("drill never fired")
 	}
-	svc.Close()
-
-	// The interrupted job must still be stored as running.
-	mid, ok, err := getJob(s, j.ID)
-	if err != nil || !ok {
-		t.Fatalf("job vanished after drill: %v", err)
-	}
-	if mid.State != StateRunning {
-		t.Fatalf("post-crash state = %s, want running", mid.State)
-	}
-
-	// Restart without the drill; Start must re-queue and the job must
-	// complete.
-	svc2 := newTestService(t, s, nil)
-	waitState(t, svc2, j.ID, StateDone)
-	var got bytes.Buffer
-	if err := svc2.WriteResults(&got, j.ID, false); err != nil {
-		t.Fatalf("resumed results: %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("resumed results differ from uninterrupted run:\nresumed %d bytes, reference %d bytes",
-			got.Len(), want.Len())
-	}
+	t.Logf("%d crash points", points)
 }
 
 func TestCancelPendingJob(t *testing.T) {
@@ -323,5 +431,73 @@ func TestStartTwiceFails(t *testing.T) {
 	svc := newTestService(t, store.NewMem(), nil)
 	if err := svc.Start(); err == nil {
 		t.Fatal("second Start succeeded")
+	}
+}
+
+// flakyScanner retries one operation per domain through retry.Policy:
+// on domains named bad* it always fails transiently, on the others it
+// fails once and then succeeds. Good domains wait until every bad one
+// is scanned, so a budget the jobs shared would be spent by then.
+type flakyScanner struct {
+	bad         int
+	badDone     chan struct{}
+	scannedBad  atomic.Int32
+	goodRetries atomic.Int32
+}
+
+func (f *flakyScanner) ScanDomain(ctx context.Context, d string) scanner.DomainResult {
+	bad := strings.HasPrefix(d, "bad")
+	if !bad {
+		<-f.badDone
+	}
+	attempts := 0
+	pol := retry.Policy{MaxAttempts: 3, Transient: func(error) bool { return true },
+		Sleep: func(context.Context, time.Duration) error { return nil }}
+	pol.Do(ctx, func(context.Context) error { //nolint:errcheck // the attempts are the outcome
+		attempts++
+		if bad || attempts == 1 {
+			return errors.New("transient")
+		}
+		return nil
+	})
+	if bad {
+		if int(f.scannedBad.Add(1)) == f.bad {
+			close(f.badDone)
+		}
+	} else {
+		f.goodRetries.Add(int32(attempts - 1))
+	}
+	return scanner.DomainResult{Domain: d}
+}
+
+// TestRetryBudgetPerJob runs two jobs at once under a 4-retry budget:
+// one whose 8 domains fail transiently for good, and one whose 4
+// domains each need one retry. Each job has its own budget, so the
+// broken job's exhausted budget leaves the other's retries untouched.
+func TestRetryBudgetPerJob(t *testing.T) {
+	var bad, good []string
+	for i := 0; i < 8; i++ {
+		bad = append(bad, fmt.Sprintf("bad%d.test", i))
+	}
+	for i := 0; i < 4; i++ {
+		good = append(good, fmt.Sprintf("good%d.test", i))
+	}
+	scan := &flakyScanner{bad: len(bad), badDone: make(chan struct{})}
+	svc := newTestService(t, store.NewMem(), func(sv *Service) {
+		sv.Scan = scan
+		sv.Runner = RunnerSpec{Workers: 2, RetryBudget: 4}
+	})
+	jb, err := svc.Submit("broken", bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jg, err := svc.Submit("healthy", good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc, jb.ID, StateDone)
+	waitState(t, svc, jg.ID, StateDone)
+	if got := scan.goodRetries.Load(); got != int32(len(good)) {
+		t.Fatalf("healthy job made %d retries, want %d (one per domain)", got, len(good))
 	}
 }

@@ -88,8 +88,6 @@ type Prober struct {
 	MaxAttempts int
 	// RetryBase overrides the first backoff delay (default 100ms).
 	RetryBase time.Duration
-	// RetryBudget, when non-nil, caps total retries across the run.
-	RetryBudget *retry.Budget
 }
 
 // Probe runs the §4.1 sequence against mxHost: connect, EHLO (HELO
@@ -113,7 +111,6 @@ func (p *Prober) ProbeAddr(ctx context.Context, mxHost, addr string) ProbeResult
 		Name:        "smtp.probe",
 		MaxAttempts: p.MaxAttempts,
 		BaseDelay:   p.RetryBase,
-		Budget:      p.RetryBudget,
 		Obs:         p.Obs,
 	}.Do(ctx, func(ctx context.Context) error {
 		res = p.probe(ctx, mxHost, addr)

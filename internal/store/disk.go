@@ -118,23 +118,31 @@ type ref struct {
 // A directory written in the store's first format (seg-*.jsonl: one
 // JSON line per record, values in base64) is migrated by Open, once:
 // see legacy.go.
+//
+// File I/O goes through a seam (fs.go) that lets tests crash the store
+// at any write, fsync, truncate, create, remove or directory fsync. The
+// first failed write or fsync poisons the Disk, since Linux reports a
+// writeback error only once: every later Put, Batch, Sync, rotation and
+// Close returns it, Get and Scan keep serving every record that reached
+// a file, and reopening recovers what is durable.
 type Disk struct {
 	// SegmentBytes is the rotation threshold (DefaultSegmentBytes when
 	// zero); set before the first Put.
 	SegmentBytes int64
 
 	mu      sync.Mutex
+	fs      fsys
 	dir     string
-	index   map[string]int   // key → its slot in refs
-	refs    []ref            // each key's newest record, by slot
-	keys    keyIndex         // the keys of index, in order, for Scan
-	files   map[int]*os.File // open segment handles, including the active one
-	active  int              // active segment number
-	size    int64            // bytes across all segments
-	actSize int64            // bytes in the active segment
-	w       *bufio.Writer    // buffers appends to the active segment
-	scratch []byte           // encodes one record at a time for w
-	dirty   bool             // w holds unflushed bytes
+	index   map[string]int // key → its slot in refs
+	refs    []ref          // each key's newest record, by slot
+	keys    keyIndex       // the keys of index, in order, for Scan
+	files   map[int]file   // open segment handles, including the active one
+	active  int            // active segment number
+	size    int64          // bytes across all segments
+	actSize int64          // bytes in the active segment, w's included
+	w       *bufio.Writer  // buffers appends to the active segment
+	scratch []byte         // encodes one record at a time for w
+	err     error          // the first failed write or fsync, returned ever after
 	closed  bool
 }
 
@@ -143,14 +151,18 @@ type Disk struct {
 // record in the final segment is truncated; a bad record anywhere else
 // is reported as corruption. A store in the legacy JSONL format is
 // migrated first.
-func OpenDisk(dir string) (*Disk, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func OpenDisk(dir string) (*Disk, error) { return openDisk(dir, osFS{}) }
+
+// openDisk is OpenDisk over the given file system.
+func openDisk(dir string, fs fsys) (*Disk, error) {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
 	s := &Disk{
+		fs:    fs,
 		dir:   dir,
 		index: make(map[string]int),
-		files: make(map[int]*os.File),
+		files: make(map[int]file),
 	}
 	if err := s.open(); err != nil {
 		if cerr := s.closeFiles(); cerr != nil {
@@ -173,7 +185,7 @@ func (s *Disk) open() error {
 		segs = []int{1}
 	}
 	for i, n := range segs {
-		f, err := os.OpenFile(s.segPath(n, segSuffix), os.O_RDWR|os.O_CREATE, 0o644)
+		f, err := s.fs.OpenFile(s.segPath(n, segSuffix), os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
 			return fmt.Errorf("store: open segment %d: %w", n, err)
 		}
@@ -222,7 +234,7 @@ func (s *Disk) closeFiles() error {
 // listSegments returns the numbers of the existing segments named with
 // suffix, in ascending order.
 func (s *Disk) listSegments(suffix string) ([]int, error) {
-	entries, err := os.ReadDir(s.dir)
+	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +262,7 @@ func (s *Disk) segPath(n int, suffix string) string {
 // good record (later records win), and returns the byte length of the
 // valid prefix. Each record's lengths are checked against the bytes
 // left before anything is read or allocated for it.
-func (s *Disk) replay(f *os.File, seg int, size int64) (int64, error) {
+func (s *Disk) replay(f file, seg int, size int64) (int64, error) {
 	if _, err := f.Seek(0, 0); err != nil {
 		return 0, err
 	}
@@ -328,13 +340,13 @@ func (s *Disk) Get(key string) ([]byte, bool, error) {
 }
 
 // readValue reads key's record with one ReadAt, checks it, and returns
-// its value as a subslice of the one buffer read; the caller holds mu.
+// its value as a subslice of the one buffer read, first flushing the
+// write buffer if the record is still in it; the caller holds mu.
 func (s *Disk) readValue(key string, rf ref) ([]byte, error) {
-	if int(rf.seg) == s.active && s.dirty {
-		if err := s.w.Flush(); err != nil {
+	if int(rf.seg) == s.active && rf.off+int64(rf.ln) > s.actSize-int64(s.w.Buffered()) {
+		if err := s.flush(); err != nil {
 			return nil, err
 		}
-		s.dirty = false
 	}
 	f := s.files[int(rf.seg)]
 	if f == nil {
@@ -379,6 +391,9 @@ func (s *Disk) append(key string, value []byte) error {
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.dir)
 	}
+	if s.err != nil {
+		return s.err
+	}
 	if key == "" {
 		return fmt.Errorf("store: empty key")
 	}
@@ -395,11 +410,11 @@ func (s *Disk) append(key string, value []byte) error {
 		}
 	}
 	s.scratch = appendRecord(s.scratch[:0], key, value)
-	n := len(s.scratch)
-	if _, err := s.w.Write(s.scratch); err != nil {
-		return err
+	n, err := s.w.Write(s.scratch)
+	if err != nil {
+		s.actSize += int64(n) // what the file and w hold, so readValue knows what is flushed
+		return s.fail(err)
 	}
-	s.dirty = true
 	s.setRef(key, ref{seg: int32(s.active), off: s.actSize, ln: int32(n)})
 	s.actSize += int64(n)
 	s.size += int64(n)
@@ -413,7 +428,7 @@ func (s *Disk) rotate() error {
 		return err
 	}
 	next := s.active + 1
-	f, err := os.OpenFile(s.segPath(next, segSuffix), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := s.fs.OpenFile(s.segPath(next, segSuffix), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: rotate to segment %d: %w", next, err)
 	}
@@ -433,28 +448,47 @@ func (s *Disk) rotate() error {
 // syncActive flushes the write buffer and fsyncs the active segment;
 // the caller holds mu.
 func (s *Disk) syncActive() error {
-	if s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			return err
-		}
-		s.dirty = false
+	if err := s.flush(); err != nil {
+		return err
 	}
-	if f := s.files[s.active]; f != nil {
-		if err := f.Sync(); err != nil {
-			return err
-		}
+	if err := s.files[s.active].Sync(); err != nil {
+		return s.fail(err)
 	}
 	return nil
 }
 
+// flush writes the buffered appends to the active segment; the caller
+// holds mu.
+func (s *Disk) flush() error {
+	if s.err != nil {
+		return s.err
+	}
+	if err := s.w.Flush(); err != nil {
+		return s.fail(err)
+	}
+	return nil
+}
+
+// fail poisons the Disk with its first write or fsync error; the
+// caller holds mu.
+func (s *Disk) fail(err error) error {
+	if s.err == nil {
+		s.err = fmt.Errorf("store: %s: writes disabled after: %w", s.dir, err)
+	}
+	return s.err
+}
+
 // syncDir fsyncs the store directory so segment creation is durable.
 func (s *Disk) syncDir() error {
-	d, err := os.Open(s.dir)
+	d, err := s.fs.OpenFile(s.dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	return d.Sync()
+	if err := d.Sync(); err != nil {
+		return s.fail(err)
+	}
+	return nil
 }
 
 // Scan implements Store: a seek to the prefix's key range as of the

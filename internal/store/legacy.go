@@ -37,7 +37,7 @@ func (s *Disk) migrateLegacy() error {
 	if err != nil || len(segs) == 0 {
 		return err
 	}
-	files := make(map[int]*os.File, len(segs))
+	files := make(map[int]file, len(segs))
 	closeAll := func() {
 		for n, f := range files {
 			//lint:ignore errdrop opened read-only: a failed close loses nothing
@@ -48,7 +48,7 @@ func (s *Disk) migrateLegacy() error {
 	defer closeAll()
 	old := make(map[string]ref)
 	for i, n := range segs {
-		f, err := os.Open(s.segPath(n, legacySuffix))
+		f, err := s.fs.OpenFile(s.segPath(n, legacySuffix), os.O_RDONLY, 0)
 		if err != nil {
 			return fmt.Errorf("store: open legacy segment %d: %w", n, err)
 		}
@@ -92,7 +92,7 @@ func (s *Disk) migrateLegacy() error {
 	}
 	closeAll()
 	for _, n := range segs {
-		if err := os.Remove(s.segPath(n, legacySuffix)); err != nil {
+		if err := s.fs.Remove(s.segPath(n, legacySuffix)); err != nil {
 			return fmt.Errorf("store: remove migrated legacy segment %d: %w", n, err)
 		}
 	}
@@ -102,7 +102,7 @@ func (s *Disk) migrateLegacy() error {
 // replayLegacy indexes every well-formed line of one legacy segment
 // into index (later lines win) and returns the byte length of the valid
 // prefix.
-func replayLegacy(f *os.File, seg int, index map[string]ref) (int64, error) {
+func replayLegacy(f file, seg int, index map[string]ref) (int64, error) {
 	r := bufio.NewReaderSize(f, replayBufBytes)
 	var off int64
 	for {
@@ -124,7 +124,7 @@ func replayLegacy(f *os.File, seg int, index map[string]ref) (int64, error) {
 }
 
 // readLegacy reads and decodes the value of one legacy line.
-func readLegacy(f *os.File, rf ref) ([]byte, error) {
+func readLegacy(f file, rf ref) ([]byte, error) {
 	buf := make([]byte, rf.ln)
 	if _, err := f.ReadAt(buf, rf.off); err != nil {
 		return nil, fmt.Errorf("store: read legacy segment %d @%d: %w", rf.seg, rf.off, err)

@@ -45,7 +45,7 @@ func benchScanPrefix(b *testing.B, open func(testing.TB) Store) {
 
 func openMem(testing.TB) Store { return NewMem() }
 
-func openDisk(tb testing.TB) Store {
+func openTempDisk(tb testing.TB) Store {
 	s, err := OpenDisk(tb.TempDir())
 	if err != nil {
 		tb.Fatal(err)
@@ -55,13 +55,13 @@ func openDisk(tb testing.TB) Store {
 }
 
 func BenchmarkMemScanPrefix(b *testing.B)  { benchScanPrefix(b, openMem) }
-func BenchmarkDiskScanPrefix(b *testing.B) { benchScanPrefix(b, openDisk) }
+func BenchmarkDiskScanPrefix(b *testing.B) { benchScanPrefix(b, openTempDisk) }
 
 // TestScanNoMatchAllocatesNothing pins the cost Scan had before the
 // ordered index: a slice sized to the whole key set per call, however
 // few keys matched.
 func TestScanNoMatchAllocatesNothing(t *testing.T) {
-	for name, open := range map[string]func(testing.TB) Store{"mem": openMem, "disk": openDisk} {
+	for name, open := range map[string]func(testing.TB) Store{"mem": openMem, "disk": openTempDisk} {
 		t.Run(name, func(t *testing.T) {
 			s := open(t)
 			fillForScan(t, s, 50_000, 50)

@@ -129,7 +129,8 @@ smoke-examples:
 	$(GO) run ./examples/sendermta > /tmp/mtasts-example.out && grep -q 'rogue MX received 0 message(s)' /tmp/mtasts-example.out
 	$(GO) run ./examples/danefirst > /tmp/mtasts-example.out && grep -q 'MTA-STS was never consulted' /tmp/mtasts-example.out
 	$(GO) run ./examples/delegation > /dev/null
-	@echo "smoke-examples: quickstart, sendermta, danefirst, delegation ran clean"
+	$(GO) run ./examples/longitudinal > /tmp/mtasts-example.out && grep -q 'misconfigured' /tmp/mtasts-example.out
+	@echo "smoke-examples: quickstart, sendermta, danefirst, delegation, longitudinal ran clean"
 
 # Coverage-guided fuzzing smoke over the wire-format parsers and the
 # store's segment replay (`go test

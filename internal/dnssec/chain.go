@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/dnsmsg"
 	"github.com/netsecurelab/mtasts/internal/dnszone"
 	"github.com/netsecurelab/mtasts/internal/resolver"
@@ -54,8 +55,6 @@ type Validator struct {
 	anchors map[string][]dnsmsg.DSData
 	// Client resolves the records and signatures.
 	Client *resolver.Client
-	// Now anchors signature validity checks; nil means time.Now.
-	Now func() time.Time
 	// MaxChain bounds delegation depth.
 	MaxChain int
 }
@@ -80,17 +79,11 @@ func (v *Validator) AddAnchor(ds dnsmsg.RR) error {
 	return nil
 }
 
-func (v *Validator) now() time.Time {
-	if v.Now != nil {
-		return v.Now()
-	}
-	return time.Now()
-}
-
 // SecureLookup resolves (name, type) and validates the RRset's chain of
-// trust. secure is true only when the full chain to a trust anchor
-// verifies; rrs are returned regardless (mirroring a security-aware
-// resolver that sets or clears the AD bit).
+// trust, judging signature windows at the context clock's instant.
+// secure is true only when the full chain to a trust anchor verifies;
+// rrs are returned regardless (mirroring a security-aware resolver that
+// sets or clears the AD bit).
 func (v *Validator) SecureLookup(ctx context.Context, name string, t dnsmsg.Type) (rrs []dnsmsg.RR, secure bool, err error) {
 	rrs, err = v.Client.Lookup(ctx, name, t)
 	if err != nil {
@@ -116,7 +109,7 @@ func (v *Validator) validateRRset(ctx context.Context, name string, t dnsmsg.Typ
 	if err != nil {
 		return err
 	}
-	return VerifyRRSIG(rrs, sig, key, v.now())
+	return VerifyRRSIG(rrs, sig, key, clock.From(ctx).Now())
 }
 
 // coveringSig fetches the RRSIG at name covering type t.
@@ -188,7 +181,7 @@ func (v *Validator) trustedDNSKEY(ctx context.Context, zone string, tag uint16, 
 	if err != nil {
 		return dnsmsg.DNSKEYData{}, err
 	}
-	if err := VerifyRRSIG(keys, keySig, *sepKey, v.now()); err != nil {
+	if err := VerifyRRSIG(keys, keySig, *sepKey, clock.From(ctx).Now()); err != nil {
 		return dnsmsg.DNSKEYData{}, fmt.Errorf("DNSKEY RRset of %s: %w", zone, err)
 	}
 

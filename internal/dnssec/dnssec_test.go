@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/dane"
 	"github.com/netsecurelab/mtasts/internal/dnsmsg"
 	"github.com/netsecurelab/mtasts/internal/dnsserver"
@@ -142,6 +143,12 @@ func TestSignRejectsOutOfZone(t *testing.T) {
 	}
 }
 
+// atSigNow is a context whose clock reads sigNow, inside every
+// signature's validity window.
+func atSigNow() context.Context {
+	return clock.With(context.Background(), clock.NewFake(sigNow))
+}
+
 // buildSignedEnv boots a DNS server with a signed parent ("test") and a
 // securely delegated child ("secure.test") carrying a TLSA record; an
 // unsigned sibling ("insecure.test") serves the same shape without
@@ -192,7 +199,6 @@ func buildSignedEnv(t *testing.T) (*Validator, *dnszone.Zone) {
 	t.Cleanup(func() { srv.Close() })
 
 	v := NewValidator(resolver.New(addr.String()))
-	v.Now = func() time.Time { return sigNow }
 	if err := v.AddAnchor(parentSigner.DS()); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +207,7 @@ func buildSignedEnv(t *testing.T) (*Validator, *dnszone.Zone) {
 
 func TestSecureLookupChain(t *testing.T) {
 	v, _ := buildSignedEnv(t)
-	ctx := context.Background()
+	ctx := atSigNow()
 	rrs, secure, err := v.SecureLookup(ctx, "_25._tcp.mx.secure.test", dnsmsg.TypeTLSA)
 	if err != nil {
 		t.Fatalf("SecureLookup: %v", err)
@@ -216,7 +222,7 @@ func TestSecureLookupChain(t *testing.T) {
 
 func TestSecureLookupInsecureZone(t *testing.T) {
 	v, _ := buildSignedEnv(t)
-	rrs, secure, err := v.SecureLookup(context.Background(), "_25._tcp.mx.insecure.test", dnsmsg.TypeTLSA)
+	rrs, secure, err := v.SecureLookup(atSigNow(), "_25._tcp.mx.insecure.test", dnsmsg.TypeTLSA)
 	if err != nil {
 		t.Fatalf("SecureLookup: %v", err)
 	}
@@ -230,7 +236,7 @@ func TestSecureLookupInsecureZone(t *testing.T) {
 
 func TestSecureLookupDetectsForgery(t *testing.T) {
 	v, childZone := buildSignedEnv(t)
-	ctx := context.Background()
+	ctx := atSigNow()
 
 	// An attacker swaps the TLSA RRset without being able to re-sign.
 	childZone.Remove("_25._tcp.mx.secure.test", dnsmsg.TypeTLSA)
@@ -250,8 +256,8 @@ func TestSecureLookupDetectsForgery(t *testing.T) {
 
 func TestSecureLookupExpiredSignatures(t *testing.T) {
 	v, _ := buildSignedEnv(t)
-	v.Now = func() time.Time { return sigExpire.Add(48 * time.Hour) }
-	_, secure, err := v.SecureLookup(context.Background(), "_25._tcp.mx.secure.test", dnsmsg.TypeTLSA)
+	ctx := clock.With(context.Background(), clock.NewFake(sigExpire.Add(48*time.Hour)))
+	_, secure, err := v.SecureLookup(ctx, "_25._tcp.mx.secure.test", dnsmsg.TypeTLSA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +269,7 @@ func TestSecureLookupExpiredSignatures(t *testing.T) {
 func TestValidatorWithoutAnchor(t *testing.T) {
 	v, _ := buildSignedEnv(t)
 	v.anchors = map[string][]dnsmsg.DSData{} // drop the trust anchor
-	_, secure, err := v.SecureLookup(context.Background(), "_25._tcp.mx.secure.test", dnsmsg.TypeTLSA)
+	_, secure, err := v.SecureLookup(atSigNow(), "_25._tcp.mx.secure.test", dnsmsg.TypeTLSA)
 	if err != nil {
 		t.Fatal(err)
 	}

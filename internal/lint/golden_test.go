@@ -140,6 +140,25 @@ func TestSleepLoopGolden(t *testing.T) {
 	lintFixture(t, "sleeploop", "github.com/netsecurelab/mtasts/internal/fixsleep", SleepLoop())
 }
 
+func TestSemTimeGolden(t *testing.T) {
+	lintFixture(t, "semtime", "github.com/netsecurelab/mtasts/internal/fixsemtime", SemTime())
+}
+
+// TestSemTimeScope pins the analyzer to internal/ packages that import
+// internal/clock: the goroleak fixture reads the wall clock but imports
+// no clock, and commands are out of scope.
+func TestSemTimeScope(t *testing.T) {
+	for fixture, importPath := range map[string]string{
+		"goroleak": "github.com/netsecurelab/mtasts/internal/fixgoroleak",
+		"semtime":  "github.com/netsecurelab/mtasts/cmd/fixsemtime",
+	} {
+		m := loadFixture(t, fixture, importPath)
+		if findings := Run(m, []*Analyzer{SemTime()}); len(findings) != 0 {
+			t.Errorf("%s as %s: want no findings, got %v", fixture, importPath, findings)
+		}
+	}
+}
+
 func TestCodesGolden(t *testing.T) {
 	lintFixture(t, "codes", "github.com/netsecurelab/mtasts/internal/smtpclient/fixcodes", Codes())
 }

@@ -11,8 +11,10 @@
 // docs/OBSERVABILITY.md (obsnames), computed values must be used
 // (deadvalue), retryable paths must use internal/retry backoff
 // rather than raw time.Sleep (sleeploop), errors leaving the
-// errtax-producing packages must carry a taxonomy code (codes), and
-// every package must carry a well-formed package doc comment (pkgdoc).
+// errtax-producing packages must carry a taxonomy code (codes), every
+// package must carry a well-formed package doc comment (pkgdoc), and
+// packages whose verdicts read internal/clock must not also read the
+// wall clock (semtime).
 //
 // The concurrency pack guards the scan/sender/campaign stack's
 // goroutine and lock discipline: no blocking operation under a held
@@ -158,6 +160,7 @@ func All(docsPath string) []*Analyzer {
 		ObsNames(docsPath),
 		DeadValue(),
 		SleepLoop(),
+		SemTime(),
 		Codes(),
 		PkgDoc(),
 		LockHold(),

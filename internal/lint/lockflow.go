@@ -472,6 +472,8 @@ func classifyBlockingCall(pass *Pass, call *ast.CallExpr, summaries *blockingSum
 		return "time.Sleep"
 	case pkgPath == "sync" && name == "Wait":
 		return funcName(fn) // WaitGroup.Wait / Cond.Wait
+	case strings.HasSuffix(pkgPath, "/internal/clock") && name == "Sleep":
+		return funcName(fn) + " (clock wait)"
 	case strings.HasSuffix(pkgPath, "/internal/sf") && name == "Do":
 		return funcName(fn) + " (singleflight join)"
 	case strings.HasSuffix(pkgPath, "/internal/store") && recvTypeString(fn) != "" && storeIOMethods[name]:

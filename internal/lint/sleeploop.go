@@ -10,13 +10,14 @@ import (
 // internal/ library code: a Sleep inside a loop is a hand-rolled retry
 // that should be retry.Policy.Do (budgeted, jittered, context-aware),
 // and a Sleep inside a function that received a context.Context ignores
-// cancellation — a canceled scan would sit out the full delay. The
-// retry package itself (which implements the sanctioned backoff wait)
-// is exempt.
+// cancellation — a canceled scan would sit out the full delay. An
+// internal/clock Sleep honours its context, but in a loop it is the
+// same hand-rolled retry. The retry package itself (which implements
+// the sanctioned backoff wait) is exempt.
 func SleepLoop() *Analyzer {
 	a := &Analyzer{
 		Name: "sleeploop",
-		Doc:  "flags raw time.Sleep in loops or context-aware internal/ code",
+		Doc:  "flags raw time.Sleep (and clock Sleep in loops) in internal/ code",
 	}
 	a.Run = func(pass *Pass) {
 		if !isInternalPkg(pass.Pkg.ImportPath) || strings.HasSuffix(pass.Pkg.ImportPath, "/internal/retry") {
@@ -40,7 +41,8 @@ func SleepLoop() *Analyzer {
 	return a
 }
 
-// sleepWalk scans body for time.Sleep, tracking enclosing-loop depth.
+// sleepWalk scans body for time.Sleep and internal/clock Sleep, tracking
+// enclosing-loop depth.
 // Function literals inherit both the loop depth and the context reach
 // of their definition site: a closure built inside a retry loop (or a
 // context-aware function) runs under the same obligations.
@@ -65,7 +67,16 @@ func sleepWalk(pass *Pass, body ast.Node, loopDepth int, hasCtx bool) {
 			return false
 		case *ast.CallExpr:
 			fn := calleeFunc(info, n)
-			if fn == nil || fn.Name() != "Sleep" || funcPkgPath(fn) != "time" || recvTypeString(fn) != "" {
+			if fn == nil || fn.Name() != "Sleep" {
+				return true
+			}
+			if strings.HasSuffix(funcPkgPath(fn), "/internal/clock") {
+				if loopDepth > 0 {
+					pass.Reportf(n.Pos(), "%s in a loop; use retry.Policy backoff (internal/retry)", funcName(fn))
+				}
+				return true
+			}
+			if funcPkgPath(fn) != "time" || recvTypeString(fn) != "" {
 				return true
 			}
 			switch {

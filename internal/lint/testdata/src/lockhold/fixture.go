@@ -3,9 +3,12 @@
 package fixlockhold
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"time"
+
+	"github.com/netsecurelab/mtasts/internal/clock"
 )
 
 type cache struct {
@@ -32,6 +35,23 @@ func (c *cache) sleepUnderRLock() {
 	c.rw.RLock()
 	time.Sleep(time.Millisecond) // want "time.Sleep while holding c.rw (RLock)"
 	c.rw.RUnlock()
+}
+
+func (c *cache) backoffUnderLock(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return clock.From(ctx).Sleep(ctx, time.Millisecond) // want "(clock.Clock).Sleep (clock wait) while holding c.mu"
+}
+
+// refillLocked hides a clock wait behind a same-package helper.
+func (c *cache) refillLocked(ctx context.Context) error {
+	return clock.System{}.Sleep(ctx, time.Millisecond)
+}
+
+func (c *cache) takeUnderLock(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.refillLocked(ctx) // want "which reaches (clock.System).Sleep (clock wait) while holding c.mu"
 }
 
 func (c *cache) fetchUnderLock(url string) {

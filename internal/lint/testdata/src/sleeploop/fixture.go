@@ -5,6 +5,8 @@ package fixsleep
 import (
 	"context"
 	"time"
+
+	"github.com/netsecurelab/mtasts/internal/clock"
 )
 
 func inLoop() {
@@ -34,4 +36,14 @@ func closureInLoop() {
 
 func plain() {
 	time.Sleep(time.Millisecond) // no loop, no context in scope: allowed
+}
+
+func clockInLoop(ctx context.Context) {
+	for i := 0; i < 3; i++ {
+		clock.From(ctx).Sleep(ctx, time.Millisecond) // want "(clock.Clock).Sleep in a loop"
+	}
+}
+
+func clockOnce(ctx context.Context) error {
+	return clock.From(ctx).Sleep(ctx, time.Millisecond) // honours ctx, no loop: allowed
 }

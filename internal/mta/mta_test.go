@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/dane"
 	"github.com/netsecurelab/mtasts/internal/dnsmsg"
 	"github.com/netsecurelab/mtasts/internal/dnssec"
@@ -326,8 +327,8 @@ func TestRefreshPolicies(t *testing.T) {
 	addDomain(n, "iota.test", []string{"mx.iota.test"}, pol)
 
 	o := outbound(n, false)
-	now := time.Now()
-	o.Validator.Cache = memCache(t, mtasts.CacheOptions{Now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Now())
+	o.Validator.Cache = memCache(t, mtasts.CacheOptions{Clock: clk})
 	if _, err := o.Send(context.Background(), "a@s.lab", []string{"b@iota.test"}, []byte("x\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestRefreshPolicies(t *testing.T) {
 		t.Errorf("refreshed %d, want 0", n)
 	}
 	// Advance to within the refresh window.
-	now = now.Add(55 * time.Minute)
+	clk.Advance(55 * time.Minute)
 	if n := o.RefreshPolicies(context.Background(), 10*time.Minute); n != 1 {
 		t.Errorf("refreshed %d, want 1", n)
 	}
@@ -367,8 +368,8 @@ func TestRefreshFailurePreservesPolicy(t *testing.T) {
 
 	o := outbound(n, false)
 	o.Obs = obs.NewRegistry()
-	now := time.Now()
-	pc := memCache(t, mtasts.CacheOptions{Now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Now())
+	pc := memCache(t, mtasts.CacheOptions{Clock: clk})
 	o.Validator.Cache = pc
 	if _, err := o.Send(context.Background(), "a@s.lab", []string{"b@kappa.test"}, []byte("x\n")); err != nil {
 		t.Fatal(err)
@@ -383,7 +384,7 @@ func TestRefreshFailurePreservesPolicy(t *testing.T) {
 	if err := n.Policy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(55 * time.Minute)
+	clk.Advance(55 * time.Minute)
 	if n := o.RefreshPolicies(context.Background(), 10*time.Minute); n != 0 {
 		t.Errorf("refreshed %d, want 0", n)
 	}
@@ -411,8 +412,8 @@ func TestStaleServeNoDowngradeDrill(t *testing.T) {
 	addDomain(n, "lambda.test", []string{"mx.lambda.test"}, pol)
 
 	o := outbound(n, false)
-	now := time.Now()
-	cache := memCache(t, mtasts.CacheOptions{Now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Now())
+	cache := memCache(t, mtasts.CacheOptions{Clock: clk})
 	o.Validator.Cache = cache
 
 	// Cold delivery populates the cache.
@@ -429,7 +430,7 @@ func TestStaleServeNoDowngradeDrill(t *testing.T) {
 	if err := n.Policy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Hour) // past max_age, inside the stale window
+	clk.Advance(2 * time.Hour) // past max_age, inside the stale window
 	out, err = o.Send(context.Background(), "a@s.lab", []string{"b@lambda.test"}, []byte("y\n"))
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/sf"
 	"github.com/netsecurelab/mtasts/internal/store"
@@ -59,8 +60,10 @@ type CacheOptions struct {
 	// StaleWindow bounds how long an expired entry remains servable via
 	// GetStale; 0 means DefaultStaleWindow.
 	StaleWindow time.Duration
-	// Now replaces time.Now for tests.
-	Now func() time.Time
+	// Clock tells the cache the time; nil means clock.System. The cache
+	// outlives any one call, so it keeps its own clock rather than
+	// reading one from a context.
+	Clock clock.Clock
 	// Obs receives the cache's metrics; nil disables them.
 	Obs *obs.Registry
 }
@@ -124,7 +127,7 @@ type PolicyCache struct {
 	st          store.Store
 	max         int
 	staleWindow time.Duration
-	now         func() time.Time
+	clock       clock.Clock
 
 	mu      sync.Mutex
 	entries map[string]CachedPolicy // key: policy domain
@@ -160,7 +163,7 @@ func NewPolicyCache(max int) *PolicyCache {
 // the earliest-expiring are dropped until the bound holds.
 func OpenPolicyCache(st store.Store, o CacheOptions) (*PolicyCache, error) {
 	c := newPolicyCache(st, o)
-	oldest := c.now().Add(-c.staleWindow)
+	oldest := c.clock.Now().Add(-c.staleWindow)
 	err := st.Scan(cacheKeyPrefix, func(key string, value []byte) error {
 		if len(value) == 0 {
 			return nil // tombstone: entry was invalidated
@@ -192,14 +195,14 @@ func newPolicyCache(st store.Store, o CacheOptions) *PolicyCache {
 	if o.StaleWindow <= 0 {
 		o.StaleWindow = DefaultStaleWindow
 	}
-	if o.Now == nil {
-		o.Now = time.Now
+	if o.Clock == nil {
+		o.Clock = clock.System{}
 	}
 	return &PolicyCache{
 		st:          st,
 		max:         o.Max,
 		staleWindow: o.StaleWindow,
-		now:         o.Now,
+		clock:       o.Clock,
 		entries:     make(map[string]CachedPolicy),
 
 		obsHits:          o.Obs.Counter(cacheMetrics + ".hits"),
@@ -221,7 +224,7 @@ func (c *PolicyCache) Get(domain string) (CachedPolicy, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[domain]
-	if ok && e.Fresh(c.now()) {
+	if ok && e.Fresh(c.clock.Now()) {
 		c.hits.Add(1)
 		c.obsHits.Inc()
 		return e, true
@@ -245,7 +248,7 @@ func (c *PolicyCache) GetStale(domain string) (CachedPolicy, bool) {
 	if !ok {
 		return CachedPolicy{}, false
 	}
-	if e.Fresh(c.now()) {
+	if e.Fresh(c.clock.Now()) {
 		return e, true
 	}
 	if c.pruneLocked(domain, e) {
@@ -260,7 +263,7 @@ func (c *PolicyCache) GetStale(domain string) (CachedPolicy, bool) {
 // Memory-only: the store is compacted on the next open, which skips
 // entries this old. Reports whether the entry was dropped.
 func (c *PolicyCache) pruneLocked(domain string, e CachedPolicy) bool {
-	if c.now().Sub(e.Expires) > c.staleWindow {
+	if c.clock.Now().Sub(e.Expires) > c.staleWindow {
 		delete(c.entries, domain)
 		return true
 	}
@@ -274,7 +277,7 @@ func (c *PolicyCache) NeedsRefresh(domain, currentRecordID string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[domain]
-	if !ok || !e.Fresh(c.now()) {
+	if !ok || !e.Fresh(c.clock.Now()) {
 		return true
 	}
 	return e.RecordID != currentRecordID
@@ -288,7 +291,7 @@ func (c *PolicyCache) Store(domain string, p Policy, recordID string) {
 	if p.MaxAge <= 0 {
 		return
 	}
-	now := c.now()
+	now := c.clock.Now()
 	e := CachedPolicy{
 		Policy:    p,
 		RecordID:  recordID,
@@ -408,7 +411,7 @@ func (c *PolicyCache) CoalesceFetch(domain string, fetch func() (Policy, error))
 // while they remain inside the stale window: an entry that lapsed between
 // refresher ticks must still be revalidated, not silently abandoned.
 func (c *PolicyCache) ExpiringWithin(window time.Duration) []string {
-	now := c.now()
+	now := c.clock.Now()
 	deadline := now.Add(window)
 	oldest := now.Add(-c.staleWindow)
 	c.mu.Lock()

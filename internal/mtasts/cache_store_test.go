@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/store"
 )
 
@@ -17,25 +18,8 @@ func mxPolicy(mx string, maxAge int64) Policy {
 	return Policy{Version: Version, Mode: ModeEnforce, MaxAge: maxAge, MXPatterns: []string{mx}}
 }
 
-// clock is a settable test clock shared with a cache via CacheOptions.Now.
-type clock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newClock() *clock { return &clock{t: time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)} }
-
-func (c *clock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *clock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
+// newClock is the test clock a cache shares via CacheOptions.Clock.
+func newClock() *clock.Fake { return clock.NewFake(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)) }
 
 func mustOpen(t *testing.T, st store.Store, o CacheOptions) *PolicyCache {
 	t.Helper()
@@ -53,12 +37,15 @@ var errCrashed = errors.New("crashed")
 // crashStore wraps a store and records its mutating calls (Put, Batch,
 // Sync). When at > 0 it crashes at call at: the store's write buffer
 // goes out to the OS, the directory dir, if set, is copied to image as
-// the OS holds it at that instant, and that call and every later one
-// fail with errCrashed.
+// the OS holds it at that instant, clk's reading, if clk is set, is
+// kept as crashedAt, and that call and every later one fail with
+// errCrashed.
 type crashStore struct {
 	store.Store
 	dir, image string
 	at         int
+	clk        clock.Clock
+	crashedAt  time.Time
 
 	mu    sync.Mutex
 	calls []string // "put", "batch" or "sync", in call order
@@ -73,6 +60,9 @@ func (c *crashStore) step(kind string, write func() error) error {
 	c.calls = append(c.calls, kind)
 	if len(c.calls) != c.at {
 		return write()
+	}
+	if c.clk != nil {
+		c.crashedAt = c.clk.Now()
 	}
 	if c.dir != "" {
 		if err := c.Store.Sync(); err != nil {
@@ -136,6 +126,64 @@ func (c *crashStore) count(kind string) int {
 // image must hold every domain at its old or its new policy, whole:
 // never missing, never one policy under the other's id.
 func TestRefreshCrashEveryCall(t *testing.T) {
+	refreshCrashEveryCall(t, false, func(at int, _ time.Time, c *PolicyCache, d string, isOld, isNew func(CachedPolicy) bool) {
+		e, ok := c.Get(d)
+		switch {
+		case !ok:
+			t.Fatalf("crash at call %d: %s missing", at, d)
+		case !isOld(e) && !isNew(e):
+			t.Fatalf("crash at call %d: %s reopened torn: %+v", at, d, e)
+		}
+	})
+}
+
+// TestRefreshCrashEveryCallMaxAgeCrossing is the same round with a
+// time-dependent boundary inside it: halfway through, the clock passes
+// the old policies' max_age. Each crash image is reopened at the
+// instant of its crash. Before the crossing Get serves every domain,
+// old or new; after it Get serves a domain exactly when the image holds
+// its new policy, and never an old one. GetStale serves every domain at
+// its old or its new policy, whole: never missing, never torn.
+func TestRefreshCrashEveryCallMaxAgeCrossing(t *testing.T) {
+	oldExpires := newClock().Now().Add(time.Hour)
+	var before, after int
+	refreshCrashEveryCall(t, true, func(at int, now time.Time, c *PolicyCache, d string, isOld, isNew func(CachedPolicy) bool) {
+		stale, ok := c.GetStale(d)
+		switch {
+		case !ok:
+			t.Fatalf("crash at call %d: GetStale(%s) missing", at, d)
+		case !isOld(stale) && !isNew(stale):
+			t.Fatalf("crash at call %d: %s reopened torn: %+v", at, d, stale)
+		}
+		e, ok := c.Get(d)
+		if !now.After(oldExpires) {
+			before++
+			if !ok {
+				t.Fatalf("crash at call %d: Get(%s) missing before the old max_age", at, d)
+			}
+			return
+		}
+		after++
+		switch {
+		case ok && !isNew(e):
+			t.Fatalf("crash at call %d: Get(%s) served %+v past the old max_age", at, d, e)
+		case !ok && isNew(stale):
+			t.Fatalf("crash at call %d: Get(%s) missed the new policy", at, d)
+		}
+	})
+	if before == 0 || after == 0 {
+		t.Errorf("crash checks before/after the max_age crossing = %d/%d, want both sides", before, after)
+	}
+}
+
+// refreshCrashEveryCall seeds four domains at an old policy (max_age
+// 1h), moves the clock 50 minutes on, and crashes a refresh round at
+// each of its store calls; check sees every domain of the cache
+// reopened over each crash image, with the clock at now, the instant of
+// the crash. With cross set, the clock passes the old max_age after
+// half the domains.
+func refreshCrashEveryCall(t *testing.T, cross bool, check func(at int, now time.Time, c *PolicyCache, d string, isOld, isNew func(CachedPolicy) bool)) {
+	t.Helper()
 	clk := newClock()
 	domains := []string{"a.test", "b.test", "c.test", "d.test"}
 	policy := func(d, gen string) Policy { return mxPolicy("mx."+gen+"."+d, 3600) }
@@ -144,7 +192,7 @@ func TestRefreshCrashEveryCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mustOpen(t, st, CacheOptions{Now: clk.Now})
+	c := mustOpen(t, st, CacheOptions{Clock: clk})
 	for _, d := range domains {
 		c.Store(d, policy(d, "old"), "id1")
 	}
@@ -152,10 +200,12 @@ func TestRefreshCrashEveryCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(50 * time.Minute) // every entry is now inside the refresh window
+	refreshAt := clk.Now()
 
 	// round opens the cache over a copy of seed and refreshes it; the
 	// copy's directory is what the crash image is taken from.
 	round := func(at int) *crashStore {
+		clk.Set(refreshAt)
 		dir := filepath.Join(t.TempDir(), "store")
 		if err := copyDir(seed, dir); err != nil {
 			t.Fatal(err)
@@ -164,9 +214,12 @@ func TestRefreshCrashEveryCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := &crashStore{Store: d, dir: dir, at: at}
-		c := mustOpen(t, cs, CacheOptions{Now: clk.Now})
-		for _, dom := range c.ExpiringWithin(time.Hour) {
+		cs := &crashStore{Store: d, dir: dir, at: at, clk: clk}
+		c := mustOpen(t, cs, CacheOptions{Clock: clk})
+		for i, dom := range c.ExpiringWithin(time.Hour) {
+			if cross && i == len(domains)/2 {
+				clk.Advance(11 * time.Minute) // past the old policies' max_age
+			}
 			if _, _, err := c.CoalesceFetch(dom, func() (Policy, error) {
 				p := policy(dom, "new")
 				c.Store(dom, p, "id2")
@@ -185,20 +238,21 @@ func TestRefreshCrashEveryCall(t *testing.T) {
 		t.Fatalf("refresh round made %d store calls, want a Put and a Sync per domain", calls)
 	}
 	for at := 1; at <= calls; at++ {
-		st, err := store.OpenDisk(round(at).image)
+		cs := round(at)
+		clk.Set(cs.crashedAt)
+		st, err := store.OpenDisk(cs.image)
 		if err != nil {
 			t.Fatalf("crash at call %d: reopen: %v", at, err)
 		}
-		c := mustOpen(t, st, CacheOptions{Now: clk.Now})
+		c := mustOpen(t, st, CacheOptions{Clock: clk})
 		for _, d := range domains {
-			e, ok := c.Get(d)
-			switch {
-			case !ok:
-				t.Fatalf("crash at call %d: %s missing", at, d)
-			case !(e.RecordID == "id1" && reflect.DeepEqual(e.Policy, policy(d, "old"))) &&
-				!(e.RecordID == "id2" && reflect.DeepEqual(e.Policy, policy(d, "new"))):
-				t.Fatalf("crash at call %d: %s reopened torn: %+v", at, d, e)
+			isOld := func(e CachedPolicy) bool {
+				return e.RecordID == "id1" && reflect.DeepEqual(e.Policy, policy(d, "old"))
 			}
+			isNew := func(e CachedPolicy) bool {
+				return e.RecordID == "id2" && reflect.DeepEqual(e.Policy, policy(d, "new"))
+			}
+			check(at, cs.crashedAt, c, d, isOld, isNew)
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
@@ -209,7 +263,7 @@ func TestRefreshCrashEveryCall(t *testing.T) {
 
 func TestStoreGetStats(t *testing.T) {
 	clk := newClock()
-	c := mustOpen(t, store.NewMem(), CacheOptions{Now: clk.Now})
+	c := mustOpen(t, store.NewMem(), CacheOptions{Clock: clk})
 	if _, ok := c.Get("a.test"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -243,7 +297,7 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mustOpen(t, st, CacheOptions{Now: clk.Now})
+	c := mustOpen(t, st, CacheOptions{Clock: clk})
 	c.Store("keep.test", mxPolicy("mx.keep.test", 86400), "id-keep")
 	c.Store("drop.test", mxPolicy("mx.drop.test", 86400), "id-drop")
 	c.Invalidate("drop.test")
@@ -256,7 +310,7 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := mustOpen(t, st2, CacheOptions{Now: clk.Now})
+	c2 := mustOpen(t, st2, CacheOptions{Clock: clk})
 	defer func() {
 		if err := c2.Close(); err != nil {
 			t.Error(err)
@@ -284,7 +338,7 @@ func TestRestartSkipsEntriesBeyondStaleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mustOpen(t, st, CacheOptions{Now: clk.Now})
+	c := mustOpen(t, st, CacheOptions{Clock: clk})
 	c.Store("old.test", mxPolicy("mx.old.test", 60), "id")
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -295,7 +349,7 @@ func TestRestartSkipsEntriesBeyondStaleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := mustOpen(t, st2, CacheOptions{Now: clk.Now})
+	c2 := mustOpen(t, st2, CacheOptions{Clock: clk})
 	defer func() {
 		if err := c2.Close(); err != nil {
 			t.Error(err)
@@ -308,7 +362,7 @@ func TestRestartSkipsEntriesBeyondStaleWindow(t *testing.T) {
 
 func TestNeedsRefreshRecordIDChange(t *testing.T) {
 	clk := newClock()
-	c := mustOpen(t, store.NewMem(), CacheOptions{Now: clk.Now})
+	c := mustOpen(t, store.NewMem(), CacheOptions{Clock: clk})
 	c.Store("a.test", mxPolicy("mx.a.test", 3600), "id1")
 	if c.NeedsRefresh("a.test", "id1") {
 		t.Error("fresh same-id entry reported needing refresh")
@@ -324,7 +378,7 @@ func TestNeedsRefreshRecordIDChange(t *testing.T) {
 
 func TestStaleWindowSemantics(t *testing.T) {
 	clk := newClock()
-	c := mustOpen(t, store.NewMem(), CacheOptions{Now: clk.Now, StaleWindow: time.Hour})
+	c := mustOpen(t, store.NewMem(), CacheOptions{Clock: clk, StaleWindow: time.Hour})
 	c.Store("a.test", mxPolicy("mx.a.test", 60), "id1")
 
 	clk.Advance(10 * time.Minute) // expired, inside the stale window
@@ -349,7 +403,7 @@ func TestStaleWindowSemantics(t *testing.T) {
 
 func TestExpiringWithinIncludesRecentlyExpired(t *testing.T) {
 	clk := newClock()
-	c := mustOpen(t, store.NewMem(), CacheOptions{Now: clk.Now, StaleWindow: time.Hour})
+	c := mustOpen(t, store.NewMem(), CacheOptions{Clock: clk, StaleWindow: time.Hour})
 	c.Store("soon.test", mxPolicy("mx.s.test", 600), "id")   // expires in 10m
 	c.Store("later.test", mxPolicy("mx.l.test", 7200), "id") // expires in 2h
 	c.Store("lapsed.test", mxPolicy("mx.x.test", 60), "id")  // expires in 1m
@@ -436,7 +490,7 @@ func TestCoalesceFetchCollapses(t *testing.T) {
 
 func TestCoalesceFetchFailureCountsRefreshFailure(t *testing.T) {
 	clk := newClock()
-	c := mustOpen(t, store.NewMem(), CacheOptions{Now: clk.Now})
+	c := mustOpen(t, store.NewMem(), CacheOptions{Clock: clk})
 	c.Store("a.test", mxPolicy("mx.a.test", 3600), "id1")
 
 	boom := errors.New("policy host down")
@@ -468,7 +522,7 @@ func TestCoalesceFetchFailureCountsRefreshFailure(t *testing.T) {
 
 func TestCapacityEviction(t *testing.T) {
 	clk := newClock()
-	c := mustOpen(t, store.NewMem(), CacheOptions{Now: clk.Now, Max: 2})
+	c := mustOpen(t, store.NewMem(), CacheOptions{Clock: clk, Max: 2})
 	c.Store("short.test", mxPolicy("mx.s.test", 60), "id")
 	c.Store("long.test", mxPolicy("mx.l.test", 86400), "id")
 	c.Store("new.test", mxPolicy("mx.n.test", 3600), "id")
@@ -490,7 +544,7 @@ func TestOpenEnforcesMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mustOpen(t, st, CacheOptions{Now: clk.Now})
+	c := mustOpen(t, st, CacheOptions{Clock: clk})
 	c.Store("a.test", mxPolicy("mx.a.test", 60), "id")
 	c.Store("b.test", mxPolicy("mx.b.test", 3600), "id")
 	c.Store("c.test", mxPolicy("mx.c.test", 86400), "id")
@@ -502,7 +556,7 @@ func TestOpenEnforcesMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := mustOpen(t, st2, CacheOptions{Now: clk.Now, Max: 1})
+	c2 := mustOpen(t, st2, CacheOptions{Clock: clk, Max: 1})
 	defer func() {
 		if err := c2.Close(); err != nil {
 			t.Error(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/store"
 )
 
@@ -14,8 +15,8 @@ func testPolicy(maxAge int64) Policy {
 }
 
 func TestCacheStoreGet(t *testing.T) {
-	now := time.Unix(1000, 0)
-	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, Now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, Clock: clk})
 
 	pc.Store("example.com", testPolicy(3600), "id1")
 	e, ok := pc.Get("example.com")
@@ -24,20 +25,20 @@ func TestCacheStoreGet(t *testing.T) {
 	}
 
 	// Within max_age: fresh.
-	now = now.Add(59 * time.Minute)
+	clk.Advance(59 * time.Minute)
 	if _, ok := pc.Get("example.com"); !ok {
 		t.Error("entry expired too early")
 	}
 	// Beyond max_age: expired.
-	now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if _, ok := pc.Get("example.com"); ok {
 		t.Error("entry should have expired")
 	}
 }
 
 func TestCacheNeedsRefresh(t *testing.T) {
-	now := time.Unix(1000, 0)
-	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, Now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, Clock: clk})
 
 	if !pc.NeedsRefresh("example.com", "id1") {
 		t.Error("empty cache must need refresh")
@@ -61,8 +62,8 @@ func TestCacheZeroMaxAgeNotStored(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	now := time.Unix(1000, 0)
-	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 3, Now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 3, Clock: clk})
 	for i := 0; i < 3; i++ {
 		pc.Store(fmt.Sprintf("d%d.example", i), testPolicy(int64(100*(i+1))), "id")
 	}
@@ -125,13 +126,13 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func TestCacheGetStaleWindow(t *testing.T) {
-	now := time.Unix(1000, 0)
-	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, StaleWindow: time.Hour, Now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, StaleWindow: time.Hour, Clock: clk})
 	pc.Store("example.com", testPolicy(60), "id1")
 
 	// Expired but inside the stale window: Get misses, GetStale serves,
 	// and the entry is retained for a later successful refetch.
-	now = now.Add(10 * time.Minute)
+	clk.Advance(10 * time.Minute)
 	if _, ok := pc.Get("example.com"); ok {
 		t.Error("expired entry served as fresh")
 	}
@@ -143,7 +144,7 @@ func TestCacheGetStaleWindow(t *testing.T) {
 	}
 
 	// Beyond the stale window: gone for good.
-	now = now.Add(2 * time.Hour)
+	clk.Advance(2 * time.Hour)
 	if _, ok := pc.GetStale("example.com"); ok {
 		t.Error("entry served beyond the stale window")
 	}
@@ -153,13 +154,13 @@ func TestCacheGetStaleWindow(t *testing.T) {
 }
 
 func TestCacheExpiringWithinBoundaries(t *testing.T) {
-	now := time.Unix(1000, 0)
-	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, StaleWindow: time.Hour, Now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	pc := mustOpen(t, store.NewMem(), CacheOptions{Max: 10, StaleWindow: time.Hour, Clock: clk})
 
 	pc.Store("exact.example", testPolicy(600), "id") // expires exactly at the deadline
 	pc.Store("later.example", testPolicy(601), "id") // expires just past it
 	pc.Store("lapsed.example", testPolicy(60), "id") // expires before the first tick
-	now = now.Add(2 * time.Minute)                   // lapsed.example now expired
+	clk.Advance(2 * time.Minute)                     // lapsed.example now expired
 
 	got := map[string]bool{}
 	for _, d := range pc.ExpiringWithin(8 * time.Minute) {
@@ -176,7 +177,7 @@ func TestCacheExpiringWithinBoundaries(t *testing.T) {
 	}
 
 	// Beyond the stale window the lapsed entry stops being refreshable.
-	now = now.Add(90 * time.Minute)
+	clk.Advance(90 * time.Minute)
 	for _, d := range pc.ExpiringWithin(8 * time.Minute) {
 		if d == "lapsed.example" {
 			t.Error("entry beyond the stale window still offered for refresh")

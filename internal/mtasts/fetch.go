@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/pki"
@@ -188,8 +189,6 @@ type Fetcher struct {
 	// Port overrides the HTTPS port (for loopback test servers). Zero
 	// means 443.
 	Port int
-	// Now anchors certificate validation time; nil means time.Now.
-	Now func() time.Time
 	// Obs, when non-nil, receives per-stage fetch latencies
 	// (mtasts.fetch.{dns,tcp_dial,tls_handshake,http,parse}.seconds) and
 	// outcome counters keyed by Stage (mtasts.fetch.errors.<stage>).
@@ -287,13 +286,10 @@ func (f *Fetcher) fetchFromHost(ctx context.Context, domain, host string) (Polic
 	defer conn.Close()
 
 	// Stage 3: TLS handshake with PKIX validation for the policy host name.
-	// crypto/tls is the gate; a chain it rejects is named by pki.Validate at
-	// the same instant, and any other handshake failure left no certificate
-	// to judge.
-	at := time.Now()
-	if f.Now != nil {
-		at = f.Now()
-	}
+	// crypto/tls is the gate, at the context clock's instant; a chain it
+	// rejects is named by pki.Validate at the same instant, and any other
+	// handshake failure left no certificate to judge.
+	at := clock.From(ctx).Now()
 	tlsConn := tls.Client(conn, &tls.Config{
 		ServerName:         host,
 		RootCAs:            f.RootCAs,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/store"
 )
@@ -327,16 +328,16 @@ func TestValidateTransientDNSCacheHitRecordsErr(t *testing.T) {
 func TestValidateStaleFallbackWhenFetchFails(t *testing.T) {
 	v, _, _ := newValidatorEnv(t, enforcePolicy, http.StatusOK)
 	ctx := context.Background()
-	now := time.Now()
+	clk := clock.NewFake(time.Now())
 	v.Cache = mustOpen(t, store.NewMem(), CacheOptions{
-		Max: 16, StaleWindow: 48 * time.Hour, Now: func() time.Time { return now },
+		Max: 16, StaleWindow: 48 * time.Hour, Clock: clk,
 	})
 	if _, err := v.Validate(ctx, "example.com", "mx.example.com"); err != nil {
 		t.Fatal(err)
 	}
 
 	// Expire the policy and break the fetch path.
-	now = now.Add(25 * time.Hour)
+	clk.Advance(25 * time.Hour)
 	v.Fetcher.Resolver = AddrResolverFunc(func(ctx context.Context, host string) ([]string, error) {
 		return nil, errors.New("policy host down")
 	})

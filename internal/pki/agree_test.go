@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/mtasts"
 	"github.com/netsecurelab/mtasts/internal/pki"
@@ -29,9 +30,11 @@ import (
 // the MX probe, Validate, the descriptor and a RequireTLS sender name the
 // same Problem. On every failing row it also pins that nothing got
 // looser: the fetcher never writes its GET and the sender never reaches
-// MAIL FROM.
+// MAIL FROM. The whole table runs at a fixed past date: the
+// certificates are issued at it, and one clock on the context makes the
+// fetcher, the prober and the sender all judge at it.
 func TestLiveAndProfileAgree(t *testing.T) {
-	now := time.Now() // the sender validates against the wall clock
+	now := time.Date(2024, 9, 29, 12, 0, 0, 0, time.UTC)
 	const host, wrong = "mail.example.com", "wrong.example.net"
 	trusted, unknown := newCA(t, "Trusted Root", now), newCA(t, "Unknown Root", now)
 	selfSigned := func(p pki.CertProfile) pki.CertProfile { p.SelfSigned = true; return p }
@@ -69,7 +72,7 @@ func TestLiveAndProfileAgree(t *testing.T) {
 				chain = []*x509.Certificate{cert.Leaf}
 			}
 			https, smtp := startPeer(t, cert, false), startPeer(t, cert, true)
-			ctx := context.Background()
+			ctx := clock.With(context.Background(), clock.NewFake(now))
 
 			f := &mtasts.Fetcher{
 				Resolver: mtasts.AddrResolverFunc(func(context.Context, string) ([]string, error) {
@@ -78,14 +81,13 @@ func TestLiveAndProfileAgree(t *testing.T) {
 				RootCAs: trusted.Pool(),
 				Port:    https.port(),
 				Timeout: 5 * time.Second,
-				Now:     func() time.Time { return now },
 			}
 			_, _, fetchErr := f.FetchFromHost(ctx, "example.com", host)
 			if r.want.Valid() && fetchErr != nil {
 				t.Errorf("fetch: %v", fetchErr)
 			}
 			p := &smtpclient.Prober{HeloName: "prober.test", Roots: trusted.Pool(),
-				Timeout: 5 * time.Second, Now: func() time.Time { return now }}
+				Timeout: 5 * time.Second}
 			probed := p.ProbeAddr(ctx, host, smtp.addr())
 			s := &smtpclient.Sender{HeloName: "sender.test", Roots: trusted.Pool(), RequireTLS: true,
 				Timeout: 5 * time.Second, AddrOverride: smtp.addr()}

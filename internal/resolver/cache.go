@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/dnsmsg"
 )
 
@@ -52,9 +53,6 @@ type Cache struct {
 	order *list.List // front = most recent
 
 	hits, misses, expired, evictions atomic.Int64
-
-	// now is replaceable for tests.
-	now func() time.Time
 }
 
 // NewCache returns a cache bounded to max entries (minimum 1).
@@ -66,12 +64,12 @@ func NewCache(max int) *Cache {
 		max:   max,
 		items: make(map[cacheKey]*list.Element),
 		order: list.New(),
-		now:   time.Now,
 	}
 }
 
-// Get returns the cached outcome for (name, t) if present and unexpired.
-func (c *Cache) Get(name string, t dnsmsg.Type) (entry, bool) {
+// Get returns the cached outcome for (name, t) if present and unexpired
+// at now.
+func (c *Cache) Get(now time.Time, name string, t dnsmsg.Type) (entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[cacheKey{name, t}]
@@ -80,7 +78,7 @@ func (c *Cache) Get(name string, t dnsmsg.Type) (entry, bool) {
 		return entry{}, false
 	}
 	item := el.Value.(*cacheItem)
-	if c.now().After(item.expires) {
+	if now.After(item.expires) {
 		c.removeLocked(el)
 		c.expired.Add(1)
 		c.misses.Add(1)
@@ -101,9 +99,9 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// Put stores an outcome with the given TTL, evicting the least recently
-// used entry when full.
-func (c *Cache) Put(name string, t dnsmsg.Type, val entry, ttl time.Duration) {
+// Put stores an outcome with the given TTL from now, evicting the least
+// recently used entry when full.
+func (c *Cache) Put(now time.Time, name string, t dnsmsg.Type, val entry, ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
@@ -112,7 +110,7 @@ func (c *Cache) Put(name string, t dnsmsg.Type, val entry, ttl time.Duration) {
 	key := cacheKey{name, t}
 	if el, ok := c.items[key]; ok {
 		item := el.Value.(*cacheItem)
-		item.val, item.expires = val, c.now().Add(ttl)
+		item.val, item.expires = val, now.Add(ttl)
 		c.order.MoveToFront(el)
 		return
 	}
@@ -120,19 +118,18 @@ func (c *Cache) Put(name string, t dnsmsg.Type, val entry, ttl time.Duration) {
 		c.removeLocked(c.order.Back())
 		c.evictions.Add(1)
 	}
-	el := c.order.PushFront(&cacheItem{key: key, val: val, expires: c.now().Add(ttl)})
+	el := c.order.PushFront(&cacheItem{key: key, val: val, expires: now.Add(ttl)})
 	c.items[key] = el
 }
 
-// Len returns the number of unexpired entries, pruning any expired but
-// not-yet-evicted ones first so the resolver.cache.entries gauge reflects
-// the live population rather than dead weight awaiting LRU eviction.
-// (Pruning here does not touch the Expired counter, which counts only
-// expirations observed by Get.)
-func (c *Cache) Len() int {
+// Len returns the number of entries unexpired at now, pruning any
+// expired but not-yet-evicted ones first so the resolver.cache.entries
+// gauge reflects the live population rather than dead weight awaiting
+// LRU eviction. (Pruning here does not touch the Expired counter, which
+// counts only expirations observed by Get.)
+func (c *Cache) Len(now time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
 	for el := c.order.Back(); el != nil; {
 		prev := el.Prev()
 		if item := el.Value.(*cacheItem); now.After(item.expires) {
@@ -169,10 +166,6 @@ type RateLimiter struct {
 	burst  float64
 	tokens float64
 	last   time.Time
-	now    func() time.Time
-	// sleep replaces the wait for the next token (tests); nil means a
-	// timer wait that ends early with ctx.Err() on cancellation.
-	sleep func(context.Context, time.Duration) error
 }
 
 // NewRateLimiter allows rate queries/second with the given burst, and
@@ -188,35 +181,36 @@ func NewRateLimiter(rate, burst float64) *RateLimiter {
 		rate:   rate,
 		burst:  burst,
 		tokens: burst,
-		now:    time.Now,
 	}
 }
 
-// Wait blocks until a token is available or ctx is done.
+// Wait blocks until a token is available or ctx is done. It refills and
+// waits on the context's clock (clock.From).
 func (l *RateLimiter) Wait(ctx context.Context) error {
+	clk := clock.From(ctx)
 	for {
-		missing := l.take(1)
+		missing := l.take(clk.Now(), 1)
 		if missing == 0 {
 			return nil
 		}
 		wait := time.Duration(missing / l.rate * float64(time.Second))
-		if err := l.wait(ctx, max(wait, time.Millisecond)); err != nil {
+		//lint:ignore sleeploop the wait for the next token is the limiter's purpose, not a retry
+		if err := clk.Sleep(ctx, max(wait, time.Millisecond)); err != nil {
 			return err
 		}
 	}
 }
 
-// Allow takes n tokens if the bucket holds them now and reports whether
-// it did. It never waits, and a refusal takes nothing.
-func (l *RateLimiter) Allow(n int) bool { return l.take(float64(n)) == 0 }
+// Allow takes n tokens if the bucket holds them at now and reports
+// whether it did. It never waits, and a refusal takes nothing.
+func (l *RateLimiter) Allow(now time.Time, n int) bool { return l.take(now, float64(n)) == 0 }
 
-// take credits the tokens earned since the last call, up to burst, then
-// takes n if the bucket holds them; otherwise it takes nothing and
-// returns how many are missing.
-func (l *RateLimiter) take(n float64) (missing float64) {
+// take credits the tokens earned between the last call and now, up to
+// burst, then takes n if the bucket holds them; otherwise it takes
+// nothing and returns how many are missing.
+func (l *RateLimiter) take(now time.Time, n float64) (missing float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
 	if !l.last.IsZero() {
 		l.tokens = min(l.burst, l.tokens+now.Sub(l.last).Seconds()*l.rate)
 	}
@@ -226,19 +220,4 @@ func (l *RateLimiter) take(n float64) (missing float64) {
 	}
 	l.tokens -= n
 	return 0
-}
-
-// wait sleeps for d or until ctx is done, whichever comes first.
-func (l *RateLimiter) wait(ctx context.Context, d time.Duration) error {
-	if l.sleep != nil {
-		return l.sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/dnsmsg"
 	"github.com/netsecurelab/mtasts/internal/dnsserver"
 	"github.com/netsecurelab/mtasts/internal/dnszone"
@@ -210,49 +211,43 @@ func TestConcurrentLookups(t *testing.T) {
 
 func TestCacheLRUAndTTL(t *testing.T) {
 	cache := NewCache(2)
-	now := time.Unix(1000, 0)
-	cache.now = func() time.Time { return now }
+	clk := clock.NewFake(time.Unix(1000, 0))
 
-	cache.Put("a", dnsmsg.TypeA, entry{cname: "x"}, time.Minute)
-	cache.Put("b", dnsmsg.TypeA, entry{cname: "y"}, time.Minute)
-	if _, ok := cache.Get("a", dnsmsg.TypeA); !ok {
+	cache.Put(clk.Now(), "a", dnsmsg.TypeA, entry{cname: "x"}, time.Minute)
+	cache.Put(clk.Now(), "b", dnsmsg.TypeA, entry{cname: "y"}, time.Minute)
+	if _, ok := cache.Get(clk.Now(), "a", dnsmsg.TypeA); !ok {
 		t.Fatal("a evicted too early")
 	}
 	// Inserting c evicts LRU (b, since a was just touched).
-	cache.Put("c", dnsmsg.TypeA, entry{cname: "z"}, time.Minute)
-	if _, ok := cache.Get("b", dnsmsg.TypeA); ok {
+	cache.Put(clk.Now(), "c", dnsmsg.TypeA, entry{cname: "z"}, time.Minute)
+	if _, ok := cache.Get(clk.Now(), "b", dnsmsg.TypeA); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := cache.Get("a", dnsmsg.TypeA); !ok {
+	if _, ok := cache.Get(clk.Now(), "a", dnsmsg.TypeA); !ok {
 		t.Error("a should have survived")
 	}
 	// TTL expiry.
-	now = now.Add(2 * time.Minute)
-	if _, ok := cache.Get("a", dnsmsg.TypeA); ok {
+	clk.Advance(2 * time.Minute)
+	if _, ok := cache.Get(clk.Now(), "a", dnsmsg.TypeA); ok {
 		t.Error("a should have expired")
 	}
 	cache.Flush()
-	if cache.Len() != 0 {
+	if cache.Len(clk.Now()) != 0 {
 		t.Error("Flush left entries")
 	}
 }
 
 func TestRateLimiter(t *testing.T) {
 	l := NewRateLimiter(100, 1)
-	var slept time.Duration
-	now := time.Unix(0, 0)
-	l.now = func() time.Time { return now }
-	l.sleep = func(_ context.Context, d time.Duration) error {
-		slept += d
-		now = now.Add(d)
-		return nil
-	}
-	ctx := context.Background()
+	start := time.Unix(0, 0)
+	clk := clock.NewFake(start)
+	ctx := clock.With(context.Background(), clk)
 	for i := 0; i < 11; i++ {
 		if err := l.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
+	slept := clk.Now().Sub(start)
 	// 11 queries at 100 qps with burst 1: ~100ms of waiting.
 	if slept < 80*time.Millisecond || slept > 200*time.Millisecond {
 		t.Errorf("slept %v, want ~100ms", slept)
@@ -264,35 +259,32 @@ func TestRateLimiter(t *testing.T) {
 // waits.
 func TestRateLimiterAllow(t *testing.T) {
 	l := NewRateLimiter(10, 3)
-	now := time.Unix(0, 0)
-	l.now = func() time.Time { return now }
-	errSlept := errors.New("slept")
-	l.sleep = func(context.Context, time.Duration) error { return errSlept }
-	if !l.Allow(2) || l.Allow(2) || !l.Allow(1) || l.Allow(1) {
+	clk := clock.NewFake(time.Unix(0, 0))
+	if !l.Allow(clk.Now(), 2) || l.Allow(clk.Now(), 2) || !l.Allow(clk.Now(), 1) || l.Allow(clk.Now(), 1) {
 		t.Fatal("a full 3-token bucket should give 2, refuse 2, give 1, refuse 1")
 	}
-	now = now.Add(150 * time.Millisecond) // 1.5 tokens at 10/s
-	if l.Allow(2) || !l.Allow(1) {
+	clk.Advance(150 * time.Millisecond) // 1.5 tokens at 10/s
+	if l.Allow(clk.Now(), 2) || !l.Allow(clk.Now(), 1) {
 		t.Error("after 150ms: want 2 refused, 1 given")
 	}
-	now = now.Add(time.Hour) // refill caps at the burst
-	if l.Allow(4) || !l.Allow(3) {
+	clk.Advance(time.Hour) // refill caps at the burst
+	if l.Allow(clk.Now(), 4) || !l.Allow(clk.Now(), 3) {
 		t.Error("after an hour: want 4 refused, 3 given")
 	}
-	if err := l.Wait(context.Background()); !errors.Is(err, errSlept) {
-		t.Errorf("Wait on the bucket Allow emptied = %v, want it to sleep", err)
+	before := clk.Now()
+	if err := l.Wait(clock.With(context.Background(), clk)); err != nil || !clk.Now().After(before) {
+		t.Errorf("Wait on the bucket Allow emptied = %v after %v, want it to sleep", err, clk.Now().Sub(before))
 	}
 }
 
 func TestRateLimiterContextCancel(t *testing.T) {
 	l := NewRateLimiter(0.001, 1)
-	ctx := context.Background()
+	ctx := clock.With(context.Background(), clock.NewFake(time.Unix(0, 0))) // no real sleeping
 	if err := l.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	cctx, cancel := context.WithCancel(context.Background())
+	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	l.sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() } // avoid real sleeping
 	if err := l.Wait(cctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
@@ -477,18 +469,17 @@ func TestCoalescedErrorsKeepCodes(t *testing.T) {
 // Regression: Len must not report expired-but-unevicted entries.
 func TestCacheLenPrunesExpired(t *testing.T) {
 	cache := NewCache(8)
-	now := time.Unix(1000, 0)
-	cache.now = func() time.Time { return now }
-	cache.Put("a", dnsmsg.TypeA, entry{cname: "x"}, time.Minute)
-	cache.Put("b", dnsmsg.TypeA, entry{cname: "y"}, time.Hour)
-	if got := cache.Len(); got != 2 {
+	clk := clock.NewFake(time.Unix(1000, 0))
+	cache.Put(clk.Now(), "a", dnsmsg.TypeA, entry{cname: "x"}, time.Minute)
+	cache.Put(clk.Now(), "b", dnsmsg.TypeA, entry{cname: "y"}, time.Hour)
+	if got := cache.Len(clk.Now()); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	now = now.Add(2 * time.Minute)
-	if got := cache.Len(); got != 1 {
+	clk.Advance(2 * time.Minute)
+	if got := cache.Len(clk.Now()); got != 1 {
 		t.Errorf("Len = %d after expiry, want 1 (expired entry still counted)", got)
 	}
-	if _, ok := cache.Get("b", dnsmsg.TypeA); !ok {
+	if _, ok := cache.Get(clk.Now(), "b", dnsmsg.TypeA); !ok {
 		t.Error("unexpired entry pruned by Len")
 	}
 }

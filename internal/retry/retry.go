@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/obs"
 )
@@ -136,15 +137,13 @@ type Policy struct {
 	Transient func(error) bool
 	// Obs, when non-nil, receives the retry counters.
 	Obs *obs.Registry
-	// Sleep replaces the backoff sleep (tests). Nil means a
-	// context-aware timer wait.
-	Sleep func(context.Context, time.Duration) error
 }
 
 // Do runs op with the policy's retry loop: transient errors are retried
 // with exponential backoff and jitter until the attempt limit or the
 // context's budget (WithBudget) is hit, the context is done, or the
-// error is persistent. It returns the last error. Attempts are recorded
+// error is persistent. Backoff waits on the context's clock
+// (clock.From). It returns the last error. Attempts are recorded
 // against the context's Stats (WithStats) and the policy's obs counters.
 func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
 	maxAttempts := p.MaxAttempts
@@ -186,7 +185,7 @@ func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
 			}
 			return err
 		}
-		if serr := p.sleep(ctx, p.backoff(attempt)); serr != nil {
+		if serr := clock.From(ctx).Sleep(ctx, p.backoff(attempt)); serr != nil {
 			return err
 		}
 		if stats != nil {
@@ -228,18 +227,4 @@ func (p Policy) backoff(attempt int) time.Duration {
 		d = time.Millisecond
 	}
 	return d
-}
-
-func (p Policy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
-		return p.Sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

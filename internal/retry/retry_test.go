@@ -10,26 +10,23 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/obs"
 )
 
 var errTransient = fmt.Errorf("blip: %w", syscall.ECONNRESET)
 
-func noSleep(p *Policy) []time.Duration {
-	var slept []time.Duration
-	p.Sleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	return slept
+// noSleep puts a fake clock on ctx, so backoff waits advance it instead
+// of taking wall time.
+func noSleep(ctx context.Context) context.Context {
+	return clock.With(ctx, clock.NewFake(time.Date(2024, 9, 29, 12, 0, 0, 0, time.UTC)))
 }
 
 func TestDoRecoversAfterTransientFailures(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := Policy{Name: "x", MaxAttempts: 4, Obs: reg}
-	noSleep(&p)
-	ctx, stats := WithStats(context.Background())
+	ctx, stats := WithStats(noSleep(context.Background()))
 	calls := 0
 	err := p.Do(ctx, func(context.Context) error {
 		calls++
@@ -53,8 +50,7 @@ func TestDoRecoversAfterTransientFailures(t *testing.T) {
 func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := Policy{Name: "x", MaxAttempts: 3, Obs: reg}
-	noSleep(&p)
-	ctx, stats := WithStats(context.Background())
+	ctx, stats := WithStats(noSleep(context.Background()))
 	calls := 0
 	err := p.Do(ctx, func(context.Context) error { calls++; return errTransient })
 	if !errors.Is(err, syscall.ECONNRESET) || calls != 3 {
@@ -70,10 +66,9 @@ func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
 
 func TestDoDoesNotRetryPersistentErrors(t *testing.T) {
 	p := Policy{MaxAttempts: 5, Transient: func(error) bool { return false }}
-	noSleep(&p)
 	calls := 0
 	wantErr := errors.New("persistent")
-	err := p.Do(context.Background(), func(context.Context) error { calls++; return wantErr })
+	err := p.Do(noSleep(context.Background()), func(context.Context) error { calls++; return wantErr })
 	if err != wantErr || calls != 1 {
 		t.Fatalf("err=%v calls=%d", err, calls)
 	}
@@ -92,9 +87,8 @@ func TestDoZeroValueSingleAttempt(t *testing.T) {
 }
 
 func TestDoStopsOnContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(noSleep(context.Background()))
 	p := Policy{MaxAttempts: 10}
-	noSleep(&p)
 	calls := 0
 	err := p.Do(ctx, func(context.Context) error {
 		calls++
@@ -108,10 +102,8 @@ func TestDoStopsOnContextCancel(t *testing.T) {
 
 func TestBudgetSharedAcrossPolicies(t *testing.T) {
 	b := NewBudget(3)
-	ctx := WithBudget(context.Background(), b)
+	ctx := WithBudget(noSleep(context.Background()), b)
 	p, q := Policy{MaxAttempts: 10}, Policy{Name: "other", MaxAttempts: 10}
-	noSleep(&p)
-	noSleep(&q)
 	calls := 0
 	// One op burns the whole budget: 1 first attempt + 3 retried.
 	p.Do(ctx, func(context.Context) error { calls++; return errTransient })
@@ -134,7 +126,7 @@ func TestBudgetSharedAcrossPolicies(t *testing.T) {
 		context.Background():                           10,
 	} {
 		calls = 0
-		p.Do(other, func(context.Context) error { calls++; return errTransient })
+		p.Do(noSleep(other), func(context.Context) error { calls++; return errTransient })
 		if calls != want {
 			t.Errorf("calls = %d under another run's context, want %d", calls, want)
 		}
@@ -202,10 +194,9 @@ func TestDefaultClassifierIsErrtax(t *testing.T) {
 	// A Policy with a nil Transient func must retry exactly the errors
 	// errtax.Transient says to: a typed persistent error stops after one
 	// attempt, a typed transient error consumes every attempt.
-	sleep := func(context.Context, time.Duration) error { return nil }
 	typedPersistent := errtax.New(errtax.LayerDNS, errtax.CodeNXDomain, false, "nope")
 	calls := 0
-	err := Policy{MaxAttempts: 3, Sleep: sleep}.Do(context.Background(), func(context.Context) error {
+	err := Policy{MaxAttempts: 3}.Do(noSleep(context.Background()), func(context.Context) error {
 		calls++
 		return fmt.Errorf("lookup: %w", typedPersistent)
 	})
@@ -221,7 +212,7 @@ func TestDefaultClassifierIsErrtax(t *testing.T) {
 
 	typedTransient := errtax.New(errtax.LayerDNS, errtax.CodeServFail, true, "blip")
 	calls = 0
-	err = Policy{MaxAttempts: 3, Sleep: sleep}.Do(context.Background(), func(context.Context) error {
+	err = Policy{MaxAttempts: 3}.Do(noSleep(context.Background()), func(context.Context) error {
 		calls++
 		return typedTransient
 	})

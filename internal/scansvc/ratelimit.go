@@ -2,6 +2,7 @@ package scansvc
 
 import (
 	"sync"
+	"time"
 
 	"github.com/netsecurelab/mtasts/internal/resolver"
 )
@@ -46,5 +47,5 @@ func (l *TenantLimiter) Admit(tenant string, cost int) bool {
 		l.buckets[tenant] = b
 	}
 	l.mu.Unlock()
-	return b.Allow(cost)
+	return b.Allow(time.Now(), cost)
 }

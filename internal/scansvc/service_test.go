@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/campaign"
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/experiments"
 	"github.com/netsecurelab/mtasts/internal/retry"
 	"github.com/netsecurelab/mtasts/internal/scanner"
@@ -451,9 +452,9 @@ func (f *flakyScanner) ScanDomain(ctx context.Context, d string) scanner.DomainR
 		<-f.badDone
 	}
 	attempts := 0
-	pol := retry.Policy{MaxAttempts: 3, Transient: func(error) bool { return true },
-		Sleep: func(context.Context, time.Duration) error { return nil }}
-	pol.Do(ctx, func(context.Context) error { //nolint:errcheck // the attempts are the outcome
+	pol := retry.Policy{MaxAttempts: 3, Transient: func(error) bool { return true }}
+	ctx = clock.With(ctx, clock.NewFake(time.Unix(0, 0))) // backoff takes no wall time
+	pol.Do(ctx, func(context.Context) error {             //nolint:errcheck // the attempts are the outcome
 		attempts++
 		if bad || attempts == 1 {
 			return errors.New("transient")

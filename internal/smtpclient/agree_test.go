@@ -2,7 +2,6 @@ package smtpclient
 
 import (
 	"bufio"
-	"context"
 	"crypto/tls"
 	"errors"
 	"net"
@@ -64,9 +63,9 @@ func TestProberAndSenderAgree(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			ctx := context.Background()
+			ctx := atProbeNow()
 			p := &Prober{HeloName: "prober.test", Roots: ca.Pool(), Timeout: 3 * time.Second,
-				AddrOverride: r.start(t), Now: func() time.Time { return probeNow }}
+				AddrOverride: r.start(t)}
 			probed := p.Probe(ctx, host)
 			tlsOK := probed.TLSEstablished && probed.CertProblem == pki.OK
 			if tlsOK != r.delivers {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/pki"
 )
@@ -125,7 +126,7 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 		default:
 			res.TLS = true
 			if s.VerifyPeer == nil {
-				problem = pki.Validate(chain, mxHost, s.Roots, time.Now())
+				problem = pki.Validate(chain, mxHost, s.Roots, clock.From(ctx).Now())
 				res.CertVerified = problem.Valid()
 			} else if len(chain) > 0 {
 				verifyErr = s.VerifyPeer(chain, mxHost)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/pki"
@@ -74,8 +75,6 @@ type Prober struct {
 	// AddrOverride, when set, is dialed instead of the MX host name
 	// (loopback testing without real DNS).
 	AddrOverride string
-	// Now anchors certificate validation; nil means time.Now.
-	Now func() time.Time
 	// Obs, when non-nil, receives probe latencies
 	// (smtp.probe.{dial,greeting,tls_handshake}.seconds) and outcome
 	// counters, including smtp.probe.cert.<problem> keyed by the PKIX
@@ -176,11 +175,7 @@ func (p *Prober) probe(ctx context.Context, mxHost, addr string) ProbeResult {
 	res.TLSEstablished = true
 	res.Certificates = chain
 
-	now := time.Now()
-	if p.Now != nil {
-		now = p.Now()
-	}
-	res.CertProblem = pki.Validate(res.Certificates, mxHost, p.Roots, now)
+	res.CertProblem = pki.Validate(res.Certificates, mxHost, p.Roots, clock.From(ctx).Now())
 
 	// End the session without delivering (QUIT over the TLS channel).
 	//lint:ignore errdrop QUIT is best-effort courtesy; the probe verdict is already complete

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/clock"
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/smtpd"
@@ -36,7 +37,14 @@ func certFor(t *testing.T, ca *pki.CA, opts pki.IssueOptions) *tls.Certificate {
 	return &c
 }
 
-// startMX boots an smtpd server and returns a prober aimed at it.
+// atProbeNow is a context whose clock reads probeNow, the instant the
+// test certificates are issued at.
+func atProbeNow() context.Context {
+	return clock.With(context.Background(), clock.NewFake(probeNow))
+}
+
+// startMX boots an smtpd server and returns a prober aimed at it; probe
+// it under atProbeNow.
 func startMX(t *testing.T, ca *pki.CA, b smtpd.Behavior) (*smtpd.Server, *Prober) {
 	t.Helper()
 	srv := smtpd.New(b)
@@ -50,7 +58,6 @@ func startMX(t *testing.T, ca *pki.CA, b smtpd.Behavior) (*smtpd.Server, *Prober
 		Roots:        ca.Pool(),
 		Timeout:      3 * time.Second,
 		AddrOverride: addr.String(),
-		Now:          func() time.Time { return probeNow },
 	}
 	return srv, p
 }
@@ -60,7 +67,7 @@ func TestProbeValidCertificate(t *testing.T) {
 	cert := certFor(t, ca, pki.IssueOptions{Names: []string{"mx.example.com"}, Now: probeNow})
 	_, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com", Certificate: cert})
 
-	res := p.Probe(context.Background(), "mx.example.com")
+	res := p.Probe(atProbeNow(), "mx.example.com")
 	if res.Err != nil {
 		t.Fatalf("probe err: %v", res.Err)
 	}
@@ -91,7 +98,7 @@ func TestProbeCertTaxonomy(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cert := certFor(t, ca, c.opts)
 			_, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com", Certificate: cert})
-			res := p.Probe(context.Background(), "mx.example.com")
+			res := p.Probe(atProbeNow(), "mx.example.com")
 			if !res.TLSEstablished {
 				t.Fatalf("TLS not established: %+v", res)
 			}
@@ -105,7 +112,7 @@ func TestProbeCertTaxonomy(t *testing.T) {
 func TestProbeNoSTARTTLS(t *testing.T) {
 	ca := newCA(t)
 	_, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com", DisableSTARTTLS: true})
-	res := p.Probe(context.Background(), "mx.example.com")
+	res := p.Probe(atProbeNow(), "mx.example.com")
 	if res.STARTTLSAdvertised || res.TLSEstablished {
 		t.Errorf("res = %+v", res)
 	}
@@ -118,7 +125,7 @@ func TestProbeHELOFallback(t *testing.T) {
 	ca := newCA(t)
 	cert := certFor(t, ca, pki.IssueOptions{Names: []string{"mx.example.com"}, Now: probeNow})
 	_, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com", Certificate: cert, DisableEHLO: true})
-	res := p.Probe(context.Background(), "mx.example.com")
+	res := p.Probe(atProbeNow(), "mx.example.com")
 	if res.EHLOUsed {
 		t.Error("EHLO should have been refused")
 	}
@@ -132,12 +139,12 @@ func TestProbeGreylisted(t *testing.T) {
 	ca := newCA(t)
 	cert := certFor(t, ca, pki.IssueOptions{Names: []string{"mx.example.com"}, Now: probeNow})
 	_, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com", Certificate: cert, Greylist: true})
-	res := p.Probe(context.Background(), "mx.example.com")
+	res := p.Probe(atProbeNow(), "mx.example.com")
 	if !res.Greylisted || res.Err != ErrGreylisted {
 		t.Errorf("first attempt: %+v", res)
 	}
 	// Retry passes the greylist.
-	res = p.Probe(context.Background(), "mx.example.com")
+	res = p.Probe(atProbeNow(), "mx.example.com")
 	if res.Greylisted || !res.TLSEstablished {
 		t.Errorf("second attempt: %+v (err=%v)", res, res.Err)
 	}
@@ -146,7 +153,7 @@ func TestProbeGreylisted(t *testing.T) {
 func TestProbeMissingCertificate(t *testing.T) {
 	ca := newCA(t)
 	_, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com"}) // no Certificate
-	res := p.Probe(context.Background(), "mx.example.com")
+	res := p.Probe(atProbeNow(), "mx.example.com")
 	if res.TLSEstablished {
 		t.Error("handshake should fail without a certificate")
 	}
@@ -173,7 +180,7 @@ func TestVerifyMXAdapter(t *testing.T) {
 	ca := newCA(t)
 	cert := certFor(t, ca, pki.IssueOptions{Names: []string{"mx.example.com"}, Now: probeNow})
 	_, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com", Certificate: cert})
-	problem, err := p.VerifyMX(context.Background(), "mx.example.com")
+	problem, err := p.VerifyMX(atProbeNow(), "mx.example.com")
 	if err != nil || problem != pki.OK {
 		t.Errorf("VerifyMX = %v, %v", problem, err)
 	}
@@ -183,7 +190,7 @@ func TestProbeDoesNotDeliverMail(t *testing.T) {
 	ca := newCA(t)
 	cert := certFor(t, ca, pki.IssueOptions{Names: []string{"mx.example.com"}, Now: probeNow})
 	srv, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com", Certificate: cert, AcceptMail: true})
-	p.Probe(context.Background(), "mx.example.com")
+	p.Probe(atProbeNow(), "mx.example.com")
 	if n := len(srv.Messages()); n != 0 {
 		t.Errorf("probe delivered %d messages", n)
 	}

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"github.com/netsecurelab/mtasts/internal/dataset"
 	"github.com/netsecurelab/mtasts/internal/report"
@@ -72,11 +73,22 @@ func main() {
 	tbl := &dataset.Table{Title: "Final snapshot breakdown", Headers: []string{"metric", "count"}}
 	tbl.AddRow("MTA-STS domains", last.WithRecord)
 	tbl.AddRow("misconfigured", last.Misconfigured)
-	for c, n := range last.ByCategory {
-		tbl.AddRow("  "+c.String(), n)
+	// Rows in a fixed order, so two runs print the same table.
+	cats := make([]scanner.Category, 0, len(last.ByCategory))
+	for c := range last.ByCategory {
+		cats = append(cats, c)
 	}
-	for stage, n := range last.PolicyStageCounts {
-		tbl.AddRow("    policy stage "+stage, n)
+	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
+	for _, c := range cats {
+		tbl.AddRow("  "+c.String(), last.ByCategory[c])
+	}
+	stages := make([]string, 0, len(last.PolicyStageCounts))
+	for stage := range last.PolicyStageCounts {
+		stages = append(stages, stage)
+	}
+	sort.Strings(stages)
+	for _, stage := range stages {
+		tbl.AddRow("    policy stage "+stage, last.PolicyStageCounts[stage])
 	}
 	tbl.AddRow("delivery failures", last.DeliveryFailures)
 	report.WriteTable(os.Stdout, tbl)

@@ -173,6 +173,9 @@ func (e *Engine) runShard(ctx context.Context, week, ix int, domains []string) e
 		// let a resume re-scan the shard cleanly.
 		return ctx.Err()
 	}
+	// Run returns results sorted by domain, so the entries are in key
+	// order: a shard's records lie back to back in the log in the order
+	// a week's Scan visits them, and Disk reads them back in runs.
 	entries := make([]store.Entry, 0, len(results)+1)
 	for i := range results {
 		rec := FromResult(&results[i])

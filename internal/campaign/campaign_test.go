@@ -2,7 +2,10 @@ package campaign
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/netsecurelab/mtasts/internal/obs"
@@ -164,3 +167,51 @@ func TestEngineValidation(t *testing.T) {
 // NewMemForTest keeps test call sites honest about which backend they
 // use (the resume tests use Disk explicitly).
 func NewMemForTest() store.Store { return store.NewMem() }
+
+// batchLog records a copy of every Batch its store receives.
+type batchLog struct {
+	store.Store
+	batches [][]store.Entry
+}
+
+func (b *batchLog) Batch(entries []store.Entry) error {
+	b.batches = append(b.batches, slices.Clone(entries))
+	return b.Store.Batch(entries)
+}
+
+// TestShardBatchInKeyOrder submits a shuffled domain list and requires
+// each shard's one Batch to hold its result records in ascending key
+// order with the checkpoint last: the order that lets Disk.Scan read a
+// stored shard back in runs of adjacent records, under the
+// durable-prefix rule the checkpoint relies on. The order comes from
+// Runner.Run, which returns results sorted by domain.
+func TestShardBatchInKeyOrder(t *testing.T) {
+	const id, shardSize = "order", 16
+	src, scan, n := snapshotSource(testWorld, weekSnapshot(0))
+	var domains []string
+	if err := src(func(d string) error { domains = append(domains, d); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(domains), func(i, j int) { domains[i], domains[j] = domains[j], domains[i] })
+	log := &batchLog{Store: store.NewMem()}
+	eng := &Engine{Store: log, Runner: &scanner.Runner{Workers: 4, Scan: scan}, ID: id, ShardSize: shardSize}
+	if err := eng.RunWeek(context.Background(), 0, SliceSource(domains)); err != nil {
+		t.Fatal(err)
+	}
+	if want := (n + shardSize - 1) / shardSize; len(log.batches) != want {
+		t.Fatalf("%d domains in shards of %d: %d batches, want %d", n, shardSize, len(log.batches), want)
+	}
+	for ix, b := range log.batches {
+		results, ck := b[:len(b)-1], b[len(b)-1]
+		if ck.Key != checkpointKey(id, 0, ix) {
+			t.Errorf("shard %d: last entry %q, want its checkpoint", ix, ck.Key)
+		}
+		for i, e := range results {
+			if !strings.HasPrefix(e.Key, weekPrefix(id, 0)) {
+				t.Errorf("shard %d entry %d: %q is not a result record", ix, i, e.Key)
+			} else if i > 0 && e.Key <= results[i-1].Key {
+				t.Errorf("shard %d entry %d: %q after %q, not in ascending key order", ix, i, e.Key, results[i-1].Key)
+			}
+		}
+	}
+}

@@ -47,8 +47,21 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	t.Logf("%d crash points", points)
 }
 
+// countingWriter counts the Write calls that reach a buffer.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
 // TestSnapshotBackendIndependent pins the other half of determinism:
 // the exported snapshot does not depend on which backend stored it.
+// The export reaches its writer in streamBufBytes pieces, not a write
+// or two per record.
 func TestSnapshotBackendIndependent(t *testing.T) {
 	mem := store.NewMem()
 	disk, err := store.OpenDisk(filepath.Join(t.TempDir(), "s"))
@@ -61,7 +74,7 @@ func TestSnapshotBackendIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var a, b bytes.Buffer
+	var a, b countingWriter
 	if err := WriteSnapshot(&a, mem, "x", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +83,9 @@ func TestSnapshotBackendIndependent(t *testing.T) {
 	}
 	if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("snapshots differ across backends (%d vs %d bytes)", a.Len(), b.Len())
+	}
+	if want := (a.Len() + streamBufBytes - 1) / streamBufBytes; a.writes != want || b.writes != want {
+		t.Errorf("a %d-byte snapshot took %d and %d writes, want %d", a.Len(), a.writes, b.writes, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package scansvc
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -105,37 +106,39 @@ func (s *Service) tlsrptFor(domain string, docs *[]json.RawMessage) (TLSRPTSumma
 	return sum, sum.Reports > 0, nil
 }
 
-// WriteResults streams a job's per-domain results as JSONL. Plain
-// (join=false) output re-emits each stored record's canonical bytes —
-// byte-identical across crash-resumed and uninterrupted runs, the
-// contract smoke-serve enforces. With join=true each line wraps the
-// record together with the domain's TLSRPT evidence:
+// WriteResults streams a job's per-domain results as JSONL through
+// campaign.WriteBuffered. Plain (join=false) output re-emits each
+// stored record's canonical bytes — byte-identical across crash-resumed
+// and uninterrupted runs, the contract smoke-serve enforces. With
+// join=true each line wraps the record together with the domain's
+// TLSRPT evidence:
 //
 //	{"scan": <record>, "tlsrpt": {...}}   (tlsrpt omitted when none)
 func (s *Service) WriteResults(w io.Writer, id string, join bool) error {
 	if !join {
 		return campaign.WriteSnapshot(w, s.Store, id, resultsWeek)
 	}
-	return campaign.ScanWeek(s.Store, id, resultsWeek, func(raw []byte, rec campaign.DomainRecord) error {
-		line := struct {
-			Scan   json.RawMessage `json:"scan"`
-			TLSRPT *TLSRPTSummary  `json:"tlsrpt,omitempty"`
-		}{Scan: raw}
-		sum, ok, err := s.TLSRPTFor(rec.Domain)
-		if err != nil {
-			return err
-		}
-		if ok {
-			line.TLSRPT = &sum
-		}
-		v, err := json.Marshal(line)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(v); err != nil {
-			return err
-		}
-		_, err = w.Write([]byte{'\n'})
-		return err
+	return campaign.WriteBuffered(w, func(bw *bufio.Writer) error {
+		return campaign.ScanWeek(s.Store, id, resultsWeek, func(raw []byte, rec campaign.DomainRecord) error {
+			line := struct {
+				Scan   json.RawMessage `json:"scan"`
+				TLSRPT *TLSRPTSummary  `json:"tlsrpt,omitempty"`
+			}{Scan: raw}
+			sum, ok, err := s.TLSRPTFor(rec.Domain)
+			if err != nil {
+				return err
+			}
+			if ok {
+				line.TLSRPT = &sum
+			}
+			v, err := json.Marshal(line)
+			if err != nil {
+				return err
+			}
+			if _, err := bw.Write(v); err != nil {
+				return err
+			}
+			return bw.WriteByte('\n')
+		})
 	})
 }

@@ -108,11 +108,13 @@ type ref struct {
 //
 // with the key and value as raw bytes and the checksum (Castagnoli,
 // little-endian) over every byte before it. Every read checks the
-// checksum, and Get also checks the stored key against the one asked
-// for. On Open, a record that is short, claims more bytes than its
-// segment has left, or fails its checksum ends the segment's valid
-// prefix: at the end of the active segment that is a torn append — the
-// only damage a crash can inflict on an append-only log — and is
+// checksum and the stored key against the one the index holds. Get
+// reads one record; Scan reads chunks of up to scanChunkBytes of
+// records, one ReadAt per run of adjacent ones, into a pooled buffer
+// its values alias. On Open, a record that is short, claims more bytes
+// than its segment has left, or fails its checksum ends the segment's
+// valid prefix: at the end of the active segment that is a torn append
+// — the only damage a crash can inflict on an append-only log — and is
 // truncated; in a sealed segment it is corruption and Open fails.
 //
 // A directory written in the store's first format (seg-*.jsonl: one
@@ -343,20 +345,41 @@ func (s *Disk) Get(key string) ([]byte, bool, error) {
 // its value as a subslice of the one buffer read, first flushing the
 // write buffer if the record is still in it; the caller holds mu.
 func (s *Disk) readValue(key string, rf ref) ([]byte, error) {
-	if int(rf.seg) == s.active && rf.off+int64(rf.ln) > s.actSize-int64(s.w.Buffered()) {
+	if s.unflushed(rf) {
 		if err := s.flush(); err != nil {
 			return nil, err
 		}
 	}
+	buf := make([]byte, rf.ln)
+	if err := s.readRun(buf, rf); err != nil {
+		return nil, err
+	}
+	return checkRecord(key, rf, buf)
+}
+
+// unflushed reports whether rf's record still sits, in whole or in
+// part, in the write buffer; the caller holds mu.
+func (s *Disk) unflushed(rf ref) bool {
+	return int(rf.seg) == s.active && rf.off+int64(rf.ln) > s.actSize-int64(s.w.Buffered())
+}
+
+// readRun fills buf from rf's segment at rf's offset with one ReadAt;
+// the caller holds mu.
+func (s *Disk) readRun(buf []byte, rf ref) error {
 	f := s.files[int(rf.seg)]
 	if f == nil {
-		return nil, fmt.Errorf("store: segment %d vanished", rf.seg)
+		return fmt.Errorf("store: segment %d vanished", rf.seg)
 	}
-	buf := make([]byte, rf.ln)
 	if _, err := f.ReadAt(buf, rf.off); err != nil {
-		return nil, fmt.Errorf("store: read segment %d @%d: %w", rf.seg, rf.off, err)
+		return fmt.Errorf("store: read segment %d @%d: %w", rf.seg, rf.off, err)
 	}
-	k, v, err := decodeRecord(buf)
+	return nil
+}
+
+// checkRecord checks that rec, read from rf, is one intact record
+// stored for key, and returns its value as a subslice of rec.
+func checkRecord(key string, rf ref, rec []byte) ([]byte, error) {
+	k, v, err := decodeRecord(rec)
 	if err == nil && string(k) != key {
 		err = fmt.Errorf("holds key %q, not %q", k, key)
 	}
@@ -491,26 +514,103 @@ func (s *Disk) syncDir() error {
 	return nil
 }
 
+// scanChunkBytes bounds the records Scan reads under one hold of mu; a
+// record larger than this is a chunk of its own.
+const scanChunkBytes = 16 << 10
+
+// scanChunk is Scan's reusable state: the buffer a chunk's records are
+// read into and their refs, in key order.
+type scanChunk struct {
+	buf  []byte
+	refs []ref
+}
+
+// scanChunks pools scanChunk across Scans, so the buffers in use are
+// bounded by the concurrent Scans, not by the Scans made.
+var scanChunks = sync.Pool{New: func() any { return &scanChunk{buf: make([]byte, scanChunkBytes)} }}
+
 // Scan implements Store: a seek to the prefix's key range as of the
-// call, O(log n + matches), then one Get per key as it is visited — a
-// record overwritten mid-scan shows its newest value.
+// call, O(log n + matches), then the keys' records in chunks of at most
+// scanChunkBytes. Each chunk's refs are looked up and its records read
+// under one hold of mu, with one ReadAt per run of records that lie
+// back to back in a segment (a shard's, since the campaign appends them
+// in key order); every record is then checked as Get checks it, outside
+// the lock. A record overwritten mid-scan shows the value that was
+// newest when its chunk was read. Values alias a pooled buffer and are
+// valid until fn returns.
 func (s *Disk) Scan(prefix string, fn func(key string, value []byte) error) error {
 	s.mu.Lock()
 	keys := s.keys.under(prefix)
 	s.mu.Unlock()
-	for _, k := range keys {
-		v, _, err := s.Get(k) // an indexed key is never removed
+	if len(keys) == 0 {
+		return nil
+	}
+	c := scanChunks.Get().(*scanChunk)
+	defer scanChunks.Put(c)
+	for len(keys) > 0 {
+		data, err := s.readChunk(keys, c)
 		if err != nil {
 			return err
 		}
-		if err := fn(k, v); err != nil {
-			if err == ErrStop {
-				return nil
+		for i, rf := range c.refs {
+			v, err := checkRecord(keys[i], rf, data[:rf.ln:rf.ln])
+			if err != nil {
+				return err
 			}
-			return err
+			data = data[rf.ln:]
+			if err := fn(keys[i], v); err != nil {
+				if err == ErrStop {
+					return nil
+				}
+				return err
+			}
 		}
+		keys = keys[len(c.refs):]
 	}
 	return nil
+}
+
+// readChunk reads the records of the longest prefix of keys that fits
+// scanChunkBytes (at least one key) into c.buf, or into a buffer of its
+// own when one record alone is larger, sets c.refs to their refs and
+// returns the records back to back.
+func (s *Disk) readChunk(keys []string, c *scanChunk) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c.refs = c.refs[:0]
+	total, dirty := 0, false
+	for _, k := range keys {
+		rf := s.refs[s.index[k]] // an indexed key is never removed
+		if len(c.refs) > 0 && total+int(rf.ln) > scanChunkBytes {
+			break
+		}
+		c.refs = append(c.refs, rf)
+		total += int(rf.ln)
+		dirty = dirty || s.unflushed(rf)
+	}
+	if dirty {
+		if err := s.flush(); err != nil {
+			return nil, err
+		}
+	}
+	data := c.buf
+	if total > len(data) {
+		data = make([]byte, total)
+	}
+	data = data[:total]
+	for i, pos := 0, 0; i < len(c.refs); {
+		run := c.refs[i]
+		end := run.off + int64(run.ln)
+		for i++; i < len(c.refs) && c.refs[i].seg == run.seg && c.refs[i].off == end; i++ {
+			end += int64(c.refs[i].ln)
+		}
+		n := int(end - run.off)
+		if err := s.readRun(data[pos:pos+n], run); err != nil {
+			return nil, err
+		}
+		pos += n
+	}
+	return data, nil
 }
 
 // Sync implements Store: flush + fsync of the active segment.

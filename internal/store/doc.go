@@ -15,12 +15,12 @@
 // A Disk record is uvarint(len key) | uvarint(len value) | key | value
 // | CRC-32C, the checksum (Castagnoli, little-endian) covering every
 // byte before it; keys and values are raw bytes. Every read verifies
-// the checksum. On Open a short, over-long or checksum-failing record
-// ends a segment's valid prefix: the active segment is truncated there
-// (a torn append), a sealed segment is corruption and Open fails. A
-// directory in the first on-disk format (JSONL lines with base64
-// values) is migrated to records by Open, once and crash-safely
-// (legacy.go).
+// the checksum and the stored key. On Open a short, over-long or
+// checksum-failing record ends a segment's valid prefix: the active
+// segment is truncated there (a torn append), a sealed segment is
+// corruption and Open fails. A directory in the first on-disk format
+// (JSONL lines with base64 values) is migrated to records by Open,
+// once and crash-safely (legacy.go).
 //
 // Scan visits keys in ascending lexicographic order in both backends —
 // the property the campaign layer builds byte-identical snapshot
@@ -28,8 +28,12 @@
 // index (index.go): a sorted run plus the keys first written since the
 // last Scan, which the next Scan merges in. A prefix Scan is a
 // binary-search seek, O(log n + matches), over the keys present when it
-// was called; a write is an append. docs/CAMPAIGN.md specifies the
-// on-disk format and its recovery semantics; the property test in
-// equiv_test.go pins the two backends to observational equivalence
-// under random operation sequences.
+// was called; a write is an append. Disk's Scan then reads its records
+// a chunk of up to 16 KiB at a time, one ReadAt per run of records
+// adjacent in a segment, into a pooled buffer: values are valid only
+// until the callback returns. The campaign appends each shard's
+// records in key order, so a week reads back in long runs.
+// docs/CAMPAIGN.md specifies the on-disk format and its recovery
+// semantics; the property test in equiv_test.go pins the two backends
+// to observational equivalence under random operation sequences.
 package store

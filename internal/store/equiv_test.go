@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -312,5 +313,105 @@ func TestScanWhileWriting(t *testing.T) {
 				t.Fatalf("Len = %d, %v; want %d", n, err, writers*perWriter)
 			}
 		})
+	}
+}
+
+// TestScanChunks pins Disk's chunked Scan to the model and Mem where
+// reading records a chunk at a time, one ReadAt per run of adjacent
+// records, can go wrong: file order unlike key order beside a run
+// written in key order (as the campaign writes a shard), overwrites
+// whose newest record lies far from its neighbours, chunks spanning
+// segment rotations, records still in the write buffer, and a value
+// larger than a chunk. A Scan nested in the callback, as the service's
+// TLSRPT join makes one, must not disturb the outer Scan's values. Then
+// a damaged record and a misdirected ref must fail the Scan.
+func TestScanChunks(t *testing.T) {
+	ref, mem := model{}, NewMem()
+	disk, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	disk.SegmentBytes = 4 << 10 // a chunk spans several rotations
+	rng := rand.New(rand.NewSource(1))
+	key := func(i int) string { return fmt.Sprintf("k/%03d", i) }
+	value := func(n int) []byte { return []byte(strings.Repeat(string(rune('a'+rng.Intn(26))), n)) }
+	write := func(batch ...Entry) {
+		t.Helper()
+		for _, e := range batch {
+			ref[e.Key] = string(e.Value)
+		}
+		if err := mem.Batch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.Batch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range rng.Perm(150) { // file order unlike key order
+		write(Entry{Key: key(i), Value: value(50 + rng.Intn(350))})
+	}
+	var run []Entry // a shard: one batch in key order
+	for i := 150; i < 300; i++ {
+		run = append(run, Entry{Key: key(i), Value: value(50 + rng.Intn(350))})
+	}
+	write(run...)
+	write(Entry{Key: key(77), Value: value(scanChunkBytes + 100)})
+	for _, i := range []int{3, 151, 152, 298} { // newest records far from their neighbours
+		write(Entry{Key: key(i), Value: value(60)})
+	}
+	if disk.w.Buffered() == 0 {
+		t.Fatal("the last writes were flushed; the case needs them in the write buffer")
+	}
+
+	for _, p := range []string{"", "k/", "k/0", "k/07", "k/077", "k/15", "k/2", "k/29", "k/3"} {
+		compareScans(t, ref, p, mem, disk)
+	}
+	for _, s := range []Store{mem, disk} {
+		want, i := ref.scan("k/"), 0
+		if err := s.Scan("k/", func(k string, v []byte) error {
+			if i%37 == 0 {
+				compareScans(t, ref, k[:4], s)
+			}
+			if got := k + "\x00" + string(v); i >= len(want) || got != want[i] {
+				t.Fatalf("%T.Scan item %d after a nested Scan = %.40q, want %.40q", s, i, got, want[min(i, len(want)-1)])
+			}
+			i++
+			return nil
+		}); err != nil || i != len(want) {
+			t.Fatalf("%T.Scan with nested Scans: %d of %d items, %v", s, i, len(want), err)
+		}
+	}
+
+	// A ref that points at another key's intact record must fail the
+	// key check.
+	a, b := disk.index[key(160)], disk.index[key(161)]
+	disk.refs[a], disk.refs[b] = disk.refs[b], disk.refs[a]
+	if err := disk.Scan("k/16", func(string, []byte) error { return nil }); err == nil || !strings.Contains(err.Error(), "holds key") {
+		t.Errorf("Scan over swapped refs: %v, want a key mismatch", err)
+	}
+	disk.refs[a], disk.refs[b] = disk.refs[b], disk.refs[a]
+
+	// A flipped value byte in the middle of a run must fail the checksum.
+	if err := disk.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rf := disk.refs[disk.index[key(200)]]
+	f, err := os.OpenFile(disk.segPath(int(rf.seg), segSuffix), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	at := rf.off + int64(rf.ln) - crcLen - 1
+	var c [1]byte
+	if _, err := f.ReadAt(c[:], at); err != nil {
+		t.Fatal(err)
+	}
+	c[0] ^= 0x20
+	if _, err := f.WriteAt(c[:], at); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Scan("k/", func(string, []byte) error { return nil }); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("Scan over a flipped byte: %v, want a checksum mismatch", err)
 	}
 }

@@ -36,7 +36,10 @@ type Store interface {
 	Batch(entries []Entry) error
 	// Scan visits every pair whose key has the given prefix, in
 	// ascending key order, until fn returns an error (ErrStop stops
-	// cleanly). Mutating the store from fn is unsupported.
+	// cleanly). Mutating the store from fn is unsupported; a nested
+	// Scan is fine. value belongs to the store and is valid only until
+	// fn returns: Disk reuses the buffer behind it, Mem hands out its
+	// internal slice. fn must not modify it, and copies what it keeps.
 	Scan(prefix string, fn func(key string, value []byte) error) error
 	// Sync makes every completed write durable before returning. The
 	// campaign engine calls it once per shard, after the Batch that ends

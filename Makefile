@@ -85,7 +85,11 @@ smoke-adversary:
 # only week 0 done, so the cut is known to be mid-run; resume to
 # completion, then require status/diff to see the full campaign and the
 # week-1 export to be byte-identical to a fresh uninterrupted run
-# (docs/CAMPAIGN.md). Every other crash point is enumerated in tier-1.
+# (docs/CAMPAIGN.md). Both weeks' exports must then hash to the
+# committed GOLDEN.sha256 lines, so a change to any stored record byte
+# (a record field, the class hash, the key layout) fails here; a change
+# that moves them on purpose updates GOLDEN.sha256 and says why in
+# CHANGES.md. Every other crash point is enumerated in tier-1.
 smoke-campaign:
 	$(GO) build -o /tmp/mtasts-campaign-smoke ./cmd/mtasts-campaign
 	rm -rf /tmp/mtasts-campaign-smoke-store /tmp/mtasts-campaign-smoke-ref
@@ -102,7 +106,10 @@ smoke-campaign:
 	/tmp/mtasts-campaign-smoke export -dir /tmp/mtasts-campaign-smoke-store -week 1 > /tmp/mtasts-campaign-smoke-store.jsonl
 	/tmp/mtasts-campaign-smoke export -dir /tmp/mtasts-campaign-smoke-ref -week 1 > /tmp/mtasts-campaign-smoke-ref.jsonl
 	cmp /tmp/mtasts-campaign-smoke-store.jsonl /tmp/mtasts-campaign-smoke-ref.jsonl
-	@echo "smoke-campaign: crash-resume snapshot byte-identical"
+	rm -rf /tmp/mtasts-campaign-smoke-golden && mkdir /tmp/mtasts-campaign-smoke-golden
+	for w in 0 1; do /tmp/mtasts-campaign-smoke export -dir /tmp/mtasts-campaign-smoke-store -week $$w > /tmp/mtasts-campaign-smoke-golden/smoke-campaign-week$$w.jsonl || exit 1; done
+	grep ' smoke-campaign-' GOLDEN.sha256 | (cd /tmp/mtasts-campaign-smoke-golden && sha256sum --strict -c -)
+	@echo "smoke-campaign: crash-resume snapshot byte-identical, both week exports match GOLDEN.sha256"
 
 # Sender crash-restart drill over the durable policy cache: a cold
 # mtasts-send process fetches and delivers, the policy host is killed,

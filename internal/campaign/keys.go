@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -38,21 +39,41 @@ func metaKey(id string) string {
 }
 
 func recordKey(id string, week int, domain string) string {
-	return fmt.Sprintf("c/%s/w/%04d/d/%s", id, week, domain)
+	var num [24]byte
+	return "c/" + id + "/w/" + string(appendPadded(num[:0], week, 4)) + "/d/" + domain
 }
 
 // weekPrefix is the Scan prefix covering every domain record of a week.
 func weekPrefix(id string, week int) string {
-	return fmt.Sprintf("c/%s/w/%04d/d/", id, week)
+	return recordKey(id, week, "")
 }
 
 func checkpointKey(id string, week, shard int) string {
-	return fmt.Sprintf("c/%s/ck/%04d/%06d", id, week, shard)
+	var num [24]byte
+	return checkpointPrefix(id, week) + string(appendPadded(num[:0], shard, 6))
 }
 
 // checkpointPrefix covers every shard checkpoint of a week.
 func checkpointPrefix(id string, week int) string {
-	return fmt.Sprintf("c/%s/ck/%04d/", id, week)
+	var num [24]byte
+	return "c/" + id + "/ck/" + string(appendPadded(num[:0], week, 4)) + "/"
+}
+
+// appendPadded appends n in decimal, zero-padded to width as fmt's %0*d
+// does: a sign counts toward the width, and a wider n is not cut.
+func appendPadded(dst []byte, n, width int) []byte {
+	u := uint64(n)
+	if n < 0 {
+		dst = append(dst, '-')
+		u = -u
+		width--
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
 }
 
 // allCheckpointsPrefix covers every checkpoint of the campaign.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/netsecurelab/mtasts/internal/inconsistency"
@@ -77,11 +78,8 @@ func FromResult(r *scanner.DomainResult) DomainRecord {
 			rec.MXInvalid++
 		}
 	}
-	seen := make(map[string]bool)
 	for _, e := range r.TaxErrors() {
-		c := string(e.Code)
-		if !seen[c] {
-			seen[c] = true
+		if c := string(e.Code); !slices.Contains(rec.Codes, c) {
 			rec.Codes = append(rec.Codes, c)
 		}
 	}
@@ -94,10 +92,15 @@ func FromResult(r *scanner.DomainResult) DomainRecord {
 
 // classHash is the truncated SHA-256 of the result's ClassificationKey:
 // 16 hex bytes is plenty to make cross-week hash equality mean "same
-// classification" at campaign scale.
+// classification" at campaign scale. The key is built in a stack buffer
+// that fits a typical result, so hashing it costs no copy and, usually,
+// no allocation.
 func classHash(r *scanner.DomainResult) string {
-	sum := sha256.Sum256([]byte(r.ClassificationKey()))
-	return hex.EncodeToString(sum[:8])
+	var buf [1024]byte
+	sum := sha256.Sum256(r.AppendClassificationKey(buf[:0]))
+	var h [16]byte
+	hex.Encode(h[:], sum[:8])
+	return string(h[:])
 }
 
 // Misconfigured mirrors scanner.DomainResult.Misconfigured on the

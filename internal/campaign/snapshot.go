@@ -35,18 +35,16 @@ type WeekSummary struct {
 }
 
 // ScanWeek visits one week's stored records in ascending domain order,
-// handing the callback each record's raw canonical encoding alongside
-// its decoded form — raw for byte-exact re-emission (snapshots, the
-// service's result streams), decoded for inspection (joins,
-// aggregation). raw is the store's Scan value: valid only until fn
-// returns.
-func ScanWeek(s store.Store, id string, week int, fn func(raw []byte, rec DomainRecord) error) error {
-	return s.Scan(weekPrefix(id, week), func(_ string, v []byte) error {
-		rec, err := DecodeRecord(v)
-		if err != nil {
-			return err
-		}
-		return fn(v, rec)
+// handing the callback each record's domain, cut from its store key,
+// and its raw canonical encoding — for byte-exact re-emission
+// (snapshots, the service's result streams) and joins by domain,
+// without decoding the record. Callers that inspect the record decode
+// raw with DecodeRecord. raw is the store's Scan value: valid only
+// until fn returns.
+func ScanWeek(s store.Store, id string, week int, fn func(domain string, raw []byte) error) error {
+	prefix := weekPrefix(id, week)
+	return s.Scan(prefix, func(k string, v []byte) error {
+		return fn(k[len(prefix):], v)
 	})
 }
 
@@ -57,7 +55,11 @@ func Aggregate(s store.Store, id string, week int) (WeekSummary, error) {
 		ByCategory: make(map[string]int),
 		ByCode:     make(map[string]int),
 	}
-	err := ScanWeek(s, id, week, func(_ []byte, rec DomainRecord) error {
+	err := ScanWeek(s, id, week, func(_ string, raw []byte) error {
+		rec, err := DecodeRecord(raw)
+		if err != nil {
+			return err
+		}
 		sum.Domains++
 		if rec.Present {
 			sum.Present++

@@ -241,7 +241,7 @@ func (o *Outbound) deliverVia(ctx context.Context, domain, mxHost, from string, 
 	if o.DANEEnabled && !(flipped && ev.PolicyFetched) {
 		records := o.lookupTLSA(ctx, mxHost)
 		if dane.Usable(records) {
-			return o.deliverDANE(ctx, mxHost, from, to, data, records)
+			return o.deliverDANE(ctx, domain, mxHost, from, to, data, records)
 		}
 	}
 
@@ -347,15 +347,16 @@ func tlsFailureType(err error) tlsrpt.ResultType {
 	return tlsrpt.ResultCertificateNotTrusted
 }
 
-// deliverDANE delivers with the certificate verified against TLSA records.
-func (o *Outbound) deliverDANE(ctx context.Context, mxHost, from string, to []string, data []byte, records []dane.Record) (Outcome, error) {
+// deliverDANE delivers with the certificate verified against TLSA
+// records. Its TLSRPT rows carry the recipient domain, which a shared
+// provider MX's name does not reveal.
+func (o *Outbound) deliverDANE(ctx context.Context, domain, mxHost, from string, to []string, data []byte, records []dane.Record) (Outcome, error) {
 	sender := o.sender(mxHost)
 	sender.RequireTLS = true
 	sender.VerifyPeer = func(chain []*x509.Certificate, host string) error {
 		return dane.Verify(records, chain)
 	}
 	res, err := sender.Deliver(ctx, mxHost, from, to, data)
-	domain := strings.TrimPrefix(mxHost, "mx.") // reporting label only
 	if err != nil {
 		o.recordFailure(tlsrpt.PolicyTypeTLSA, domain, mxHost, tlsrpt.ResultTLSAInvalid)
 		return Outcome{MXHost: mxHost, Mechanism: MechanismDANE},

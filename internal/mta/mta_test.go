@@ -166,6 +166,46 @@ func TestSendDANEMismatchRefuses(t *testing.T) {
 	}
 }
 
+// TestSendDANEReportsRecipientDomain: DANE TLSRPT rows are filed under
+// the recipient's policy domain, not a name derived from the MX host —
+// a provider's shared MX names no customer. The first MX's TLSA record
+// is for another key, so its delivery fails; the second delivers.
+func TestSendDANEReportsRecipientDomain(t *testing.T) {
+	n := startNet(t)
+	addMX(t, n, "mx1.provider.test", false)
+	addMX(t, n, "mx2.provider.test", false)
+	zone := n.Zone("mx1.provider.test")
+	zone.Remove(dane.TLSAName("mx1.provider.test"), dnsmsg.TypeTLSA)
+	other := n.Cert(pki.IssueOptions{Names: []string{"other.test"}})
+	zone.MustAdd(dane.NewEE3(other.Leaf).RR("mx1.provider.test", 300))
+	addDomain(n, "example.test", []string{"mx1.provider.test", "mx2.provider.test"},
+		enforce("mx1.provider.test", "mx2.provider.test"))
+
+	o := outbound(n, true)
+	start := time.Now()
+	o.Report = tlsrpt.NewReport("Lab", "mailto:r@lab.test", "rid", start, start.Add(24*time.Hour))
+	out, err := o.Send(context.Background(), "a@s.lab", []string{"b@example.test"}, []byte("x\n"))
+	if err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if out.Mechanism != MechanismDANE || out.MXHost != "mx2.provider.test" {
+		t.Fatalf("out = %+v, want DANE delivery via mx2.provider.test", out)
+	}
+	if err := o.Report.Validate(); err != nil {
+		t.Fatalf("report invalid: %v", err)
+	}
+	if len(o.Report.Policies) != 1 {
+		t.Fatalf("report holds %d policy rows, want one for example.test: %+v", len(o.Report.Policies), o.Report.Policies)
+	}
+	p := o.Report.Policy(tlsrpt.PolicyTypeTLSA, "example.test")
+	if p.Summary.TotalSuccessfulSessionCount != 1 || p.Summary.TotalFailureSessionCount != 1 ||
+		len(p.FailureDetails) != 1 || p.FailureDetails[0].ResultType != tlsrpt.ResultTLSAInvalid ||
+		p.FailureDetails[0].ReceivingMXHostname != "mx1.provider.test" {
+		t.Errorf("example.test TLSA row = %+v, want one success and one %s failure at mx1.provider.test",
+			p, tlsrpt.ResultTLSAInvalid)
+	}
+}
+
 func TestSendMTASTSEnforceMismatchRefuses(t *testing.T) {
 	n := startNet(t)
 	srv := addMX(t, n, "mx.delta.test", false)

@@ -2,6 +2,7 @@ package mtasts
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/netsecurelab/mtasts/internal/errtax"
@@ -67,15 +68,34 @@ type Policy struct {
 
 // String serializes the policy in canonical CRLF-terminated form.
 func (p Policy) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "version: %s\r\n", p.Version)
-	fmt.Fprintf(&sb, "mode: %s\r\n", p.Mode)
+	n := len("version: \r\nmode: \r\nmax_age: \r\n") + len(p.Version) + len(p.Mode) + 20
 	for _, mx := range p.MXPatterns {
-		fmt.Fprintf(&sb, "mx: %s\r\n", mx)
+		n += len("mx: \r\n") + len(mx)
 	}
-	fmt.Fprintf(&sb, "max_age: %d\r\n", p.MaxAge)
 	for _, f := range p.Extensions {
-		fmt.Fprintf(&sb, "%s: %s\r\n", f.Name, f.Value)
+		n += len(": \r\n") + len(f.Name) + len(f.Value)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.WriteString("version: ")
+	sb.WriteString(p.Version)
+	sb.WriteString("\r\nmode: ")
+	sb.WriteString(string(p.Mode))
+	sb.WriteString("\r\n")
+	for _, mx := range p.MXPatterns {
+		sb.WriteString("mx: ")
+		sb.WriteString(mx)
+		sb.WriteString("\r\n")
+	}
+	sb.WriteString("max_age: ")
+	var num [20]byte
+	sb.Write(strconv.AppendInt(num[:0], p.MaxAge, 10))
+	sb.WriteString("\r\n")
+	for _, f := range p.Extensions {
+		sb.WriteString(f.Name)
+		sb.WriteString(": ")
+		sb.WriteString(f.Value)
+		sb.WriteString("\r\n")
 	}
 	return sb.String()
 }

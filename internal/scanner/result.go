@@ -3,8 +3,9 @@ package scanner
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"github.com/netsecurelab/mtasts/internal/errtax"
 	"github.com/netsecurelab/mtasts/internal/inconsistency"
@@ -151,24 +152,109 @@ type DomainResult struct {
 // identically in every figure and summary; equivalence tests compare
 // keys to prove the Runner agrees with the sequential ScanDomain loop.
 func (r *DomainResult) ClassificationKey() string {
-	mxKeys := make([]string, 0, len(r.MXProblems))
+	return string(r.AppendClassificationKey(nil))
+}
+
+// AppendClassificationKey appends ClassificationKey's bytes to dst and
+// returns the extended slice. The layout is a stored format — campaign
+// class hashes are taken over it and compared across weeks — so it is
+// frozen byte for byte (result_test.go pins it against its original
+// fmt formulation):
+//
+//	domain=%s canceled=%v mx=%v mx_lookup_err=%v present=%v valid=%v
+//	record=%+v record_err=%v policy_ok=%v policy=%+v stage=%s cert=%s
+//	http=%d syntax=%v cname=%s mx[%s]=%s ... no_starttls=%v mismatch=%+v
+//
+// with single spaces between fields, the mx[host] entries in sorted
+// host order, and no trailing space.
+func (r *DomainResult) AppendClassificationKey(dst []byte) []byte {
+	dst = append(dst, "domain="...)
+	dst = append(dst, r.Domain...)
+	dst = append(dst, " canceled="...)
+	dst = strconv.AppendBool(dst, r.Canceled)
+	dst = append(dst, " mx="...)
+	dst = appendList(dst, r.MXHosts)
+	dst = append(dst, " mx_lookup_err="...)
+	dst = appendErr(dst, r.MXLookupErr)
+	dst = append(dst, " present="...)
+	dst = strconv.AppendBool(dst, r.RecordPresent)
+	dst = append(dst, " valid="...)
+	dst = strconv.AppendBool(dst, r.RecordValid)
+	dst = append(dst, " record="...)
+	dst = append(dst, r.Record.String()...)
+	dst = append(dst, " record_err="...)
+	dst = appendErr(dst, r.RecordErr)
+	dst = append(dst, " policy_ok="...)
+	dst = strconv.AppendBool(dst, r.PolicyOK)
+	dst = append(dst, " policy="...)
+	dst = append(dst, r.Policy.String()...)
+	dst = append(dst, " stage="...)
+	dst = append(dst, r.PolicyStage.Key()...)
+	dst = append(dst, " cert="...)
+	dst = append(dst, r.PolicyCertProblem.String()...)
+	dst = append(dst, " http="...)
+	dst = strconv.AppendInt(dst, int64(r.PolicyHTTPStatus), 10)
+	dst = append(dst, " syntax="...)
+	dst = appendErr(dst, r.PolicySyntaxErr)
+	dst = append(dst, " cname="...)
+	dst = append(dst, r.PolicyCNAME...)
+	dst = append(dst, ' ')
+	var hostBuf [8]string // a domain has few MX hosts: sort them on the stack
+	hosts := hostBuf[:0]
 	for mx := range r.MXProblems {
-		mxKeys = append(mxKeys, mx)
+		hosts = append(hosts, mx)
 	}
-	sort.Strings(mxKeys)
-	var b strings.Builder
-	fmt.Fprintf(&b, "domain=%s canceled=%v mx=%v mx_lookup_err=%v ",
-		r.Domain, r.Canceled, r.MXHosts, r.MXLookupErr)
-	fmt.Fprintf(&b, "present=%v valid=%v record=%+v record_err=%v ",
-		r.RecordPresent, r.RecordValid, r.Record, r.RecordErr)
-	fmt.Fprintf(&b, "policy_ok=%v policy=%+v stage=%s cert=%s http=%d syntax=%v cname=%s ",
-		r.PolicyOK, r.Policy, r.PolicyStage.Key(), r.PolicyCertProblem, r.PolicyHTTPStatus,
-		r.PolicySyntaxErr, r.PolicyCNAME)
-	for _, mx := range mxKeys {
-		fmt.Fprintf(&b, "mx[%s]=%s ", mx, r.MXProblems[mx])
+	slices.Sort(hosts)
+	for _, mx := range hosts {
+		dst = append(dst, "mx["...)
+		dst = append(dst, mx...)
+		dst = append(dst, "]="...)
+		dst = append(dst, r.MXProblems[mx].String()...)
+		dst = append(dst, ' ')
 	}
-	fmt.Fprintf(&b, "no_starttls=%v mismatch=%+v", r.MXNoSTARTTLS, r.Mismatch)
-	return b.String()
+	dst = append(dst, "no_starttls="...)
+	dst = appendList(dst, r.MXNoSTARTTLS)
+	dst = append(dst, " mismatch="...)
+	return appendFinding(dst, &r.Mismatch)
+}
+
+// appendList writes a string slice as fmt's %v does: "[a b c]", and
+// "[]" for a nil or empty slice.
+func appendList(dst []byte, list []string) []byte {
+	dst = append(dst, '[')
+	for i, s := range list {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, s...)
+	}
+	return append(dst, ']')
+}
+
+// appendErr writes an error as fmt's %v does: its message, or "<nil>".
+func appendErr(dst []byte, err error) []byte {
+	if err == nil {
+		return append(dst, "<nil>"...)
+	}
+	return append(dst, err.Error()...)
+}
+
+// appendFinding writes a Finding as fmt's %+v does: field names and
+// values in declaration order, Kind by its String method.
+func appendFinding(dst []byte, f *inconsistency.Finding) []byte {
+	dst = append(dst, "{Domain:"...)
+	dst = append(dst, f.Domain...)
+	dst = append(dst, " Kind:"...)
+	dst = append(dst, f.Kind.String()...)
+	dst = append(dst, " MXHosts:"...)
+	dst = appendList(dst, f.MXHosts)
+	dst = append(dst, " Patterns:"...)
+	dst = appendList(dst, f.Patterns)
+	dst = append(dst, " MTASTSLabelInPattern:"...)
+	dst = strconv.AppendBool(dst, f.MTASTSLabelInPattern)
+	dst = append(dst, " Enforce:"...)
+	dst = strconv.AppendBool(dst, f.Enforce)
+	return append(dst, '}')
 }
 
 // TaxErrors returns the domain's typed taxonomy errors: the finalized

@@ -110,35 +110,36 @@ func (s *Service) tlsrptFor(domain string, docs *[]json.RawMessage) (TLSRPTSumma
 // campaign.WriteBuffered. Plain (join=false) output re-emits each
 // stored record's canonical bytes — byte-identical across crash-resumed
 // and uninterrupted runs, the contract smoke-serve enforces. With
-// join=true each line wraps the record together with the domain's
-// TLSRPT evidence:
+// join=true each line wraps the same stored bytes, verbatim, together
+// with the domain's TLSRPT evidence:
 //
-//	{"scan": <record>, "tlsrpt": {...}}   (tlsrpt omitted when none)
+//	{"scan":<record>,"tlsrpt":{...}}   (tlsrpt omitted when none)
+//
+// The line is written by hand, not marshalled: a stored record is
+// already canonical compact JSON, so it needs no re-encoding, and its
+// domain comes from its key, so it needs no decoding.
 func (s *Service) WriteResults(w io.Writer, id string, join bool) error {
 	if !join {
 		return campaign.WriteSnapshot(w, s.Store, id, resultsWeek)
 	}
 	return campaign.WriteBuffered(w, func(bw *bufio.Writer) error {
-		return campaign.ScanWeek(s.Store, id, resultsWeek, func(raw []byte, rec campaign.DomainRecord) error {
-			line := struct {
-				Scan   json.RawMessage `json:"scan"`
-				TLSRPT *TLSRPTSummary  `json:"tlsrpt,omitempty"`
-			}{Scan: raw}
-			sum, ok, err := s.TLSRPTFor(rec.Domain)
+		var line []byte // reused: each line is assembled here, then written once
+		return campaign.ScanWeek(s.Store, id, resultsWeek, func(domain string, raw []byte) error {
+			sum, ok, err := s.TLSRPTFor(domain)
 			if err != nil {
 				return err
 			}
+			line = append(append(line[:0], `{"scan":`...), raw...)
 			if ok {
-				line.TLSRPT = &sum
+				rpt, err := json.Marshal(&sum)
+				if err != nil {
+					return err
+				}
+				line = append(append(line, `,"tlsrpt":`...), rpt...)
 			}
-			v, err := json.Marshal(line)
-			if err != nil {
-				return err
-			}
-			if _, err := bw.Write(v); err != nil {
-				return err
-			}
-			return bw.WriteByte('\n')
+			line = append(line, "}\n"...)
+			_, err = bw.Write(line)
+			return err
 		})
 	})
 }

@@ -2,6 +2,7 @@ package scansvc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/campaign"
 	"github.com/netsecurelab/mtasts/internal/store"
 	"github.com/netsecurelab/mtasts/internal/tlsrpt"
 )
@@ -152,5 +154,93 @@ func TestJoinedResultsAmongManyJobs(t *testing.T) {
 	}
 	if rec.Code != http.StatusOK || !bytes.Equal(bytes.TrimSpace(rec.Body.Bytes()), wantBody) {
 		t.Fatalf("GET tlsrpt/%s = %d\n got: %s\nwant: %s", names[3], rec.Code, rec.Body.Bytes(), wantBody)
+	}
+}
+
+// TestJoinedStreamMatchesEnvelope pins the hand-written joined line to
+// what marshalling the envelope it replaced produced, byte for byte,
+// for a domain with TLSRPT evidence, one without, and one whose name
+// JSON escapes. It also pins the week's Aggregate, which decodes the
+// records ScanWeek now hands over raw.
+func TestJoinedStreamMatchesEnvelope(t *testing.T) {
+	st := store.NewMem()
+	svc := newTestService(t, st, nil)
+	scan, names := worldScan()
+	var broken string // the first misconfigured domain, so Aggregate counts codes
+	for _, d := range names {
+		if r := scan.ScanDomain(context.Background(), d); r.Misconfigured() {
+			broken = d
+			break
+		}
+	}
+	odd := "a&b<c>.example"
+	for _, r := range []struct {
+		id, domain string
+		ok, failed int64
+	}{{"r1", names[0], 10, 1}, {"r2", names[0], 5, 0}, {"r3", odd, 3, 2}} {
+		if _, err := svc.IngestTLSRPT([]byte(testReportJSON(t, r.id, r.domain, r.ok, r.failed))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := svc.Submit("acme", []string{names[0], names[1], broken, odd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc, j.ID, StateDone)
+
+	var plain, joined bytes.Buffer
+	if err := svc.WriteResults(&plain, j.ID, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.WriteResults(&joined, j.ID, true); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	withRPT := 0
+	for _, raw := range bytes.SplitAfter(plain.Bytes(), []byte{'\n'}) {
+		if len(raw) == 0 {
+			continue
+		}
+		raw = bytes.TrimSuffix(raw, []byte{'\n'})
+		var rec struct {
+			Domain string `json:"domain"`
+		}
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		line := struct {
+			Scan   json.RawMessage `json:"scan"`
+			TLSRPT *TLSRPTSummary  `json:"tlsrpt,omitempty"`
+		}{Scan: raw}
+		sum, ok, err := svc.TLSRPTFor(rec.Domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			line.TLSRPT = &sum
+			withRPT++
+		}
+		v, err := json.Marshal(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(v)
+		want.WriteByte('\n')
+	}
+	if withRPT != 2 || !bytes.Contains(plain.Bytes(), []byte(`"a\u0026b\u003cc\u003e.example"`)) {
+		t.Fatalf("want two domains with evidence and the escaped one in the stream; got %d with evidence:\n%s", withRPT, plain.Bytes())
+	}
+	if !bytes.Equal(joined.Bytes(), want.Bytes()) {
+		t.Fatalf("joined stream differs from the marshalled envelope:\n got: %s\nwant: %s", joined.Bytes(), want.Bytes())
+	}
+
+	sum, err := campaign.Aggregate(st, j.ID, resultsWeek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum := campaign.WeekSummary{Week: resultsWeek, Domains: 4, Present: 3, Valid: 3, PolicyOK: 2, Enforce: 1,
+		Misconfigured: 1, ByCategory: map[string]int{"policy": 1}, ByCode: map[string]int{"tls_handshake": 1}}
+	if fmt.Sprintf("%+v", sum) != fmt.Sprintf("%+v", wantSum) {
+		t.Fatalf("Aggregate = %+v, want %+v", sum, wantSum)
 	}
 }

@@ -5,6 +5,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -98,5 +99,25 @@ func TestDiskAllocBudget(t *testing.T) {
 			distinct+n, distinct, got, distinct+fixed, fixed)
 	} else {
 		t.Logf("OpenDisk replaying %d records of %d keys: %v allocations", distinct+n, distinct, got)
+	}
+
+	// In bytes, a reopen pays for its keys and an index sized once from
+	// the replay's sample: growing the index by append's steps instead
+	// costs about twice as much (253 bytes per key here).
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const bytesPerKey = 150 // 128 measured
+	if got := (m1.TotalAlloc - m0.TotalAlloc) / distinct; got > bytesPerKey {
+		t.Errorf("OpenDisk over %d keys: %d bytes per key, budget %d", distinct, got, bytesPerKey)
+	} else {
+		t.Logf("OpenDisk over %d keys: %d bytes per key", distinct, got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,6 +42,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // replayBufBytes sizes the replay reader: records up to this size are
 // checked in place in its buffer, larger ones are copied out.
 const replayBufBytes = 64 << 10
+
+// replaySample is how many new keys a segment's replay indexes before
+// it sizes the index for the rest of the segment, extrapolated from the
+// bytes those keys took. The estimate never exceeds one key per
+// replayMinRecord bytes left, so a sample of small records followed by
+// large ones cannot reserve more index memory than the segment has
+// bytes; past the estimate the index grows by append as before.
+const (
+	replaySample    = 256
+	replayMinRecord = 128
+)
 
 // appendRecord appends the record for key and value to dst.
 func appendRecord(dst []byte, key string, value []byte) []byte {
@@ -271,6 +283,7 @@ func (s *Disk) replay(f file, seg int, size int64) (int64, error) {
 	r := bufio.NewReaderSize(f, replayBufBytes)
 	var big []byte // holds a record too large for r's buffer
 	var off int64
+	added := 0 // keys this segment has entered into the index
 	for off < size {
 		hdr, err := r.Peek(maxHeader) // short near the end of the file
 		if err != nil && err != io.EOF {
@@ -302,6 +315,10 @@ func (s *Disk) replay(f file, seg int, size int64) (int64, error) {
 		if slot, ok := s.index[string(key)]; ok {
 			s.refs[slot] = rf // an overwrite: no key string to allocate
 		} else {
+			if added++; added == replaySample {
+				rest := size - off - n
+				s.reserve(int(min(int64(added)*rest/(off+n), rest/replayMinRecord)))
+			}
 			s.setRef(string(key), rf)
 		}
 		if inBuf {
@@ -312,6 +329,23 @@ func (s *Disk) replay(f file, seg int, size int64) (int64, error) {
 		off += n
 	}
 	return off, nil
+}
+
+// reserve makes room in the index for n more keys in one step. Growing
+// by append's small steps would allocate about five times the final
+// size on the way; a reopen's garbage is what paces the collector under
+// it. The map is rebuilt to size only while it holds no more than the
+// sample, so the copy stays small.
+func (s *Disk) reserve(n int) {
+	s.refs = slices.Grow(s.refs, n)
+	s.keys.tail = slices.Grow(s.keys.tail, n)
+	if len(s.index) <= replaySample {
+		index := make(map[string]int, len(s.index)+n)
+		for k, slot := range s.index {
+			index[k] = slot
+		}
+		s.index = index
+	}
 }
 
 // setRef points key at its newest record and enters a key new to the

@@ -269,3 +269,44 @@ func TestDiskBinaryValuesRoundTrip(t *testing.T) {
 		t.Fatalf("binary value mangled: ok=%v err=%v len=%d", ok, err, len(v))
 	}
 }
+
+// TestDiskReplayReserveBounded: a segment that opens with many small
+// records and ends in a few large ones must not size its index from the
+// small ones alone — the reservation is capped at one key per
+// replayMinRecord bytes — and every key must still be found.
+func TestDiskReplayReserveBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []Entry
+	for i := 0; i < 2*replaySample; i++ {
+		batch = append(batch, Entry{Key: fmt.Sprintf("k%04d", i), Value: []byte{byte(i)}})
+	}
+	for i := 0; i < 4; i++ {
+		batch = append(batch, Entry{Key: fmt.Sprintf("z%d", i), Value: make([]byte, 256<<10)})
+	}
+	if err := s.Batch(batch); err != nil {
+		t.Fatal(err)
+	}
+	size := s.SizeBytes()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Twice the cap leaves room for the allocator's rounding; sized from
+	// the sample alone, the index would hold ten times as many.
+	if limit := 2 * (int64(replaySample) + size/replayMinRecord); int64(cap(d.refs)) > limit {
+		t.Errorf("index reserved for %d keys over a %d-byte segment of %d keys, limit %d", cap(d.refs), size, len(batch), limit)
+	}
+	for _, e := range batch {
+		if v, ok, err := d.Get(e.Key); err != nil || !ok || len(v) != len(e.Value) {
+			t.Fatalf("Get(%s) = %d bytes, %v, %v after reopen", e.Key, len(v), ok, err)
+		}
+	}
+}

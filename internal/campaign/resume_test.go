@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -86,6 +88,74 @@ func TestSnapshotBackendIndependent(t *testing.T) {
 	}
 	if want := (a.Len() + streamBufBytes - 1) / streamBufBytes; a.writes != want || b.writes != want {
 		t.Errorf("a %d-byte snapshot took %d and %d writes, want %d", a.Len(), a.writes, b.writes, want)
+	}
+}
+
+// TestExportIndependentOfShardOrder runs the same two weeks over one
+// domain list sorted and shuffled: the shuffled list's shards interleave
+// in key order, so the store reads each chunk of a week from many
+// shards at once. The week exports, their aggregates and their diff
+// must not tell the two apart, while the logs they were read from do.
+func TestExportIndependentOfShardOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var exports [2][2][]byte
+	var sums [2][2]WeekSummary
+	var diffs [2]Diff
+	var logs [2][]byte
+	for i, shuffled := range []bool{false, true} {
+		dir := filepath.Join(t.TempDir(), "s")
+		disk, err := store.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for week := 0; week < 2; week++ {
+			src, scan, _ := snapshotSource(testWorld, weekSnapshot(week))
+			var names []string
+			if err := src(func(d string) error { names = append(names, d); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if len(names) < 3*64 {
+				t.Fatalf("week %d has %d domains; the case needs at least three shards", week, len(names))
+			}
+			if shuffled {
+				rng.Shuffle(len(names), func(a, b int) { names[a], names[b] = names[b], names[a] })
+			}
+			eng := &Engine{Store: disk, Runner: &scanner.Runner{Workers: 4, Scan: scan}, ID: "order", ShardSize: 64}
+			if err := eng.RunWeek(context.Background(), week, SliceSource(names)); err != nil {
+				t.Fatal(err)
+			}
+			var b bytes.Buffer
+			if err := WriteSnapshot(&b, disk, "order", week); err != nil {
+				t.Fatal(err)
+			}
+			exports[i][week] = b.Bytes()
+			if sums[i][week], err = Aggregate(disk, "order", week); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if diffs[i], err = ComputeDiff(disk, "order", 0, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if logs[i], err = os.ReadFile(filepath.Join(dir, "seg-000001.log")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(logs[0], logs[1]) {
+		t.Fatal("the sorted and shuffled runs wrote the same log; the case needs their shards to interleave")
+	}
+	for week := 0; week < 2; week++ {
+		if a, b := exports[0][week], exports[1][week]; len(a) == 0 || !bytes.Equal(a, b) {
+			t.Errorf("week %d export differs with the list shuffled (%d vs %d bytes)", week, len(a), len(b))
+		}
+		if !reflect.DeepEqual(sums[0][week], sums[1][week]) {
+			t.Errorf("week %d Aggregate differs with the list shuffled:\n%+v\n%+v", week, sums[0][week], sums[1][week])
+		}
+	}
+	if !reflect.DeepEqual(diffs[0], diffs[1]) {
+		t.Errorf("diff differs with the list shuffled:\n%+v\n%+v", diffs[0], diffs[1])
 	}
 }
 

@@ -162,10 +162,29 @@ func (s *Service) handleResults(w http.ResponseWriter, req *http.Request) {
 	}
 	join := req.URL.Query().Get("join") == "tlsrpt"
 	w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-	if err := s.WriteResults(w, id, join); err != nil {
-		// The stream is underway; nothing to do but count.
-		s.Obs.Counter("obs.export.errors").Inc()
+	sw := &sentWriter{w: w}
+	if err := s.WriteResults(sw, id, join); err != nil {
+		s.Obs.Counter("scansvc.results.errors").Inc()
+		if !sw.sent {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		// A 200 is underway: cut the connection instead of ending the
+		// chunked body cleanly, so the client cannot take a truncated
+		// stream for a whole one.
+		panic(http.ErrAbortHandler)
 	}
+}
+
+// sentWriter records whether anything was written through it.
+type sentWriter struct {
+	w    io.Writer
+	sent bool
+}
+
+func (s *sentWriter) Write(p []byte) (int, error) {
+	s.sent = s.sent || len(p) > 0
+	return s.w.Write(p)
 }
 
 func (s *Service) handleTLSRPTIngest(w http.ResponseWriter, req *http.Request) {

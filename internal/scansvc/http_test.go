@@ -4,13 +4,18 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/netsecurelab/mtasts/internal/campaign"
 	"github.com/netsecurelab/mtasts/internal/errtax"
+	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/store"
 	"github.com/netsecurelab/mtasts/internal/tlsrpt"
 )
@@ -152,6 +157,103 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	apiCall(t, h, "GET", "/api/v1/tlsrpt/"+target, "", http.StatusOK, &rpt)
 	if rpt.Summary.Reports != 1 || rpt.Summary.Success != 100 || len(rpt.Reports) != 1 {
 		t.Fatalf("tlsrpt endpoint = %+v", rpt)
+	}
+}
+
+// TestResultsStreamFailsVisibly damages one stored result and streams
+// the job's results, plain and joined, over a real connection. A
+// failure before any byte is sent answers 500; one after the stream has
+// begun must cut the connection, so the client's read fails rather
+// than end on a clean, truncated 200. Either way the failure is
+// counted once.
+func TestResultsStreamFailsVisibly(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		join bool
+		last bool // damage the last record, after bytes have gone out, not the first
+	}{
+		{"plain/first", false, false},
+		{"plain/last", false, true},
+		{"joined/first", true, false},
+		{"joined/last", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			disk, err := store.OpenDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { disk.Close() })
+			reg := obs.NewRegistry()
+			svc := newTestService(t, disk, func(s *Service) { s.Obs = reg })
+			_, names := worldScan()
+			j, err := svc.Submit("acme", names[:200])
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, svc, j.ID, StateDone)
+			if _, err := svc.IngestTLSRPT([]byte(testReportJSON(t, "r1", names[0], 10, 1))); err != nil {
+				t.Fatal(err)
+			}
+			if err := disk.Sync(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Flip the last value byte of the first or last result.
+			var target []byte
+			if err := campaign.ScanWeek(disk, j.ID, resultsWeek, func(domain string, raw []byte) error {
+				if target == nil || c.last {
+					target = append(append(target[:0], domain...), raw...)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			flipped := false
+			for _, seg := range segs {
+				b, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i := bytes.Index(b, target); i >= 0 {
+					b[i+len(target)-1] ^= 0x20
+					if err := os.WriteFile(seg, b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					flipped = true
+				}
+			}
+			if !flipped {
+				t.Fatal("the damaged result's bytes are not in any segment")
+			}
+
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+			url := srv.URL + "/api/v1/jobs/" + j.ID + "/results"
+			if c.join {
+				url += "?join=tlsrpt"
+			}
+			resp, err := http.Get(url)
+			status := 0
+			if err == nil {
+				status = resp.StatusCode
+				_, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+			}
+			if c.last && err == nil {
+				t.Errorf("the client read a stream cut short by a damaged record without an error (status %d)", status)
+			}
+			if !c.last && (err != nil || status != http.StatusInternalServerError) {
+				t.Errorf("GET results over a damaged first record = %d, %v; want a 500", status, err)
+			}
+			if got := reg.Counter("scansvc.results.errors").Value(); got != 1 {
+				t.Errorf("scansvc.results.errors = %d, want 1", got)
+			}
+		})
 	}
 }
 

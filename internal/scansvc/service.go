@@ -179,6 +179,7 @@ func (s *Service) registerMetrics() {
 	for _, c := range []string{
 		"scansvc.jobs.submitted", "scansvc.jobs.completed", "scansvc.jobs.failed",
 		"scansvc.jobs.canceled", "scansvc.jobs.resumed", "scansvc.ratelimit.rejected",
+		"scansvc.results.errors",
 		"tlsrpt.ingest.accepted", "tlsrpt.ingest.rejected",
 	} {
 		s.Obs.Counter(c)

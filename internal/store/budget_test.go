@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -119,5 +120,26 @@ func TestDiskAllocBudget(t *testing.T) {
 		t.Errorf("OpenDisk over %d keys: %d bytes per key, budget %d", distinct, got, bytesPerKey)
 	} else {
 		t.Logf("OpenDisk over %d keys: %d bytes per key", distinct, got)
+	}
+}
+
+// TestScanChunkAllocBudget: once its pooled chunk has grown to the
+// chunks it reads, a Scan allocates nothing, however many chunks and
+// runs it reads. The collector is off while measuring, so it cannot
+// empty the pool mid-run.
+func TestScanChunkAllocBudget(t *testing.T) {
+	const n = 3000
+	d, _, keys := fillInterleaved(t, n, 20, 150)
+	visit := func(string, []byte) error { return nil }
+	if err := d.Scan("w/", visit); err != nil { // flush, merge the index, grow the chunk
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(10, func() {
+		if err := d.Scan("w/", visit); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Scan over %d chunks of 20 shards: %v allocations, want 0", chunksOf(d, keys), got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -122,8 +123,9 @@ type ref struct {
 // little-endian) over every byte before it. Every read checks the
 // checksum and the stored key against the one the index holds. Get
 // reads one record; Scan reads chunks of up to scanChunkBytes of
-// records, one ReadAt per run of adjacent ones, into a pooled buffer
-// its values alias. On Open, a record that is short, claims more bytes
+// records into a pooled buffer its values alias, one ReadAt per run of
+// a chunk's records that lie back to back in a segment, however their
+// keys interleave. On Open, a record that is short, claims more bytes
 // than its segment has left, or fails its checksum ends the segment's
 // valid prefix: at the end of the active segment that is a torn append
 // — the only damage a crash can inflict on an append-only log — and is
@@ -552,11 +554,76 @@ func (s *Disk) syncDir() error {
 // record larger than this is a chunk of its own.
 const scanChunkBytes = 16 << 10
 
+// scanRun is one span of a chunk's records that lie back to back in a
+// segment, read with one ReadAt.
+type scanRun struct {
+	off, end int64 // the span in its segment
+	seg      int32
+	at       int // where the span starts in the chunk's data
+}
+
 // scanChunk is Scan's reusable state: the buffer a chunk's records are
-// read into and their refs, in key order.
+// read into, their refs in key order, where each record starts in the
+// buffer, the runs they were read in, and a table that finds a run by
+// where it ends.
 type scanChunk struct {
-	buf  []byte
-	refs []ref
+	buf   []byte
+	refs  []ref
+	pos   []int
+	runs  []scanRun
+	slots []int32 // open-addressed, run index + 1 by hash of (seg, end); 0 is empty
+}
+
+// group joins each of c.refs, in key order, to the run that it extends
+// (same segment, starting where the run ends), or else to a new run,
+// and sets c.pos to each record's run. A record that does not extend
+// the previous record's run is looked up in a hash table of runs by
+// where they end, so the work per record stays constant however many
+// shards the chunk draws from; a chunk of one run never builds it.
+func (c *scanChunk) group() {
+	c.runs, c.pos, c.slots = c.runs[:0], c.pos[:0], c.slots[:0]
+	last := -1
+	for _, rf := range c.refs {
+		r := last
+		if r < 0 || c.runs[r].end != rf.off || c.runs[r].seg != rf.seg {
+			r = c.find(rf, last)
+		}
+		c.runs[r].end += int64(rf.ln)
+		c.pos = append(c.pos, r)
+		last = r
+	}
+}
+
+// find files run last, the previous record's, under where it now ends,
+// then returns the run rf extends or else a new one. The table is built
+// on first use with more than twice as many slots as the chunk has
+// records, which bounds its load, since each record files at most one
+// run; an entry left behind when its run grows is stale and skipped.
+func (c *scanChunk) find(rf ref, last int) int {
+	if last >= 0 {
+		if len(c.slots) == 0 {
+			n := 1 << bits.Len(uint(2*len(c.refs)))
+			c.slots = slices.Grow(c.slots, n)[:n]
+			clear(c.slots)
+		}
+		h := c.slot(c.runs[last].seg, c.runs[last].end)
+		for c.slots[h] != 0 {
+			h = (h + 1) & (len(c.slots) - 1)
+		}
+		c.slots[h] = int32(last + 1)
+		for h := c.slot(rf.seg, rf.off); c.slots[h] != 0; h = (h + 1) & (len(c.slots) - 1) {
+			if r := int(c.slots[h] - 1); c.runs[r].end == rf.off && c.runs[r].seg == rf.seg {
+				return r
+			}
+		}
+	}
+	c.runs = append(c.runs, scanRun{off: rf.off, end: rf.off, seg: rf.seg})
+	return len(c.runs) - 1
+}
+
+// slot is where the table's probe for a run ending at (seg, end) starts.
+func (c *scanChunk) slot(seg int32, end int64) int {
+	return int((uint64(end)^uint64(seg)<<40)*0x9e3779b97f4a7c15>>32) & (len(c.slots) - 1)
 }
 
 // scanChunks pools scanChunk across Scans, so the buffers in use are
@@ -566,12 +633,14 @@ var scanChunks = sync.Pool{New: func() any { return &scanChunk{buf: make([]byte,
 // Scan implements Store: a seek to the prefix's key range as of the
 // call, O(log n + matches), then the keys' records in chunks of at most
 // scanChunkBytes. Each chunk's refs are looked up and its records read
-// under one hold of mu, with one ReadAt per run of records that lie
-// back to back in a segment (a shard's, since the campaign appends them
-// in key order); every record is then checked as Get checks it, outside
-// the lock. A record overwritten mid-scan shows the value that was
-// newest when its chunk was read. Values alias a pooled buffer and are
-// valid until fn returns.
+// under one hold of mu, grouped by where they lie in the log: one
+// ReadAt per run of the chunk's records that lie back to back in a
+// segment. A shard's records are appended in key order, so a chunk
+// drawn from S shards is about S runs, however their keys interleave.
+// Every record is then checked as Get checks it, outside the lock, and
+// handed to fn in key order. A record overwritten mid-scan shows the
+// value that was newest when its chunk was read. Values alias a pooled
+// buffer and are valid until fn returns.
 func (s *Disk) Scan(prefix string, fn func(key string, value []byte) error) error {
 	s.mu.Lock()
 	keys := s.keys.under(prefix)
@@ -587,11 +656,11 @@ func (s *Disk) Scan(prefix string, fn func(key string, value []byte) error) erro
 			return err
 		}
 		for i, rf := range c.refs {
-			v, err := checkRecord(keys[i], rf, data[:rf.ln:rf.ln])
+			p, q := c.pos[i], c.pos[i]+int(rf.ln)
+			v, err := checkRecord(keys[i], rf, data[p:q:q])
 			if err != nil {
 				return err
 			}
-			data = data[rf.ln:]
 			if err := fn(keys[i], v); err != nil {
 				if err == ErrStop {
 					return nil
@@ -607,7 +676,11 @@ func (s *Disk) Scan(prefix string, fn func(key string, value []byte) error) erro
 // readChunk reads the records of the longest prefix of keys that fits
 // scanChunkBytes (at least one key) into c.buf, or into a buffer of its
 // own when one record alone is larger, sets c.refs to their refs and
-// returns the records back to back.
+// c.pos to where each starts, and returns the buffer.
+//
+// c.pos holds each record's run, from group, until the runs are laid
+// out in the buffer, then where the record starts. The reads are
+// exactly the records' bytes, one ReadAt per run.
 func (s *Disk) readChunk(keys []string, c *scanChunk) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -622,6 +695,7 @@ func (s *Disk) readChunk(keys []string, c *scanChunk) ([]byte, error) {
 		total += int(rf.ln)
 		dirty = dirty || s.unflushed(rf)
 	}
+	c.group()
 	if dirty {
 		if err := s.flush(); err != nil {
 			return nil, err
@@ -632,17 +706,19 @@ func (s *Disk) readChunk(keys []string, c *scanChunk) ([]byte, error) {
 		data = make([]byte, total)
 	}
 	data = data[:total]
-	for i, pos := 0, 0; i < len(c.refs); {
-		run := c.refs[i]
-		end := run.off + int64(run.ln)
-		for i++; i < len(c.refs) && c.refs[i].seg == run.seg && c.refs[i].off == end; i++ {
-			end += int64(c.refs[i].ln)
-		}
-		n := int(end - run.off)
-		if err := s.readRun(data[pos:pos+n], run); err != nil {
+	at := 0
+	for r := range c.runs {
+		run := &c.runs[r]
+		run.at = at
+		n := int(run.end - run.off)
+		if err := s.readRun(data[at:at+n], ref{off: run.off, seg: run.seg}); err != nil {
 			return nil, err
 		}
-		pos += n
+		at += n
+	}
+	for i, rf := range c.refs {
+		run := &c.runs[c.pos[i]]
+		c.pos[i] = run.at + int(rf.off-run.off)
 	}
 	return data, nil
 }

@@ -317,9 +317,10 @@ func TestScanWhileWriting(t *testing.T) {
 }
 
 // TestScanChunks pins Disk's chunked Scan to the model and Mem where
-// reading records a chunk at a time, one ReadAt per run of adjacent
-// records, can go wrong: file order unlike key order beside a run
-// written in key order (as the campaign writes a shard), overwrites
+// reading records a chunk at a time, one ReadAt per run of a chunk's
+// records that lie back to back in a segment, can go wrong: file order
+// unlike key order beside a run written in key order (as the campaign
+// writes a shard; TestScanInterleavedShards interleaves many), overwrites
 // whose newest record lies far from its neighbours, chunks spanning
 // segment rotations, records still in the write buffer, and a value
 // larger than a chunk. A Scan nested in the callback, as the service's

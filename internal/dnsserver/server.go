@@ -380,11 +380,14 @@ func (s *Server) handlePacket(pkt []byte, proto string) []byte {
 	b, err := resp.Pack()
 	if err != nil {
 		s.logger.Error("pack response", "err", err)
+		// The fallback echoes the question: a client takes a reply only
+		// for the question it asked (RFC 5452 §9.1).
 		fallback := &dnsmsg.Message{Header: dnsmsg.Header{
-			ID: query.Header.ID, Response: true, RCode: dnsmsg.RCodeServFail}}
+			ID: query.Header.ID, Response: true, RCode: dnsmsg.RCodeServFail},
+			Questions: query.Questions}
 		b, err = fallback.Pack()
 		if err != nil {
-			// A header-only SERVFAIL failing to pack means the message
+			// A question-only SERVFAIL failing to pack means the message
 			// codec itself is broken; dropping the reply (a DNS timeout
 			// for the client) is the only honest response left.
 			s.logger.Error("pack fallback SERVFAIL", "err", err)

@@ -259,6 +259,7 @@ func (w *robustnessWorld) scan(inj *faults.Injector, maxAttempts int, cfg Robust
 	defer w.net.SetFaults(nil)
 
 	dns := resolver.New(w.net.DNS.Addr().String())
+	dns.QueriesPerSocket = resolver.ScannerQueriesPerSocket
 	dns.Timeout = cfg.DNSTimeout
 	dns.MaxAttempts = maxAttempts
 	dns.RetryBase = cfg.RetryBase

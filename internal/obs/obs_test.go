@@ -199,6 +199,22 @@ func TestSpanRecords(t *testing.T) {
 	}
 }
 
+// TestSpanAllocBudget: once a span name is warm, a Start/End pair costs
+// the Span itself and nothing else. Ending a span used to build
+// "<name>.seconds" and "<name>.total" and look both up under the
+// registry lock, two allocations more.
+func TestSpanAllocBudget(t *testing.T) {
+	r := NewRegistry()
+	ctx := WithRegistry(context.Background(), r)
+	StartSpan(ctx, "warm.stage").End()
+	if got := testing.AllocsPerRun(100, func() { StartSpan(ctx, "warm.stage").End() }); got > 1 {
+		t.Errorf("a warm Start/End pair makes %.0f allocations, budget 1", got)
+	}
+	if got := r.Snapshot().Counters["warm.stage.total"]; got != 102 {
+		t.Errorf("warm.stage.total = %d, want 102", got)
+	}
+}
+
 func TestSpanFromContext(t *testing.T) {
 	r := NewRegistry()
 	ctx := WithRegistry(context.Background(), r)

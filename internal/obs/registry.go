@@ -17,6 +17,7 @@ type Registry struct {
 	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
 	progress   map[string]*Progress
+	spans      map[string]*spanMetrics
 	start      time.Time
 }
 
@@ -28,6 +29,7 @@ func NewRegistry() *Registry {
 		gaugeFuncs: make(map[string]func() int64),
 		hists:      make(map[string]*Histogram),
 		progress:   make(map[string]*Progress),
+		spans:      make(map[string]*spanMetrics),
 		start:      time.Now(),
 	}
 }

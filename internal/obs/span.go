@@ -34,8 +34,18 @@ func FromContext(ctx context.Context) *Registry {
 // and performs no clock reads.
 type Span struct {
 	r     *Registry
-	name  string
+	m     *spanMetrics
 	start time.Time
+}
+
+// spanMetrics are the two metrics every span of one name records into.
+// The registry resolves them once per name, so a span builds no metric
+// name and takes no registry lock once its name is warm; only an error
+// builds "<name>.errors".
+type spanMetrics struct {
+	name    string
+	seconds *Histogram
+	total   *Counter
 }
 
 // StartSpan begins timing a stage against the registry carried by ctx.
@@ -45,12 +55,33 @@ func StartSpan(ctx context.Context, name string) *Span {
 }
 
 // StartSpan begins timing a stage against r. Returns nil on a nil
-// registry.
+// registry. The first span of a name registers its ".seconds" and
+// ".total" metrics, so they appear, at zero, as soon as it starts.
 func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	return &Span{r: r, name: name, start: time.Now()}
+	return &Span{r: r, m: r.spanMetrics(name), start: time.Now()}
+}
+
+// spanMetrics returns name's span metrics, registering them on first use.
+func (r *Registry) spanMetrics(name string) *spanMetrics {
+	r.mu.RLock()
+	m, ok := r.spans[name]
+	r.mu.RUnlock()
+	if ok {
+		return m
+	}
+	// Built outside the lock, which Histogram and Counter take; a racing
+	// first use builds the same two handles and either copy may win.
+	m = &spanMetrics{name: name, seconds: r.Histogram(name+".seconds", nil), total: r.Counter(name + ".total")}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.spans[name]; ok {
+		return prev
+	}
+	r.spans[name] = m
+	return m
 }
 
 // End records the span with a success outcome and returns its duration.
@@ -63,10 +94,10 @@ func (s *Span) EndErr(err error) time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.r.Histogram(s.name+".seconds", nil).ObserveDuration(d)
-	s.r.Counter(s.name + ".total").Inc()
+	s.m.seconds.ObserveDuration(d)
+	s.m.total.Inc()
 	if err != nil {
-		s.r.Counter(s.name + ".errors").Inc()
+		s.r.Counter(s.m.name + ".errors").Inc()
 	}
 	return d
 }

@@ -21,12 +21,26 @@
 // may alias the scratch, and the exchange path must not retain a slice of
 // it past its return.
 //
-// One socket per query. Every UDP exchange dials and closes its own
-// socket, so each query leaves from a fresh kernel-chosen source port
-// with an ID from the OS-seeded generator — the two values an off-path
-// spoofer has to guess (RFC 5452), and the sender MTA resolves through
-// this same client. Keeping connected sockets per upstream would save the
-// dial and close, most of the client's CPU per uncached lookup; it is an
-// open decision in ROADMAP.md (TestFreshSourcePortPerQuery pins today's
-// answer), not an oversight.
+// Two socket settings, one per threat model. The sender's answers
+// decide whether mail is delivered securely, so its clients keep the
+// default (QueriesPerSocket 0): every UDP exchange dials and closes its
+// own socket, and each query leaves from a fresh kernel-chosen source
+// port with an ID from the OS-seeded generator, the two values an
+// off-path spoofer has to guess (RFC 5452 §9.2). TestFreshSourcePortPerQuery
+// pins it, and TestConstructionSites names every client the module
+// builds and its setting. The scanner's answers are measurements, and
+// dialling and closing a socket was most of its CPU per uncached
+// lookup, so its clients set ScannerQueriesPerSocket (M = 16): a free
+// list of connected sockets, each carrying one query at a time and
+// closed after M queries. The port is still kernel-random and owned by
+// the one query in flight; the ID is random; a connected socket takes
+// datagrams only from the server's address; and a reply counts only if
+// its ID, QR bit and question match the query (§9.1), on either
+// setting. A socket is retired — closed, never reused — after any failed
+// exchange (timeout, read or write error, malformed reply, context end),
+// so an answer still in flight to its port cannot meet a later query. A
+// socket last used more than idleSocket (1 s) ago is closed when the
+// next checkout finds it, and at most maxIdleSockets wait on the list,
+// so a port lives for at most M queries and about a second idle, and a
+// client whose load falls drains the sockets it no longer needs.
 package resolver

@@ -16,7 +16,7 @@ import (
 
 // serveZone starts an authoritative server for z on listen, closed when
 // the test ends.
-func serveZone(t *testing.T, z *dnszone.Zone, listen string) *dnsserver.Server {
+func serveZone(t testing.TB, z *dnszone.Zone, listen string) *dnsserver.Server {
 	t.Helper()
 	srv := dnsserver.New(nil)
 	srv.AddZone(z)
@@ -42,6 +42,13 @@ func txtRR(name, value string) dnsmsg.RR {
 // bytes. 32 callers with distinct names and values share the pool, one
 // of them through the TCP fallback; run it under -race.
 func TestConcurrentLookupsGetTheirOwnAnswers(t *testing.T) {
+	lookupConcurrently(t, 0)
+}
+
+// lookupConcurrently runs TestConcurrentLookupsGetTheirOwnAnswers' 32
+// callers against a client with the given QueriesPerSocket and returns
+// the client.
+func lookupConcurrently(t *testing.T, queriesPerSocket int) *Client {
 	z := dnszone.New("pool.test")
 	want := map[string]string{}
 	for i := 0; i < 32; i++ {
@@ -55,6 +62,7 @@ func TestConcurrentLookupsGetTheirOwnAnswers(t *testing.T) {
 	}
 	c := New(serveZone(t, z, "127.0.0.1:0").Addr().String())
 	c.Cache = nil
+	c.QueriesPerSocket = queriesPerSocket
 
 	var wg sync.WaitGroup
 	for name, value := range want {
@@ -75,6 +83,7 @@ func TestConcurrentLookupsGetTheirOwnAnswers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	return c
 }
 
 // TestHostnameServerAddr: a ServerAddr that is not an address literal

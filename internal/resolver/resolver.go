@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/netip"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -67,14 +68,55 @@ type Client struct {
 	MaxAttempts int
 	// RetryBase overrides the first backoff delay (default 100ms).
 	RetryBase time.Duration
+	// QueriesPerSocket lets one connected UDP socket carry up to this
+	// many queries, one at a time, before it is closed. Zero or one, the
+	// default, dials a fresh socket, hence a fresh source port, for every
+	// query, as a sender's client must (RFC 5452 §9.2); the scanner's
+	// clients set ScannerQueriesPerSocket. A socket is also closed after
+	// any failed exchange, when it was last used more than idleSocket
+	// ago, and when the free list is full (doc.go).
+	QueriesPerSocket int
 
 	obsOnce sync.Once
+	// socks is the free list of connected UDP sockets that
+	// QueriesPerSocket > 1 keeps between queries.
+	socks sockets
 	// flight coalesces concurrent identical (name, type) queries into
 	// one wire exchange whose answer fans out to every waiter
 	// (resolver.queries.coalesced counts the joins). Workers scanning
 	// overlapping MX sets would otherwise race past the cache and send
 	// duplicate queries back to back.
 	flight sf.Group[coalesced]
+}
+
+// ScannerQueriesPerSocket is the QueriesPerSocket of every scanner-side
+// client. In a sweep over 8, 16, 32 and 64, an uncached lookup cost the
+// same at 16, 32 and 64 and more at 8; 16 is the smallest of those, so
+// a port carries the fewest queries (ROADMAP.md, item 1(a)).
+const ScannerQueriesPerSocket = 16
+
+const (
+	// idleSocket is how long after its last use a socket on the free
+	// list may still be reused; an older one is closed at checkout.
+	idleSocket = time.Second
+	// maxIdleSockets bounds the free list: a socket returned to a full
+	// list is closed. It covers the scanner's default 16 workers in each
+	// of the three stages that resolve names.
+	maxIdleSockets = 64
+)
+
+// udpSock is one connected UDP socket and what its reuse depends on.
+type udpSock struct {
+	conn net.Conn
+	uses int       // queries it has been checked out for
+	used time.Time // when it was last checked out
+}
+
+// sockets is a LIFO free list: the socket returned last is reused
+// first, so the sockets idle longest sink to the bottom.
+type sockets struct {
+	mu   sync.Mutex
+	free []udpSock
 }
 
 // coalesced is a completed query outcome as shared between coalesced
@@ -378,7 +420,7 @@ func (c *Client) doExchange(ctx context.Context, name string, t dnsmsg.Type) ([]
 			}
 		}
 	}
-	// An ID from the OS-seeded generator and dialUDP's fresh source port
+	// An ID from the OS-seeded generator and a kernel-chosen source port
 	// are what an off-path spoofer has to guess (RFC 5452).
 	query := dnsmsg.NewQuery(uint16(rand.Uint32()), name, t)
 	wire, err := query.Pack()
@@ -386,13 +428,13 @@ func (c *Client) doExchange(ctx context.Context, name string, t dnsmsg.Type) ([]
 		return nil, "", fmt.Errorf("resolver: packing query for %q: %w", name, err)
 	}
 
-	resp, err := c.exchangeUDP(ctx, wire, query.Header.ID)
+	resp, err := c.exchangeUDP(ctx, wire, query)
 	if err != nil {
 		return nil, "", err
 	}
 	if resp.Header.Truncated {
 		c.Obs.Counter("resolver.queries.tcp_fallbacks").Inc()
-		resp, err = c.exchangeTCP(ctx, wire, query.Header.ID)
+		resp, err = c.exchangeTCP(ctx, wire, query)
 		if err != nil {
 			return nil, "", err
 		}
@@ -400,29 +442,106 @@ func (c *Client) doExchange(ctx context.Context, name string, t dnsmsg.Type) ([]
 	return interpret(resp, name, t)
 }
 
-// dialUDP opens a fresh socket — hence a fresh ephemeral source port —
-// for one query. A literal ServerAddr, the usual case, is dialled
-// directly; only a hostname goes through the Dialer's name resolution.
+// isReplyTo reports whether m answers query: the same ID, the QR bit
+// and the same question, its name compared case-insensitively (RFC 5452
+// §9.1). A reused socket sees more than one question, so the ID alone
+// is not enough.
+func isReplyTo(m, query *dnsmsg.Message) bool {
+	if m.Header.ID != query.Header.ID || !m.Header.Response || len(m.Questions) != 1 {
+		return false
+	}
+	got, want := m.Questions[0], query.Questions[0]
+	return got.Type == want.Type && got.Class == want.Class && strings.EqualFold(got.Name, want.Name)
+}
+
+// dialUDP opens a fresh socket, hence a fresh ephemeral source port. A
+// literal ServerAddr, the usual case, is dialled directly; only a
+// hostname goes through the Dialer's name resolution.
 func (c *Client) dialUDP(ctx context.Context) (net.Conn, error) {
 	ap, err := netip.ParseAddrPort(c.ServerAddr)
 	if err != nil {
 		var d net.Dialer
 		return d.DialContext(ctx, "udp", c.ServerAddr)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
 }
 
-func (c *Client) exchangeUDP(ctx context.Context, wire []byte, id uint16) (*dnsmsg.Message, error) {
-	conn, err := c.dialUDP(ctx)
+// takeSocket checks a socket out for one query at now: the free list's
+// most recently used one if it was used within idleSocket, else a fresh
+// dial. Each checkout also closes the list's oldest socket if it is
+// past idleSocket, so a client whose load falls drains what it no
+// longer needs.
+func (c *Client) takeSocket(ctx context.Context, now time.Time) (udpSock, error) {
+	if err := ctx.Err(); err != nil {
+		return udpSock{}, err
+	}
+	var s, stale udpSock
+	if c.QueriesPerSocket > 1 {
+		c.socks.mu.Lock()
+		free := c.socks.free
+		if len(free) > 0 && now.Sub(free[0].used) > idleSocket {
+			stale = free[0]
+			free = append(free[:0], free[1:]...)
+		}
+		if n := len(free); n > 0 && now.Sub(free[n-1].used) <= idleSocket {
+			s = free[n-1]
+			free = free[:n-1]
+		}
+		c.socks.free = free
+		c.socks.mu.Unlock()
+		if stale.conn != nil {
+			//lint:ignore errdrop closing a UDP socket sends nothing, so there is no error to act on
+			stale.conn.Close()
+		}
+	}
+	if s.conn == nil {
+		conn, err := c.dialUDP(ctx)
+		if err != nil {
+			return udpSock{}, err
+		}
+		c.Obs.Counter("resolver.sockets.opened").Inc()
+		s.conn = conn
+	}
+	s.uses++
+	s.used = now
+	return s, nil
+}
+
+// putSocket ends a checkout. After a clean exchange s goes back on the
+// free list, unless it has carried QueriesPerSocket queries or the list
+// is full; after any failed one it is closed, so nothing still in
+// flight towards its port can be read as a later query's answer.
+func (c *Client) putSocket(s udpSock, clean bool) {
+	if clean && s.uses < c.QueriesPerSocket {
+		c.socks.mu.Lock()
+		if len(c.socks.free) < maxIdleSockets {
+			c.socks.free = append(c.socks.free, s)
+			c.socks.mu.Unlock()
+			return
+		}
+		c.socks.mu.Unlock()
+	}
+	//lint:ignore errdrop closing a UDP socket sends nothing, so there is no error to act on
+	s.conn.Close()
+}
+
+func (c *Client) exchangeUDP(ctx context.Context, wire []byte, query *dnsmsg.Message) (*dnsmsg.Message, error) {
+	//lint:ignore semtime the kernel judges socket deadlines by wall time
+	now := time.Now()
+	s, err := c.takeSocket(ctx, now)
 	if err != nil {
 		return nil, fmt.Errorf("resolver: dial udp %s: %w", c.ServerAddr, err)
 	}
-	defer conn.Close()
-	//lint:ignore semtime the kernel judges socket deadlines by wall time
-	deadline := time.Now().Add(c.timeout())
+	m, err := c.roundTripUDP(ctx, s.conn, now, wire, query)
+	c.putSocket(s, err == nil)
+	return m, err
+}
+
+// roundTripUDP sends wire on conn and reads until a reply to query
+// arrives or the deadline passes; datagrams that answer something else
+// are strays and are skipped.
+func (c *Client) roundTripUDP(ctx context.Context, conn net.Conn, now time.Time, wire []byte, query *dnsmsg.Message) (*dnsmsg.Message, error) {
+	deadline := now.Add(c.timeout())
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
 	}
@@ -445,14 +564,14 @@ func (c *Client) exchangeUDP(ctx context.Context, wire []byte, id uint16) (*dnsm
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 		}
-		if m.Header.ID != id || !m.Header.Response {
+		if !isReplyTo(m, query) {
 			continue // stray datagram; keep reading until deadline
 		}
 		return m, nil
 	}
 }
 
-func (c *Client) exchangeTCP(ctx context.Context, wire []byte, id uint16) (*dnsmsg.Message, error) {
+func (c *Client) exchangeTCP(ctx context.Context, wire []byte, query *dnsmsg.Message) (*dnsmsg.Message, error) {
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "tcp", c.ServerAddr)
 	if err != nil {
@@ -485,7 +604,7 @@ func (c *Client) exchangeTCP(ctx context.Context, wire []byte, id uint16) (*dnsm
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	if m.Header.ID != id || !m.Header.Response {
+	if !isReplyTo(m, query) {
 		return nil, fmt.Errorf("%w: mismatched tcp response", ErrBadMessage)
 	}
 	return m, nil

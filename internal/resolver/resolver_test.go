@@ -19,7 +19,7 @@ import (
 )
 
 // startServer boots an authoritative server with a canned example.com zone.
-func startServer(t *testing.T) (*dnsserver.Server, *Client) {
+func startServer(t testing.TB) (*dnsserver.Server, *Client) {
 	t.Helper()
 	z := dnszone.New("example.com")
 	add := func(rr dnsmsg.RR) { z.MustAdd(rr) }

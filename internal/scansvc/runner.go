@@ -104,6 +104,7 @@ func (sp LiveSpec) Build(reg *obs.Registry, events *obs.EventSink) (*scanner.Liv
 		}
 	}
 	dns := resolver.New(sp.DNSAddr)
+	dns.QueriesPerSocket = resolver.ScannerQueriesPerSocket
 	dns.Obs = reg
 	dns.MaxAttempts = sp.Retries
 	dns.RetryBase = sp.RetryBase

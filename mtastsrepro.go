@@ -151,6 +151,7 @@ func CheckDomain(ctx context.Context, domain string, opts CheckOptions) DomainRe
 		timeout = 5 * time.Second
 	}
 	dns := resolver.New(opts.DNSAddr)
+	dns.QueriesPerSocket = resolver.ScannerQueriesPerSocket
 	live := &scanner.Live{
 		DNS: dns,
 		Fetcher: &mtasts.Fetcher{

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/netsecurelab/mtasts/internal/clock"
@@ -201,12 +202,14 @@ type Fetcher struct {
 	// RetryBase overrides the first backoff delay (default 100ms).
 	RetryBase time.Duration
 	// SessionCache, when non-nil, enables TLS session resumption across
-	// fetches from this Fetcher. A scan shares one Fetcher across all
-	// its domains, so repeated fetches against the same provider skip
-	// the full handshake; crypto/tls keys the cache by server name, so
-	// sessions never leak across policy hosts. Resumed connections
-	// still surface the original certificate chain in ConnectionState,
-	// so certificate classification is unaffected.
+	// fetches from this Fetcher. crypto/tls keys the cache by server
+	// name, which is the policy host mta-sts.<domain>, so only a repeat
+	// fetch for the same domain resumes; domains that share a provider
+	// do not share sessions. A scan fetches each policy host once, so
+	// the cache hits only when a retried attempt follows a completed
+	// handshake or a Fetcher fetches one domain again. Resumed
+	// connections still surface the original certificate chain in
+	// ConnectionState, so certificate classification is unaffected.
 	SessionCache tls.ClientSessionCache
 }
 
@@ -357,6 +360,14 @@ func (f *Fetcher) resolveAddrs(ctx context.Context, host string) ([]string, erro
 	return ips, nil
 }
 
+// httpWriters and httpReaders hold httpGet's idle buffers, so a scan's
+// fetches reuse them instead of allocating two per fetch. The body is
+// still its own allocation: it is returned to the caller.
+var (
+	httpWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+	httpReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+)
+
 // httpGet performs a minimal HTTP/1.1 GET on an established connection and
 // returns the body and status code. Using http.ReadResponse keeps header
 // handling correct without the redirect-following and connection-pooling
@@ -368,10 +379,24 @@ func httpGet(ctx context.Context, conn *tls.Conn, host string) ([]byte, int, str
 		return nil, 0, "", err
 	}
 	req.Header.Set("User-Agent", "mtasts-repro/1.0 (policy fetcher)")
-	if err := req.Write(conn); err != nil {
+	// req.Write flushes only a writer it made itself, so flush ours.
+	bw := httpWriters.Get().(*bufio.Writer)
+	bw.Reset(conn)
+	err = req.Write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	bw.Reset(nil)
+	httpWriters.Put(bw)
+	if err != nil {
 		return nil, 0, "", fmt.Errorf("writing request: %w", err)
 	}
-	resp, err := http.ReadResponse(bufio.NewReader(conn), req)
+	br := httpReaders.Get().(*bufio.Reader)
+	br.Reset(conn)
+	// Deferred before resp.Body.Close, so it runs after it: the body
+	// reads through br until it is closed.
+	defer putReader(br)
+	resp, err := http.ReadResponse(br, req)
 	if err != nil {
 		return nil, 0, "", fmt.Errorf("reading response: %w", err)
 	}
@@ -385,6 +410,12 @@ func httpGet(ctx context.Context, conn *tls.Conn, host string) ([]byte, int, str
 		return nil, resp.StatusCode, contentType, ErrPolicyTooLarge
 	}
 	return body, resp.StatusCode, contentType, nil
+}
+
+// putReader detaches br from its connection and returns it to the pool.
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	httpReaders.Put(br)
 }
 
 // isTextPlain reports whether a Content-Type header value names the

@@ -44,30 +44,37 @@ func FuzzParseRecord(f *testing.F) {
 	})
 }
 
+// policySeeds is FuzzParsePolicy's inline seed corpus; the
+// differential test in policy_split_test.go reads it too.
+var policySeeds = []string{
+	"version: STSv1\nmode: enforce\nmx: mx.example.com\nmax_age: 86400\n",
+	rfcExamplePolicy,
+	"version: STSv1\r\nmode: none\r\nmax_age: 0\r\n",
+	"mode: enforce\n",
+	"",
+	"version: STSv1\nmode: enforce\nmx: *.x.y\nmax_age: 1\nmax_age: 2\n",
+	// Adversary-shaped bodies (internal/faults tampering): rollback to
+	// mode none, stale max_age rewrite, truncation mid-token, CRLF and
+	// lone-CR injection, embedded NULs, and a max_age overflow.
+	"version: STSv1\nmode: none\nmax_age: 604800\n",
+	"version: STSv1\nmode: enforce\nmx: mx.victim.test\nmax_age: 60\n",
+	"version: STSv1\nmode: enfo",
+	"version: STSv1\r\nmode: enforce\r\nmx: a.example\r\nmax_age: 86400\r\nmx: b.example\n",
+	"version: STSv1\rmode: enforce\rmx: a.example\rmax_age: 86400\r",
+	"version: STSv1\nmode: enforce\nmx: mx.example\x00.evil\nmax_age: 86400\n",
+	"version: STSv1\nmode: enforce\nmx: mx.example\nmax_age: 99999999999999999999\n",
+	strings.Repeat("mx: oversized-filler.invalid\n", 64),
+}
+
 func FuzzParsePolicy(f *testing.F) {
-	for _, seed := range []string{
-		"version: STSv1\nmode: enforce\nmx: mx.example.com\nmax_age: 86400\n",
-		rfcExamplePolicy,
-		"version: STSv1\r\nmode: none\r\nmax_age: 0\r\n",
-		"mode: enforce\n",
-		"",
-		"version: STSv1\nmode: enforce\nmx: *.x.y\nmax_age: 1\nmax_age: 2\n",
-		// Adversary-shaped bodies (internal/faults tampering): rollback to
-		// mode none, stale max_age rewrite, truncation mid-token, CRLF and
-		// lone-CR injection, embedded NULs, and a max_age overflow.
-		"version: STSv1\nmode: none\nmax_age: 604800\n",
-		"version: STSv1\nmode: enforce\nmx: mx.victim.test\nmax_age: 60\n",
-		"version: STSv1\nmode: enfo",
-		"version: STSv1\r\nmode: enforce\r\nmx: a.example\r\nmax_age: 86400\r\nmx: b.example\n",
-		"version: STSv1\rmode: enforce\rmx: a.example\rmax_age: 86400\r",
-		"version: STSv1\nmode: enforce\nmx: mx.example\x00.evil\nmax_age: 86400\n",
-		"version: STSv1\nmode: enforce\nmx: mx.example\nmax_age: 99999999999999999999\n",
-		strings.Repeat("mx: oversized-filler.invalid\n", 64),
-	} {
+	for _, seed := range policySeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		p, err := ParsePolicy(body)
+		if msg := differsFromSplit(body, p, err); msg != "" {
+			t.Fatal(msg)
+		}
 		if err == nil {
 			if !p.Mode.Valid() {
 				t.Fatalf("valid policy with mode %q", p.Mode)

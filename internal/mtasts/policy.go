@@ -103,13 +103,15 @@ func (p Policy) String() string {
 // ParsePolicy parses a policy file body per RFC 8461 §3.2. It enforces:
 // exactly one version/mode/max_age, version "STSv1", a known mode, numeric
 // max_age within [0, MaxMaxAge], at least one syntactically valid mx when
-// the mode is enforce or testing, and ASCII content.
+// the mode is enforce or testing, and ASCII content. The body is copied
+// once, and the lines are walked in place.
 func ParsePolicy(body []byte) (Policy, error) {
 	var p Policy
 	if len(body) > MaxPolicySize {
 		return p, fmt.Errorf("%w: %d bytes", ErrPolicyTooLarge, len(body))
 	}
-	if len(strings.TrimSpace(string(body))) == 0 {
+	text := string(body)
+	if len(strings.TrimSpace(text)) == 0 {
 		// The empty policy files served by opted-out delegation providers
 		// (§5) land here.
 		return p, ErrEmptyPolicy
@@ -119,24 +121,23 @@ func ParsePolicy(body []byte) (Policy, error) {
 			return p, fmt.Errorf("%w: byte %#x", ErrPolicyBadCharset, b)
 		}
 	}
-	text := string(body)
-	lines := strings.Split(text, "\n")
-	seen := map[string]bool{}
 	var maxAgeSet bool
-	for i, line := range lines {
+	for i, rest, more := 1, text, true; more; i++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		line = strings.TrimSuffix(line, "\r")
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
 		key, value, ok := strings.Cut(line, ":")
 		if !ok {
-			return p, fmt.Errorf("%w: line %d %q", ErrPolicyLine, i+1, clip(line))
+			return p, fmt.Errorf("%w: line %d %q", ErrPolicyLine, i, clip(line))
 		}
 		key = strings.TrimSpace(key)
 		value = strings.TrimSpace(value)
 		switch key {
 		case "version":
-			if seen[key] {
+			if p.Version != "" {
 				return p, fmt.Errorf("%w: version", ErrPolicyDuplicate)
 			}
 			if value != Version {
@@ -144,7 +145,7 @@ func ParsePolicy(body []byte) (Policy, error) {
 			}
 			p.Version = value
 		case "mode":
-			if seen[key] {
+			if p.Mode != "" {
 				return p, fmt.Errorf("%w: mode", ErrPolicyDuplicate)
 			}
 			m := Mode(value)
@@ -153,15 +154,14 @@ func ParsePolicy(body []byte) (Policy, error) {
 			}
 			p.Mode = m
 		case "max_age":
-			if seen[key] {
+			if maxAgeSet {
 				return p, fmt.Errorf("%w: max_age", ErrPolicyDuplicate)
 			}
 			n, err := parseMaxAge(value)
 			if err != nil {
 				return p, err
 			}
-			p.MaxAge = n
-			maxAgeSet = true
+			p.MaxAge, maxAgeSet = n, true
 		case "mx":
 			if err := CheckMXPattern(value); err != nil {
 				return p, err
@@ -169,11 +169,10 @@ func ParsePolicy(body []byte) (Policy, error) {
 			p.MXPatterns = append(p.MXPatterns, strings.ToLower(value))
 		default:
 			if !validExtName(key) {
-				return p, fmt.Errorf("%w: line %d key %q", ErrPolicyLine, i+1, clip(key))
+				return p, fmt.Errorf("%w: line %d key %q", ErrPolicyLine, i, clip(key))
 			}
 			p.Extensions = append(p.Extensions, Field{Name: key, Value: value})
 		}
-		seen[key] = true
 	}
 	if p.Version == "" {
 		return p, fmt.Errorf("%w: version absent", ErrPolicyVersion)

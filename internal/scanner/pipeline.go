@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -245,9 +245,11 @@ type pipeJob struct {
 	stats *retry.Stats
 	start time.Time
 
-	res DomainResult
+	// res is the domain's slot in Run's results: written in place, never
+	// copied through the pipeline.
+	res *DomainResult
 	// canceled: the run's context was done before the DNS stage touched
-	// the domain; res is a Canceled placeholder and every later stage
+	// the domain; *res is a Canceled placeholder and every later stage
 	// (including Finalize) is skipped.
 	canceled bool
 	// done: Discover short-circuited (no record / record-lookup
@@ -354,11 +356,25 @@ func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
 	probeQ := make(chan *pipeJob, 2*sw.Probe)
 	outQ := make(chan *pipeJob, sw.Probe)
 
+	// One result slot and one job per domain, allocated once. A job's
+	// slot is its domain's rank, so results are born sorted by domain
+	// while jobs are fed in submission order.
+	results := make([]DomainResult, len(domains))
+	jobs := make([]pipeJob, len(domains))
+	order := make([]int32, len(domains))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(domains[a], domains[b]) })
+	for k, i := range order {
+		jobs[i] = pipeJob{domain: domains[i], res: &results[k]}
+	}
+
 	go func() {
 		defer close(dnsQ)
-		for _, d := range domains {
+		for i := range jobs {
 			dnsObs.depth.Inc()
-			dnsQ <- &pipeJob{domain: d}
+			dnsQ <- &jobs[i]
 		}
 	}()
 
@@ -367,7 +383,7 @@ func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
 			// Canceled before this domain was touched: account for it
 			// so the run reconciles (Add skips the in-flight pairing).
 			job.canceled = true
-			job.res = DomainResult{Domain: job.domain, Canceled: true}
+			*job.res = DomainResult{Domain: job.domain, Canceled: true}
 			prog.Add(1)
 			canceledC.Inc()
 			return false
@@ -375,7 +391,7 @@ func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
 		job.ctx, job.stats = retry.WithStats(ctx)
 		job.start = time.Now()
 		prog.Start()
-		job.res, job.done = scan.Discover(job.ctx, job.domain)
+		*job.res, job.done = scan.Discover(job.ctx, job.domain)
 		return true
 	})
 	runStage(sw.Fetch, fetchObs, fetchQ, probeQ, probeObs.depth, func(job *pipeJob) bool {
@@ -383,9 +399,9 @@ func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
 			out, _ := dd.fetch.Do(job.domain, func() FetchOutcome {
 				return scan.FetchPolicy(job.ctx, job.domain)
 			})
-			applyFetch(&job.res, out)
+			applyFetch(job.res, out)
 		} else {
-			applyFetch(&job.res, scan.FetchPolicy(job.ctx, job.domain))
+			applyFetch(job.res, scan.FetchPolicy(job.ctx, job.domain))
 		}
 		return true
 	})
@@ -399,31 +415,28 @@ func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
 			} else {
 				out = scan.ProbeHost(job.ctx, mx)
 			}
-			applyProbe(&job.res, mx, out)
+			applyProbe(job.res, mx, out)
 		}
 		return true
 	})
 
-	// Collector: the only goroutine touching results, so no lock. Each
-	// job arrives exactly once — channels never drop, stages always
-	// forward, and closure is ordered behind the last forward.
-	results := make([]DomainResult, 0, len(domains))
+	// Collector: the last owner of every job, so it finishes results
+	// without a lock. Each job arrives exactly once — channels never
+	// drop, stages always forward, and closure is ordered behind the
+	// last forward — so every slot is written when the loop ends.
 	canceled := 0
 	for job := range outQ {
 		if job.canceled {
 			canceled++
-			results = append(results, job.res)
 			continue
 		}
 		if scanHist != nil {
 			scanHist.ObserveSince(job.start)
 		}
-		finish(scan, &job.res, job.stats, time.Since(job.start))
+		finish(scan, job.res, job.stats, time.Since(job.start))
 		prog.Done()
 		scans.Inc()
-		results = append(results, job.res)
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Domain < results[j].Domain })
 
 	if dd != nil {
 		fs, ps := dd.fetch.Stats(), dd.probe.Stats()

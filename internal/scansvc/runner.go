@@ -84,8 +84,9 @@ type LiveSpec struct {
 }
 
 // Build assembles the live scanner: one resolver, one policy fetcher
-// (with an LRU session cache, so repeated fetches against a provider
-// resume instead of re-handshaking) and one SMTP prober, each timing out
+// (with an LRU session cache, keyed by policy host, so only a repeat
+// fetch of one domain's policy resumes; a scan fetches each once) and
+// one SMTP prober, each timing out
 // after Timeout (5s if 0). All three draw on the retry budget of the
 // Runner that drives them.
 func (sp LiveSpec) Build(reg *obs.Registry, events *obs.EventSink) (*scanner.Live, error) {

@@ -98,6 +98,7 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 	sess, err := open(ctx, dialAddr(mxHost, s.AddrOverride, s.Port), helo, nil)
 	if sess.conn != nil {
 		defer sess.conn.Close()
+		defer sess.release()
 	}
 	if err != nil {
 		return res, err

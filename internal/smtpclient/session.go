@@ -11,6 +11,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/netsecurelab/mtasts/internal/obs"
 )
@@ -20,8 +21,11 @@ import (
 // through it, so an MX the scan rates TLS-valid is one the sender
 // reaches over TLS. What a failure means stays with the caller.
 type session struct {
-	conn net.Conn  // the TCP connection; the caller closes it
-	text *textConn // conn, or the TLS channel once startTLS succeeds
+	conn net.Conn // the TCP connection; the caller closes it
+	// text reads and writes conn, or the TLS channel once startTLS
+	// succeeds. Its buffers are pooled: the caller hands them back with
+	// release once the dialogue is over.
+	text *textConn
 	// obs, when non-nil, receives the smtp.probe.{dial,greeting,
 	// tls_handshake} spans; the Sender passes none.
 	obs *obs.Registry
@@ -95,6 +99,15 @@ func (s *session) hello(name string) error {
 	return nil
 }
 
+// release hands the session's buffers back to the pool. The session
+// must not read or write after it; the caller still closes conn.
+func (s *session) release() {
+	if s.text != nil {
+		s.text.release()
+		s.text = nil
+	}
+}
+
 // offersTLS is the one STARTTLS rule: send STARTTLS when the EHLO reply
 // listed it, or when the HELO fallback left no list to consult.
 func (s *session) offersTLS() bool { return s.starttls || !s.ehlo }
@@ -103,7 +116,9 @@ func (s *session) offersTLS() bool { return s.starttls || !s.ehlo }
 // The chain is collected unverified, valid or not; callers name it with
 // pki.Validate. A code other than 220 is a refusal (0 with the error
 // when the command failed); a 220 with an error is a failed handshake,
-// which leaves the session dead.
+// which leaves the session dead. After the handshake the session's
+// buffers are pointed at the TLS channel, and whatever plaintext the
+// server sent after its 220 is discarded unread (RFC 3207 §4.2).
 func (s *session) startTLS(ctx context.Context, serverName string) (int, []*x509.Certificate, error) {
 	code, _, err := s.text.cmd("STARTTLS")
 	if err != nil || code != 220 {
@@ -120,7 +135,7 @@ func (s *session) startTLS(ctx context.Context, serverName string) (int, []*x509
 	if err != nil {
 		return code, nil, err
 	}
-	s.text = newTextConn(tlsConn)
+	s.text.reset(tlsConn)
 	return code, tlsConn.ConnectionState().PeerCertificates, nil
 }
 
@@ -140,13 +155,39 @@ type textConn struct {
 	w *bufio.Writer
 }
 
+// textConns holds idle textConns, so a scan's probes reuse their
+// buffers instead of allocating them per session.
+var textConns = sync.Pool{New: func() any {
+	return &textConn{r: bufio.NewReaderSize(nil, maxReplyLine), w: bufio.NewWriter(nil)}
+}}
+
+// newTextConn takes a textConn from the pool and points it at conn.
 func newTextConn(conn net.Conn) *textConn {
-	return &textConn{r: bufio.NewReaderSize(conn, maxReplyLine), w: bufio.NewWriter(conn)}
+	t := textConns.Get().(*textConn)
+	t.reset(conn)
+	return t
+}
+
+// reset points t at conn and discards anything buffered for the
+// connection it served before.
+func (t *textConn) reset(conn net.Conn) {
+	t.r.Reset(conn)
+	t.w.Reset(conn)
+}
+
+// release returns t to the pool; t must not be used after it. Reply
+// lines stay valid: readReply copies them out of the buffer.
+func (t *textConn) release() {
+	t.reset(nil)
+	textConns.Put(t)
 }
 
 // cmd sends one command and reads the (possibly multiline) reply.
 func (t *textConn) cmd(line string) (int, []string, error) {
-	if _, err := t.w.WriteString(line + "\r\n"); err != nil {
+	if _, err := t.w.WriteString(line); err != nil {
+		return 0, nil, err
+	}
+	if _, err := t.w.WriteString("\r\n"); err != nil {
 		return 0, nil, err
 	}
 	if err := t.w.Flush(); err != nil {

@@ -148,6 +148,7 @@ func (p *Prober) probe(ctx context.Context, mxHost, addr string) ProbeResult {
 		return res
 	}
 	defer sess.conn.Close()
+	defer sess.release()
 	res.Connected, res.Greylisted = true, errors.Is(err, ErrGreylisted)
 	res.EHLOUsed, res.STARTTLSAdvertised = sess.ehlo, sess.starttls
 	if err == nil && !sess.offersTLS() {

@@ -155,8 +155,10 @@ func writeSnapshot(world *simnet.World, t int, outDir string) error {
 	sumTbl.AddRow("domains_with_record", s.WithRecord)
 	sumTbl.AddRow("misconfigured", s.Misconfigured)
 	sumTbl.AddRow("delivery_failures", s.DeliveryFailures)
-	for cat, n := range s.ByCategory {
-		sumTbl.AddRow("category_"+strings.ReplaceAll(cat.String(), " ", "_"), n)
+	for cat := scanner.CategoryDNSRecord; cat <= scanner.CategoryInconsistency; cat++ {
+		if n := s.ByCategory[cat]; n > 0 {
+			sumTbl.AddRow("category_"+strings.ReplaceAll(cat.String(), " ", "_"), n)
+		}
 	}
 	return writeTable(filepath.Join(dir, "summary.tsv"), sumTbl)
 }

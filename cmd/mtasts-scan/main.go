@@ -154,8 +154,10 @@ func main() {
 	}
 	sum.AddRow("with MTA-STS record", s.WithRecord)
 	sum.AddRow("misconfigured", s.Misconfigured)
-	for cat, n := range s.ByCategory {
-		sum.AddRow("  "+cat.String(), n)
+	for cat := scanner.CategoryDNSRecord; cat <= scanner.CategoryInconsistency; cat++ {
+		if n := s.ByCategory[cat]; n > 0 {
+			sum.AddRow("  "+cat.String(), n)
+		}
 	}
 	sum.AddRow("delivery failures", s.DeliveryFailures)
 	if *retries > 1 {

@@ -73,14 +73,11 @@ func main() {
 	tbl := &dataset.Table{Title: "Final snapshot breakdown", Headers: []string{"metric", "count"}}
 	tbl.AddRow("MTA-STS domains", last.WithRecord)
 	tbl.AddRow("misconfigured", last.Misconfigured)
-	// Rows in a fixed order, so two runs print the same table.
-	cats := make([]scanner.Category, 0, len(last.ByCategory))
-	for c := range last.ByCategory {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	for _, c := range cats {
-		tbl.AddRow("  "+c.String(), last.ByCategory[c])
+	// Rows in Figure 4's order, so two runs print the same table.
+	for c := scanner.CategoryDNSRecord; c <= scanner.CategoryInconsistency; c++ {
+		if n := last.ByCategory[c]; n > 0 {
+			tbl.AddRow("  "+c.String(), n)
+		}
 	}
 	stages := make([]string, 0, len(last.PolicyStageCounts))
 	for stage := range last.PolicyStageCounts {

@@ -43,10 +43,7 @@ func (m *sendingMTA) send(ctx context.Context, domain, from, to string, body []b
 	}
 	mxHost := mxs[0].Host
 
-	ev, err := m.validator.Validate(ctx, domain, mxHost)
-	if err != nil {
-		return err
-	}
+	ev := m.validator.Validate(ctx, domain, mxHost)
 	fmt.Printf("  policy evaluation: record=%v policy=%v (cache=%v) mx-match=%v action=%s\n",
 		ev.RecordFound, ev.PolicyFetched, ev.PolicyFromCache, ev.MXMatched, ev.Action)
 	if ev.Action == mtasts.ActionRefuse {

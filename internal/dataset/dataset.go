@@ -1,17 +1,12 @@
-// Package dataset provides the storage and aggregation primitives of the
-// measurement pipeline: labeled time series, result tables with TSV
-// export, and a snapshot archive supporting the historical joins of the
-// longitudinal analysis (Figure 9).
+// Package dataset provides the aggregation primitives of the measurement
+// pipeline: labeled time series and result tables with TSV export.
 package dataset
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
-
-	"github.com/netsecurelab/mtasts/internal/scanner"
 )
 
 // Point is one sample of a series.
@@ -121,72 +116,4 @@ func (t *Table) TSV() string {
 	//lint:ignore errdrop writes to a strings.Builder cannot fail
 	t.WriteTSV(&sb)
 	return sb.String()
-}
-
-// SnapshotStore archives scan results per snapshot index and answers the
-// historical queries the longitudinal analysis needs.
-type SnapshotStore struct {
-	snaps map[int][]scanner.DomainResult
-	byDom map[int]map[string]*scanner.DomainResult
-}
-
-// NewSnapshotStore returns an empty archive.
-func NewSnapshotStore() *SnapshotStore {
-	return &SnapshotStore{
-		snaps: make(map[int][]scanner.DomainResult),
-		byDom: make(map[int]map[string]*scanner.DomainResult),
-	}
-}
-
-// Put archives the results of snapshot t (replacing any previous archive).
-func (st *SnapshotStore) Put(t int, results []scanner.DomainResult) {
-	st.snaps[t] = results
-	idx := make(map[string]*scanner.DomainResult, len(results))
-	for i := range results {
-		idx[results[i].Domain] = &results[i]
-	}
-	st.byDom[t] = idx
-}
-
-// Get returns the archived results for snapshot t.
-func (st *SnapshotStore) Get(t int) ([]scanner.DomainResult, bool) {
-	r, ok := st.snaps[t]
-	return r, ok
-}
-
-// Lookup returns one domain's result at snapshot t.
-func (st *SnapshotStore) Lookup(t int, domain string) (*scanner.DomainResult, bool) {
-	idx, ok := st.byDom[t]
-	if !ok {
-		return nil, false
-	}
-	r, ok := idx[domain]
-	return r, ok
-}
-
-// Snapshots returns the archived snapshot indexes in order.
-func (st *SnapshotStore) Snapshots() []int {
-	out := make([]int, 0, len(st.snaps))
-	for t := range st.snaps {
-		out = append(out, t)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// HistoricalMXSets returns the domain's MX sets from every archived
-// snapshot strictly before t, most recent first — the input to the
-// Figure 9 "outdated policy" join.
-func (st *SnapshotStore) HistoricalMXSets(t int, domain string) [][]string {
-	var out [][]string
-	snaps := st.Snapshots()
-	for i := len(snaps) - 1; i >= 0; i-- {
-		if snaps[i] >= t {
-			continue
-		}
-		if r, ok := st.Lookup(snaps[i], domain); ok && len(r.MXHosts) > 0 {
-			out = append(out, r.MXHosts)
-		}
-	}
-	return out
 }

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/netsecurelab/mtasts/internal/scanner"
 )
 
 func TestSeriesBasics(t *testing.T) {
@@ -42,44 +40,6 @@ func TestTableTSV(t *testing.T) {
 	want := "a\tb\nx\t1.50\n2\ty\n"
 	if tsv != want {
 		t.Errorf("TSV = %q, want %q", tsv, want)
-	}
-}
-
-func TestSnapshotStore(t *testing.T) {
-	st := NewSnapshotStore()
-	st.Put(1, []scanner.DomainResult{
-		{Domain: "a.com", MXHosts: []string{"mx-old.a.com"}},
-	})
-	st.Put(3, []scanner.DomainResult{
-		{Domain: "a.com", MXHosts: []string{"mx-new.a.com"}},
-		{Domain: "b.com", MXHosts: []string{"mx.b.com"}},
-	})
-
-	if got := st.Snapshots(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Snapshots = %v", got)
-	}
-	r, ok := st.Lookup(3, "b.com")
-	if !ok || r.MXHosts[0] != "mx.b.com" {
-		t.Errorf("Lookup = %+v, %v", r, ok)
-	}
-	if _, ok := st.Lookup(2, "a.com"); ok {
-		t.Error("Lookup for missing snapshot succeeded")
-	}
-	if _, ok := st.Get(1); !ok {
-		t.Error("Get(1) failed")
-	}
-
-	// Historical MX sets exclude the query snapshot, most recent first.
-	hist := st.HistoricalMXSets(4, "a.com")
-	if len(hist) != 2 || hist[0][0] != "mx-new.a.com" || hist[1][0] != "mx-old.a.com" {
-		t.Errorf("HistoricalMXSets = %v", hist)
-	}
-	hist = st.HistoricalMXSets(3, "a.com")
-	if len(hist) != 1 || hist[0][0] != "mx-old.a.com" {
-		t.Errorf("HistoricalMXSets(3) = %v", hist)
-	}
-	if got := st.HistoricalMXSets(1, "a.com"); len(got) != 0 {
-		t.Errorf("no history expected, got %v", got)
 	}
 }
 

@@ -13,6 +13,7 @@ type docEntry struct {
 	layer     Layer
 	transient string // "yes", "no", or "varies"
 	paper     string
+	tlsrpt    string // "" where the row shows a dash
 }
 
 var (
@@ -22,7 +23,7 @@ var (
 
 // parseErrorDocs extracts the code catalog from docs/ERRORS.md: section
 // headings name the category, table rows carry code, layer, transient
-// verdict, and paper reference.
+// verdict, paper reference, and RFC 8460 result type.
 func parseErrorDocs(t *testing.T, path string) map[Code]docEntry {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -40,10 +41,10 @@ func parseErrorDocs(t *testing.T, path string) map[Code]docEntry {
 			continue
 		}
 		cells := strings.Split(line, "|")
-		// "| `code` | layer | transient | meaning | paper |" splits into
-		// 7 cells with empty first and last.
-		if len(cells) != 7 {
-			t.Errorf("%s:%d: catalog row has %d cells, want 5 columns", path, ln+1, len(cells)-2)
+		// "| `code` | layer | transient | meaning | paper | tlsrpt |"
+		// splits into 8 cells with empty first and last.
+		if len(cells) != 8 {
+			t.Errorf("%s:%d: catalog row has %d cells, want 6 columns", path, ln+1, len(cells)-2)
 			continue
 		}
 		m := codeCell.FindStringSubmatch(strings.TrimSpace(cells[1]))
@@ -63,6 +64,7 @@ func parseErrorDocs(t *testing.T, path string) map[Code]docEntry {
 			layer:     Layer(strings.TrimSpace(cells[2])),
 			transient: strings.TrimSpace(cells[3]),
 			paper:     strings.TrimSpace(cells[5]),
+			tlsrpt:    strings.TrimSuffix(strings.TrimSpace(cells[6]), "—"),
 		}
 	}
 	return out
@@ -101,6 +103,9 @@ func TestErrorDocsConsistency(t *testing.T) {
 		}
 		if d.paper != in.Paper {
 			t.Errorf("code %q documented with paper ref %q, registry says %q", in.Code, d.paper, in.Paper)
+		}
+		if d.tlsrpt != in.TLSRPT {
+			t.Errorf("code %q documented with TLSRPT result %q, registry says %q", in.Code, d.tlsrpt, in.TLSRPT)
 		}
 	}
 

@@ -34,6 +34,11 @@ type Info struct {
 	Doc string
 	// Paper cites where the paper discusses this failure mode.
 	Paper string
+	// TLSRPT is the RFC 8460 §4.3 result type a sender reports for this
+	// failure, empty when the code implies none. A plain string, since
+	// internal/tlsrpt imports this package; its tests hold every value
+	// to one of tlsrpt's ResultType constants.
+	TLSRPT string
 }
 
 // DNS record codes (TXT discovery and record parsing).
@@ -105,88 +110,88 @@ var registry = []Info{
 	// codes appear here because a failing TXT lookup for
 	// _mta-sts.<domain> is attributed to the DNS record category.
 	{CodeNXDomain, LayerDNS, CategoryDNSRecord, false, false,
-		"the queried name does not exist (DNS NXDOMAIN)", "§4.3.2"},
+		"the queried name does not exist (DNS NXDOMAIN)", "§4.3.2", ""},
 	{CodeNoData, LayerDNS, CategoryDNSRecord, false, false,
-		"the name exists but has no records of the queried type", "§4.3.2"},
+		"the name exists but has no records of the queried type", "§4.3.2", ""},
 	{CodeServFail, LayerDNS, CategoryDNSRecord, true, false,
-		"the authoritative or recursive server answered SERVFAIL", "§4.3.2"},
+		"the authoritative or recursive server answered SERVFAIL", "§4.3.2", ""},
 	{CodeRefused, LayerDNS, CategoryDNSRecord, true, false,
-		"the server refused the query (DNS REFUSED)", "§4.3.2"},
+		"the server refused the query (DNS REFUSED)", "§4.3.2", ""},
 	{CodeTimeout, LayerDNS, CategoryDNSRecord, true, false,
-		"the DNS exchange timed out", "§4.3.2"},
+		"the DNS exchange timed out", "§4.3.2", ""},
 	{CodeBadDNSMessage, LayerDNS, CategoryDNSRecord, true, false,
-		"the DNS response was malformed or had an unexpected rcode", "§4.3.2"},
+		"the DNS response was malformed or had an unexpected rcode", "§4.3.2", ""},
 	{CodeCNAMELoop, LayerDNS, CategoryDNSRecord, false, false,
-		"CNAME chase exceeded the loop limit", "§4.3.2"},
+		"CNAME chase exceeded the loop limit", "§4.3.2", ""},
 	{CodeMultipleRecords, LayerDNS, CategoryDNSRecord, false, false,
-		"more than one MTA-STS TXT record at _mta-sts.<domain> (RFC 8461 requires exactly one)", "§5.1"},
+		"more than one MTA-STS TXT record at _mta-sts.<domain> (RFC 8461 requires exactly one)", "§5.1", ""},
 	{CodeBadSyntax, LayerDNS, CategoryDNSRecord, false, false,
-		"the MTA-STS TXT record is syntactically invalid (missing/bad id, bad field syntax, duplicate fields)", "§5.1"},
+		"the MTA-STS TXT record is syntactically invalid (missing/bad id, bad field syntax, duplicate fields)", "§5.1", ""},
 	{CodeBadVersion, LayerDNS, CategoryDNSRecord, false, false,
-		"the record's v= field is not STSv1", "§5.1"},
+		"the record's v= field is not STSv1", "§5.1", ""},
 
 	// Policy retrieval errors (Figure 4 "Policy Retrieval", §5.2).
 	{CodeDNSLookup, LayerFetch, CategoryPolicy, false, true,
-		"the policy host mta-sts.<domain> did not resolve", "§5.2"},
+		"the policy host mta-sts.<domain> did not resolve", "§5.2", "sts-policy-fetch-error"},
 	{CodeTCPConnect, LayerFetch, CategoryPolicy, true, true,
-		"TCP connection to the policy host failed", "§5.2"},
+		"TCP connection to the policy host failed", "§5.2", "sts-policy-fetch-error"},
 	{CodeTLSHandshake, LayerFetch, CategoryPolicy, false, true,
-		"the HTTPS handshake with the policy host failed (certificate or protocol)", "§5.2"},
+		"the HTTPS handshake with the policy host failed (certificate or protocol)", "§5.2", "sts-webpki-invalid"},
 	{CodeHTTPStatus, LayerFetch, CategoryPolicy, false, true,
-		"the policy endpoint answered a non-200 HTTP status", "§5.2"},
+		"the policy endpoint answered a non-200 HTTP status", "§5.2", "sts-policy-fetch-error"},
 	{CodeWrongContentType, LayerFetch, CategoryPolicy, false, false,
-		"the policy was served with a Content-Type other than text/plain (RFC 8461 §3.3)", "§5.2"},
+		"the policy was served with a Content-Type other than text/plain (RFC 8461 §3.3)", "§5.2", "sts-policy-invalid"},
 	{CodeParse, LayerFetch, CategoryPolicy, false, false,
-		"the policy body does not parse (bad fields, line endings, size, charset)", "§5.2"},
+		"the policy body does not parse (bad fields, line endings, size, charset)", "§5.2", "sts-policy-invalid"},
 	{CodeVersionMismatch, LayerFetch, CategoryPolicy, false, false,
-		"the policy's version field is not STSv1", "§5.2"},
+		"the policy's version field is not STSv1", "§5.2", "sts-policy-invalid"},
 	{CodeBadMXPattern, LayerFetch, CategoryPolicy, false, false,
-		"the policy's mx patterns are missing or syntactically invalid", "§5.2"},
+		"the policy's mx patterns are missing or syntactically invalid", "§5.2", "sts-policy-invalid"},
 
 	// MX certificate errors (Figure 4 "MX Hosts Cert.", §5.3).
 	{CodeExpired, LayerProbe, CategoryMXCert, false, false,
-		"an MX host's certificate is expired (or not yet valid)", "§5.3"},
+		"an MX host's certificate is expired (or not yet valid)", "§5.3", "certificate-expired"},
 	{CodeSelfSigned, LayerProbe, CategoryMXCert, false, false,
-		"an MX host presents a self-signed certificate", "§5.3"},
+		"an MX host presents a self-signed certificate", "§5.3", "certificate-not-trusted"},
 	{CodeUntrustedChain, LayerProbe, CategoryMXCert, false, false,
-		"an MX host's certificate chain does not anchor in a trusted root", "§5.3"},
+		"an MX host's certificate chain does not anchor in a trusted root", "§5.3", "certificate-not-trusted"},
 	{CodeNameMismatch, LayerProbe, CategoryMXCert, false, false,
-		"an MX host's certificate does not cover the MX name", "§5.3"},
+		"an MX host's certificate does not cover the MX name", "§5.3", "certificate-host-mismatch"},
 	{CodeNoCertificate, LayerProbe, CategoryMXCert, false, false,
-		"the TLS handshake with an MX host failed before a certificate could be evaluated", "§5.3"},
+		"the TLS handshake with an MX host failed before a certificate could be evaluated", "§5.3", "certificate-not-trusted"},
 	{CodeNoSTARTTLS, LayerProbe, CategoryMXCert, false, false,
-		"an MX host does not advertise STARTTLS (excluded from certificate analysis, footnote 4)", "§5.3"},
+		"an MX host does not advertise STARTTLS (excluded from certificate analysis, footnote 4)", "§5.3", "starttls-not-supported"},
 	{CodeGreylisted, LayerProbe, CategoryMXCert, true, false,
-		"an MX host temporarily rejected the probe (greylisting); retried, never a verdict", "§4.3.3"},
+		"an MX host temporarily rejected the probe (greylisting); retried, never a verdict", "§4.3.3", ""},
 
 	// DANE/TLSA errors on the sender path (§6).
 	{CodeNoTLSARecords, LayerDANE, CategoryMXCert, false, false,
-		"no TLSA records exist for the MX host", "§6"},
+		"no TLSA records exist for the MX host", "§6", ""},
 	{CodeInsecureTLSA, LayerDANE, CategoryMXCert, false, false,
-		"TLSA records exist but are not DNSSEC-authenticated", "§6"},
+		"TLSA records exist but are not DNSSEC-authenticated", "§6", "dnssec-invalid"},
 	{CodeTLSANoMatch, LayerDANE, CategoryMXCert, false, false,
-		"no TLSA record matches the certificate the MX presented", "§6"},
+		"no TLSA record matches the certificate the MX presented", "§6", "tlsa-invalid"},
 	{CodeTLSABadParams, LayerDANE, CategoryMXCert, false, false,
-		"a TLSA record carries an unsupported usage/selector/matching combination", "§6"},
+		"a TLSA record carries an unsupported usage/selector/matching combination", "§6", "tlsa-invalid"},
 
 	// Inconsistency (Figure 4 "Inconsistency", §5.4).
 	{CodeInconsistency, LayerScan, CategoryInconsistency, false, false,
-		"record, policy, and MX hosts are individually valid but the policy's mx patterns do not cover the MX records", "§5.4"},
+		"record, policy, and MX hosts are individually valid but the policy's mx patterns do not cover the MX records", "§5.4", "validation-failure"},
 
 	// TLSRPT aggregate-report ingestion rejections (§6, Appendix B).
 	// All persistent: a malformed report stays malformed on retry.
 	{CodeReportParse, LayerReport, CategoryReport, false, false,
-		"the report body is not a valid RFC 8460 JSON document", "Appendix B"},
+		"the report body is not a valid RFC 8460 JSON document", "Appendix B", ""},
 	{CodeReportMissingID, LayerReport, CategoryReport, false, false,
-		"the report carries no report-id (required by RFC 8460 §4.1)", "Appendix B"},
+		"the report carries no report-id (required by RFC 8460 §4.1)", "Appendix B", ""},
 	{CodeReportBadWindow, LayerReport, CategoryReport, false, false,
-		"the report's date-range is missing or ends before it starts", "Appendix B"},
+		"the report's date-range is missing or ends before it starts", "Appendix B", ""},
 	{CodeReportEmptyPolicyDomain, LayerReport, CategoryReport, false, false,
-		"a policy section has an empty policy-domain, so its counts cannot be attributed", "Appendix B"},
+		"a policy section has an empty policy-domain, so its counts cannot be attributed", "Appendix B", ""},
 	{CodeReportDuplicatePolicy, LayerReport, CategoryReport, false, false,
-		"two policy sections share one (policy-type, policy-domain) pair, double-counting sessions", "Appendix B"},
+		"two policy sections share one (policy-type, policy-domain) pair, double-counting sessions", "Appendix B", ""},
 	{CodeReportCountMismatch, LayerReport, CategoryReport, false, false,
-		"a policy section's failure-details counts do not sum to its summary total (or are negative)", "Appendix B"},
+		"a policy section's failure-details counts do not sum to its summary total (or are negative)", "Appendix B", ""},
 }
 
 // index is built once from the registry slice.
@@ -221,6 +226,17 @@ func Registry() []Info {
 func Lookup(c Code) (Info, bool) {
 	in, ok := index[c]
 	return in, ok
+}
+
+// TLSRPTResult returns the RFC 8460 §4.3 result type a sender reports
+// for a failure with code c: the code's registry column, or
+// "validation-failure", RFC 8460's general failure, when c is empty,
+// unregistered or implies no specific type.
+func TLSRPTResult(c Code) string {
+	if r := index[c].TLSRPT; r != "" {
+		return r
+	}
+	return "validation-failure"
 }
 
 // CategoryOf returns the Figure 4 category a code contributes to

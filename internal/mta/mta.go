@@ -208,31 +208,20 @@ func (o *Outbound) candidateMXs(ctx context.Context, domain string) ([]string, e
 // MTA-STS → opportunistic precedence (or the inverted MTA-STS → DANE
 // ordering when MTASTSOverDANE models a non-compliant sender).
 func (o *Outbound) deliverVia(ctx context.Context, domain, mxHost, from string, to []string, data []byte) (Outcome, error) {
-	var ev mtasts.Evaluation
-	stsEvaluated := false
-	validate := func() error {
+	evaluate := func() mtasts.Evaluation {
 		if o.Validator == nil {
 			// No MTA-STS engine: the evaluation is a pass-through deliver.
-			ev = mtasts.Evaluation{Domain: domain, MXHost: mxHost, Action: mtasts.ActionDeliver}
-			stsEvaluated = true
-			return nil
+			return mtasts.Evaluation{Domain: domain, MXHost: mxHost, Action: mtasts.ActionDeliver}
 		}
-		e, err := o.Validator.Validate(ctx, domain, mxHost)
-		if err != nil {
-			return fmt.Errorf("mta: MTA-STS validation for %s: %w", domain, err)
-		}
-		ev = e
-		stsEvaluated = true
-		return nil
+		return o.Validator.Validate(ctx, domain, mxHost)
 	}
 
+	var ev mtasts.Evaluation
 	flipped := o.MTASTSOverDANE && o.Validator != nil
 	if flipped {
 		// Bug-compatible ordering: consult MTA-STS first and let a
 		// fetchable policy shadow any TLSA records.
-		if err := validate(); err != nil {
-			return Outcome{}, err
-		}
+		ev = evaluate()
 	}
 
 	// DANE first for compliant senders (RFC 8461 §2: "senders who
@@ -246,15 +235,18 @@ func (o *Outbound) deliverVia(ctx context.Context, domain, mxHost, from string, 
 	}
 
 	// MTA-STS second.
-	if !stsEvaluated {
-		if err := validate(); err != nil {
-			return Outcome{}, err
-		}
+	if !flipped {
+		ev = evaluate()
 	}
 	if ev.Action == mtasts.ActionRefuse {
-		o.recordFailure(tlsrpt.PolicyTypeSTS, domain, mxHost, stsFailureType(ev))
+		// The Validator refuses only an MX outside the policy's patterns:
+		// the scanner's inconsistency verdict (policy and MX RRset
+		// disagree). The certificate is the delivering session's to judge.
+		o.recordFailure(tlsrpt.PolicyTypeSTS, domain, mxHost, errtax.CodeInconsistency)
 		return Outcome{Evaluation: ev, MXHost: mxHost, Mechanism: MechanismMTASTS},
-			fmt.Errorf("%w: MTA-STS enforce policy rejects %s: %w", ErrPolicyRefused, mxHost, refusalCause(ev, mxHost))
+			fmt.Errorf("%w: MTA-STS enforce policy rejects %s: %w", ErrPolicyRefused, mxHost,
+				errtax.New(errtax.LayerScan, errtax.CodeInconsistency, false,
+					fmt.Sprintf("MX %s does not match any policy mx pattern", mxHost)))
 	}
 	requireTLS := o.RequirePKIX ||
 		(ev.PolicyFetched && ev.Policy.Mode == mtasts.ModeEnforce && ev.Action == mtasts.ActionDeliver)
@@ -272,18 +264,19 @@ func (o *Outbound) deliverVia(ctx context.Context, domain, mxHost, from string, 
 	}
 	if err != nil {
 		if requireTLS && errors.Is(err, smtpclient.ErrTLSRequired) {
-			o.recordFailure(policyTypeFor(mech), domain, mxHost, tlsFailureType(err))
+			code, _ := errtax.CodeOf(err)
+			o.recordFailure(policyTypeFor(mech), domain, mxHost, code)
 			return Outcome{Evaluation: ev, MXHost: mxHost, Mechanism: mech},
 				fmt.Errorf("%w: TLS to %s failed under required-TLS policy: %w", ErrPolicyRefused, mxHost, err)
 		}
 		return Outcome{}, err
 	}
-	if mech == MechanismMTASTS && stsViolated(ev, res) {
-		// Testing-mode (or unvalidated) delivery that did not meet the
-		// policy: the message goes through, but RFC 8460 accounting must
-		// record the violation rather than a success — this asymmetry is
-		// what makes testing mode observable at all.
-		o.recordFailure(tlsrpt.PolicyTypeSTS, domain, mxHost, violationType(ev, res))
+	if code := violation(ev, res); mech == MechanismMTASTS && code != "" {
+		// Testing-mode delivery that did not meet the policy: the message
+		// goes through, but RFC 8460 accounting must record the violation
+		// rather than a success — this asymmetry is what makes testing
+		// mode observable at all.
+		o.recordFailure(tlsrpt.PolicyTypeSTS, domain, mxHost, code)
 	} else {
 		o.recordSuccess(policyTypeFor(mech), domain)
 	}
@@ -293,58 +286,24 @@ func (o *Outbound) deliverVia(ctx context.Context, domain, mxHost, from string, 
 	}, nil
 }
 
-// refusalCause types an MTA-STS refusal for the error taxonomy: an MX
-// mismatch is the scanner's "inconsistency" verdict (policy and MX RRset
-// disagree); anything else surfaces the validator's own typed errors.
-func refusalCause(ev mtasts.Evaluation, mxHost string) error {
-	if !ev.MXMatched {
-		return errtax.New(errtax.LayerScan, errtax.CodeInconsistency, false,
-			fmt.Sprintf("MX %s does not match any policy mx pattern", mxHost))
-	}
-	if ev.PolicyErr != nil {
-		return ev.PolicyErr
-	}
-	if ev.RecordErr != nil {
-		return ev.RecordErr
-	}
-	return errtax.New(errtax.LayerProbe, errtax.CodeNoCertificate, false,
-		fmt.Sprintf("MX %s failed certificate validation: %s", mxHost, ev.CertProblem))
-}
-
-// stsViolated reports whether a delivery under an MTA-STS policy went
-// through without meeting it (possible only in testing mode, where
-// ActionDeliverUnvalidated and unverified transport still deliver).
-func stsViolated(ev mtasts.Evaluation, res smtpclient.DeliveryResult) bool {
-	return ev.Action == mtasts.ActionDeliverUnvalidated ||
-		!ev.MXMatched || !res.TLS || !res.CertVerified
-}
-
-// violationType classifies a testing-mode violation for TLSRPT.
-func violationType(ev mtasts.Evaluation, res smtpclient.DeliveryResult) tlsrpt.ResultType {
+// violation returns the errtax code of what kept a delivery from meeting
+// its MTA-STS policy, or "" when it met it. Only a testing-mode delivery
+// can miss: an MX mismatch and unverified transport still deliver. The
+// transport is judged first, as the Prober would judge the MX: no
+// STARTTLS, a failed handshake, then the session's certificate verdict
+// once the MX matched.
+func violation(ev mtasts.Evaluation, res smtpclient.DeliveryResult) errtax.Code {
 	switch {
+	case !res.TLS && res.Problem.Valid():
+		return errtax.CodeNoSTARTTLS
 	case !res.TLS:
-		return tlsrpt.ResultSTARTTLSNotSupported
+		return res.Problem.Code()
 	case !ev.MXMatched:
-		return tlsrpt.ResultValidationFailure
+		return errtax.CodeInconsistency
 	case !res.CertVerified:
-		return tlsrpt.ResultCertificateNotTrusted
+		return res.Problem.Code()
 	}
-	return tlsrpt.ResultValidationFailure
-}
-
-// tlsFailureType maps a typed smtpclient TLS failure onto the TLSRPT
-// result vocabulary.
-func tlsFailureType(err error) tlsrpt.ResultType {
-	code, _ := errtax.CodeOf(err)
-	switch code {
-	case errtax.CodeNoSTARTTLS:
-		return tlsrpt.ResultSTARTTLSNotSupported
-	case errtax.CodeExpired:
-		return tlsrpt.ResultCertificateExpired
-	case errtax.CodeNameMismatch:
-		return tlsrpt.ResultCertificateHostMismatch
-	}
-	return tlsrpt.ResultCertificateNotTrusted
+	return ""
 }
 
 // deliverDANE delivers with the certificate verified against TLSA
@@ -358,7 +317,8 @@ func (o *Outbound) deliverDANE(ctx context.Context, domain, mxHost, from string,
 	}
 	res, err := sender.Deliver(ctx, mxHost, from, to, data)
 	if err != nil {
-		o.recordFailure(tlsrpt.PolicyTypeTLSA, domain, mxHost, tlsrpt.ResultTLSAInvalid)
+		code, _ := errtax.CodeOf(err)
+		o.recordFailure(tlsrpt.PolicyTypeTLSA, domain, mxHost, code)
 		return Outcome{MXHost: mxHost, Mechanism: MechanismDANE},
 			fmt.Errorf("%w: DANE validation for %s failed: %w", ErrPolicyRefused, mxHost, err)
 	}
@@ -424,17 +384,12 @@ func (o *Outbound) recordSuccess(ptype tlsrpt.PolicyType, domain string) {
 	}
 }
 
-func (o *Outbound) recordFailure(ptype tlsrpt.PolicyType, domain, mxHost string, result tlsrpt.ResultType) {
+// recordFailure files one failed session under the RFC 8460 result type
+// errtax's registry gives its code (the tlsrpt column of docs/ERRORS.md).
+func (o *Outbound) recordFailure(ptype tlsrpt.PolicyType, domain, mxHost string, code errtax.Code) {
 	if o.Report != nil {
-		o.Report.AddFailure(ptype, domain, result, mxHost, 1)
+		o.Report.AddFailure(ptype, domain, tlsrpt.ResultType(errtax.TLSRPTResult(code)), mxHost, 1)
 	}
-}
-
-func stsFailureType(ev mtasts.Evaluation) tlsrpt.ResultType {
-	if !ev.MXMatched {
-		return tlsrpt.ResultValidationFailure
-	}
-	return tlsrpt.ResultCertificateNotTrusted
 }
 
 func policyTypeFor(m Mechanism) tlsrpt.PolicyType {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"github.com/netsecurelab/mtasts/internal/pki"
 )
 
 // Action is the delivery decision of a compliant sender after MTA-STS
@@ -49,27 +47,18 @@ type TXTResolver interface {
 	IsNotFound(err error) bool
 }
 
-// MXVerifier validates the TLS certificate of one MX host; it returns the
-// PKIX problem observed when connecting (pki.OK on success). The live
-// implementation is smtpclient.Prober; offline pipelines check
-// CertProfiles.
-type MXVerifier interface {
-	VerifyMX(ctx context.Context, mxHost string) (pki.Problem, error)
-}
-
 // Validator is the sender-side MTA-STS engine: it discovers the record,
-// fetches (or reuses) the policy, matches the selected MX, verifies its
-// certificate, and renders the delivery decision — the complete flow of
-// Figure 1 in the paper.
+// fetches (or reuses) the policy, matches the selected MX, and renders
+// the delivery decision — Figure 1 of the paper up to the connection.
+// The MX certificate is judged by the delivering SMTP session
+// (smtpclient.Sender), which an enforce policy makes require verified
+// TLS; the Validator never connects to the MX.
 type Validator struct {
 	Resolver TXTResolver
 	Fetcher  *Fetcher
 	// Cache is the sender's TOFU policy store; nil disables caching, so
 	// every evaluation fetches and no fallback policy exists.
 	Cache *PolicyCache
-	// Verify checks the MX certificate; nil skips certificate validation
-	// (the caller handles it during SMTP delivery).
-	Verify MXVerifier
 }
 
 // Evaluation is the full outcome of validating one (domain, MX) pair.
@@ -100,9 +89,6 @@ type Evaluation struct {
 
 	// MXMatched is true when the MX host matches a policy mx pattern.
 	MXMatched bool
-	// CertProblem is the MX certificate validation outcome (pki.OK when
-	// valid or not checked).
-	CertProblem pki.Problem
 
 	// Action is the final delivery decision.
 	Action Action
@@ -113,8 +99,8 @@ type Evaluation struct {
 // Per RFC 8461: no (or unusable) record means MTA-STS does not apply; a
 // record without a fetchable policy falls back to any cached policy, and
 // otherwise to unvalidated delivery; with a policy in enforce mode, an MX
-// mismatch or certificate failure forbids delivery.
-func (v *Validator) Validate(ctx context.Context, domain, mxHost string) (Evaluation, error) {
+// mismatch forbids delivery.
+func (v *Validator) Validate(ctx context.Context, domain, mxHost string) Evaluation {
 	ev := Evaluation{Domain: domain, MXHost: mxHost, Action: ActionDeliver}
 
 	// Step 1: discover the record.
@@ -128,10 +114,10 @@ func (v *Validator) Validate(ctx context.Context, domain, mxHost string) (Evalua
 		if cached, ok, stale := v.cacheGet(domain); ok {
 			ev.PolicyFetched, ev.PolicyFromCache, ev.PolicyStale = true, true, stale
 			ev.Policy = cached.Policy
-			return v.finish(ctx, ev)
+			return finish(ev)
 		}
 		ev.Action = ActionDeliverUnvalidated
-		return ev, nil
+		return ev
 	}
 	rec, recErr := DiscoverRecord(txts)
 	if recErr != nil {
@@ -142,19 +128,19 @@ func (v *Validator) Validate(ctx context.Context, domain, mxHost string) (Evalua
 			if cached, ok := v.cacheFresh(domain); ok {
 				ev.PolicyFetched, ev.PolicyFromCache = true, true
 				ev.Policy = cached.Policy
-				return v.finish(ctx, ev)
+				return finish(ev)
 			}
-			return ev, nil
+			return ev
 		}
 		// A malformed record means MTA-STS is treated as not deployed, but
 		// cached policies again survive.
 		if cached, ok := v.cacheFresh(domain); ok {
 			ev.PolicyFetched, ev.PolicyFromCache = true, true
 			ev.Policy = cached.Policy
-			return v.finish(ctx, ev)
+			return finish(ev)
 		}
 		ev.Action = ActionDeliverUnvalidated
-		return ev, nil
+		return ev
 	}
 	ev.RecordFound = true
 	ev.Record = rec
@@ -163,7 +149,7 @@ func (v *Validator) Validate(ctx context.Context, domain, mxHost string) (Evalua
 	if cached, ok := v.cacheFresh(domain); ok && cached.RecordID == rec.ID {
 		ev.PolicyFetched, ev.PolicyFromCache = true, true
 		ev.Policy = cached.Policy
-		return v.finish(ctx, ev)
+		return finish(ev)
 	}
 	policy, fetchErr := v.fetchAndStore(ctx, domain, rec.ID)
 	if fetchErr != nil {
@@ -174,16 +160,16 @@ func (v *Validator) Validate(ctx context.Context, domain, mxHost string) (Evalua
 		if cached, ok, stale := v.cacheGet(domain); ok {
 			ev.PolicyFetched, ev.PolicyFromCache, ev.PolicyStale = true, true, stale
 			ev.Policy = cached.Policy
-			return v.finish(ctx, ev)
+			return finish(ev)
 		}
 		// No usable policy: deliver, unvalidated — the TLS-fallback
 		// downgrade the paper highlights (§4.3.3).
 		ev.Action = ActionDeliverUnvalidated
-		return ev, nil
+		return ev
 	}
 	ev.PolicyFetched = true
 	ev.Policy = policy
-	return v.finish(ctx, ev)
+	return finish(ev)
 }
 
 // fetchAndStore retrieves the policy for domain and caches it under
@@ -259,39 +245,18 @@ func (v *Validator) cacheGet(domain string) (cached CachedPolicy, ok, stale bool
 	return CachedPolicy{}, false, false
 }
 
-// finish applies MX matching and certificate validation to an evaluation
-// that has an effective policy.
-func (v *Validator) finish(ctx context.Context, ev Evaluation) (Evaluation, error) {
-	policy := ev.Policy
-	if policy.Mode == ModeNone {
-		// No validation requested.
-		ev.MXMatched = policy.Matches(ev.MXHost)
+// finish applies MX matching to an evaluation that has an effective
+// policy. Mode none requests no validation; a mismatch refuses under
+// enforce and delivers unvalidated under testing.
+func finish(ev Evaluation) Evaluation {
+	ev.MXMatched = ev.Policy.Matches(ev.MXHost)
+	switch {
+	case ev.MXMatched || ev.Policy.Mode == ModeNone:
 		ev.Action = ActionDeliver
-		return ev, nil
+	case ev.Policy.Mode == ModeEnforce:
+		ev.Action = ActionRefuse
+	default:
+		ev.Action = ActionDeliverUnvalidated
 	}
-	ev.MXMatched = policy.Matches(ev.MXHost)
-	if !ev.MXMatched {
-		ev.Action = decideOnFailure(policy.Mode)
-		return ev, nil
-	}
-	if v.Verify != nil {
-		problem, err := v.Verify.VerifyMX(ctx, ev.MXHost)
-		if err != nil {
-			return ev, fmt.Errorf("mtasts: verifying MX %s: %w", ev.MXHost, err)
-		}
-		ev.CertProblem = problem
-		if !problem.Valid() {
-			ev.Action = decideOnFailure(policy.Mode)
-			return ev, nil
-		}
-	}
-	ev.Action = ActionDeliver
-	return ev, nil
-}
-
-func decideOnFailure(m Mode) Action {
-	if m == ModeEnforce {
-		return ActionRefuse
-	}
-	return ActionDeliverUnvalidated
+	return ev
 }

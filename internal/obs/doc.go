@@ -29,7 +29,8 @@
 //     self-contained JSON object with a timestamp and an event name.
 //
 //   - HTTP export: Registry.Handler serves the full snapshot as a JSON
-//     document (expvar-style flat map), Registry.Serve mounts it at
+//     document (expvar-style flat map) or, when the request asks for it,
+//     in the Prometheus text format; Registry.Serve mounts it at
 //     /metrics together with /debug/scanprogress (progress only) and
 //     the stdlib /debug/vars.
 //

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -123,22 +125,57 @@ func fmtSeconds(sec float64) string {
 	return time.Duration(sec * float64(time.Second)).Round(10 * time.Microsecond).String()
 }
 
-// Handler serves the snapshot — the /metrics endpoint. The response
-// format is negotiated per request: an explicit ?format=name
-// (?format=prometheus) wins, then the Accept header's media ranges in
-// order, and requests stating no preference get the historical JSON
-// document. Content-Type always matches the exporter that rendered the
-// body.
+// Handler serves the snapshot — the /metrics endpoint — as JSON or in
+// the Prometheus text format, chosen per request by wantsPrometheus.
+// Content-Type always matches the format of the body.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		exp := negotiate(req.URL.Query().Get("format"), req.Header.Get("Accept"))
-		w.Header().Set("Content-Type", exp.ContentType())
-		if err := exp.Export(w, r.Snapshot()); err != nil {
+		contentType, write := jsonContentType, writeJSON
+		if wantsPrometheus(req.URL.Query().Get("format"), req.Header.Get("Accept")) {
+			contentType, write = PrometheusContentType, writePrometheus
+		}
+		w.Header().Set("Content-Type", contentType)
+		if err := write(w, r.Snapshot()); err != nil {
 			// The response is underway, so the error cannot reach the
 			// client; count it where the next scrape will see it.
 			r.Counter("obs.export.errors").Inc()
 		}
 	})
+}
+
+const jsonContentType = "application/json; charset=utf-8"
+
+// wantsPrometheus picks /metrics' format for a request: ?format=json or
+// ?format=prometheus wins; otherwise the first Accept media range one of
+// the two serves decides (Prometheus scrapers ask for text/plain or
+// OpenMetrics, of which this text format is a compatible subset for
+// counters and gauges); otherwise JSON, the historical document that
+// curl and the examples in docs/OBSERVABILITY.md get.
+func wantsPrometheus(format, accept string) bool {
+	switch format {
+	case "json":
+		return false
+	case "prometheus":
+		return true
+	}
+	for _, part := range strings.Split(accept, ",") {
+		mr, _, _ := strings.Cut(part, ";")
+		switch strings.ToLower(strings.TrimSpace(mr)) {
+		case "application/json", "application/*", "*/*":
+			return false
+		case "text/plain", "text/*", "application/openmetrics-text":
+			return true
+		}
+	}
+	return false
+}
+
+// writeJSON renders the snapshot as the indented JSON document that has
+// always been the /metrics default.
+func writeJSON(w io.Writer, s Snapshot) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s)
 }
 
 // ProgressHandler serves only the progress trackers — the cheap
@@ -157,7 +194,7 @@ func (r *Registry) ProgressHandler() http.Handler {
 				out[k] = p.Snapshot()
 			}
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.Header().Set("Content-Type", jsonContentType)
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -177,18 +214,6 @@ func (r *Registry) NewServeMux() *http.ServeMux {
 	mux.Handle("/debug/scanprogress", r.ProgressHandler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
-}
-
-// PublishExpvar exposes the registry under name in the process-global
-// expvar namespace (visible at /debug/vars), making the export readable
-// by any expvar-speaking collector. Publishing the same name twice
-// panics (an expvar invariant), so call once per process. No-op on a nil
-// registry.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
 // Server is a running metrics HTTP listener.

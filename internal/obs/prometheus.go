@@ -8,7 +8,10 @@ import (
 	"strconv"
 )
 
-// PrometheusExporter renders the snapshot in the Prometheus text
+// PrometheusContentType is the text exposition format's content type.
+const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// writePrometheus renders the snapshot in the Prometheus text
 // exposition format (version 0.0.4): every counter and gauge becomes
 // one sample, histograms become cumulative `_bucket{le="..."}` series
 // plus `_sum`/`_count`, and progress trackers become a small gauge
@@ -17,27 +20,7 @@ import (
 // `scan.mx.cert.name-mismatch` scrapes as
 // `scan_mx_cert_name_mismatch`. Output is sorted by name, so two
 // exports of the same snapshot are byte-identical.
-type PrometheusExporter struct{}
-
-// PrometheusContentType is the text exposition format's content type.
-const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// Name implements Exporter.
-func (PrometheusExporter) Name() string { return "prometheus" }
-
-// ContentType implements Exporter.
-func (PrometheusExporter) ContentType() string { return PrometheusContentType }
-
-// Accepts implements Exporter: Prometheus scrapers ask for
-// text/plain;version=0.0.4 (or the OpenMetrics type, which this text
-// format is a compatible subset of for counters and gauges).
-func (PrometheusExporter) Accepts(mediaRange string) bool {
-	return mediaRange == "text/plain" || mediaRange == "text/*" ||
-		mediaRange == "application/openmetrics-text"
-}
-
-// Export implements Exporter.
-func (PrometheusExporter) Export(w io.Writer, s Snapshot) error {
+func writePrometheus(w io.Writer, s Snapshot) error {
 	bw := bufio.NewWriter(w)
 	writeSample(bw, "uptime_seconds", "gauge", s.UptimeSeconds)
 	for _, name := range sortedNames(s.Counters) {
@@ -63,7 +46,7 @@ func (PrometheusExporter) Export(w io.Writer, s Snapshot) error {
 // WritePrometheus writes the registry's snapshot in the Prometheus text
 // format, for callers that want it without going through Handler.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return PrometheusExporter{}.Export(w, r.Snapshot())
+	return writePrometheus(w, r.Snapshot())
 }
 
 // promName maps a dotted catalog name onto the Prometheus name charset

@@ -141,10 +141,10 @@ func TestPrometheusExportDeterministic(t *testing.T) {
 	r := promRegistry(t)
 	s := r.Snapshot()
 	var a, b strings.Builder
-	if err := (PrometheusExporter{}).Export(&a, s); err != nil {
+	if err := writePrometheus(&a, s); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	if err := (PrometheusExporter{}).Export(&b, s); err != nil {
+	if err := writePrometheus(&b, s); err != nil {
 		t.Fatalf("export: %v", err)
 	}
 	if a.String() != b.String() {
@@ -241,18 +241,5 @@ func TestPrometheusViaServer(t *testing.T) {
 	samples, _ := parsePromText(t, string(body))
 	if samples["scan_domains_total"] != 42 {
 		t.Fatalf("scraped scan_domains_total = %v, want 42", samples["scan_domains_total"])
-	}
-}
-
-func TestRegisterExporterReplaces(t *testing.T) {
-	before := len(Exporters())
-	orig, ok := ExporterFor("prometheus")
-	if !ok {
-		t.Fatal("prometheus exporter not registered")
-	}
-	t.Cleanup(func() { RegisterExporter(orig) })
-	RegisterExporter(PrometheusExporter{})
-	if got := len(Exporters()); got != before {
-		t.Fatalf("re-registering same name grew the set: %d -> %d", before, got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net"
 	"net/netip"
@@ -607,6 +608,10 @@ func (c *Client) roundTripUDP(ctx context.Context, s *udpSock, now time.Time, wi
 	}
 }
 
+// exchangeTCP retries a truncated exchange over TCP (RFC 7766). Like
+// roundTripUDP it watches a context that can end through
+// context.AfterFunc, so a cancelled lookup returns context.Canceled when
+// it is cancelled, not at the deadline.
 func (c *Client) exchangeTCP(ctx context.Context, wire []byte, query *dnsmsg.Message) (*dnsmsg.Message, error) {
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "tcp", c.ServerAddr)
@@ -620,21 +625,24 @@ func (c *Client) exchangeTCP(ctx context.Context, wire []byte, query *dnsmsg.Mes
 		deadline = dl
 	}
 	conn.SetDeadline(deadline)
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })()
+	}
 	out := make([]byte, 2+len(wire))
 	out[0], out[1] = byte(len(wire)>>8), byte(len(wire))
 	copy(out[2:], wire)
 	if _, err := conn.Write(out); err != nil {
-		return nil, fmt.Errorf("resolver: tcp send: %w", err)
+		return nil, tcpErr(ctx, "send", err)
 	}
 	var lenBuf [2]byte
-	if err := readFull(conn, lenBuf[:]); err != nil {
-		return nil, tcpRecvErr(err)
+	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		return nil, tcpErr(ctx, "recv", err)
 	}
 	buf := replyBufs.Get().(*replyBuf)
 	defer replyBufs.Put(buf)
 	msg := buf[:int(lenBuf[0])<<8|int(lenBuf[1])]
-	if err := readFull(conn, msg); err != nil {
-		return nil, tcpRecvErr(err)
+	if _, err := io.ReadFull(conn, msg); err != nil {
+		return nil, tcpErr(ctx, "recv", err)
 	}
 	m, err := dnsmsg.Unpack(msg)
 	if err != nil {
@@ -646,24 +654,18 @@ func (c *Client) exchangeTCP(ctx context.Context, wire []byte, query *dnsmsg.Mes
 	return m, nil
 }
 
-func tcpRecvErr(err error) error {
+// tcpErr types a failed TCP send or receive: the context's error when
+// it was cancelled, ErrTimeout when the deadline (the context's too)
+// passed.
+func tcpErr(ctx context.Context, op string, err error) error {
 	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
+	switch {
+	case errors.Is(ctx.Err(), context.Canceled):
+		return ctx.Err()
+	case errors.As(err, &ne) && ne.Timeout():
 		return fmt.Errorf("%w: tcp", ErrTimeout)
 	}
-	return fmt.Errorf("resolver: tcp recv: %w", err)
-}
-
-func readFull(conn net.Conn, b []byte) error {
-	n := 0
-	for n < len(b) {
-		m, err := conn.Read(b[n:])
-		n += m
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return fmt.Errorf("resolver: tcp %s: %w", op, err)
 }
 
 // interpret maps a response message to (matched records, last CNAME target,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -94,6 +95,60 @@ func TestReplyMustMatchQuestion(t *testing.T) {
 // arrive on the connection, a reply to another question is a malformed
 // exchange.
 func TestTCPReplyMustMatchQuestion(t *testing.T) {
+	addr := truncatingServer(t, func(conn net.Conn) {
+		var hdr [2]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			return
+		}
+		pkt := make([]byte, int(hdr[0])<<8|int(hdr[1]))
+		if _, err := io.ReadFull(conn, pkt); err != nil {
+			return
+		}
+		if q, err := dnsmsg.Unpack(pkt); err == nil {
+			b := answer(t, q, "wrong", func(q *dnsmsg.Question) { q.Name = "other.test" })
+			conn.Write(append([]byte{byte(len(b) >> 8), byte(len(b))}, b...))
+		}
+	})
+	c := &Client{ServerAddr: addr, Timeout: 2 * time.Second}
+	if got, err := c.LookupTXT(context.Background(), "asked.test"); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("LookupTXT over TCP = %q, %v, want ErrBadMessage", got, err)
+	}
+}
+
+// TestCancelledTCPFallbackReturns: a lookup whose UDP answer is truncated
+// and whose TCP listener accepts and never replies returns
+// context.Canceled when it is cancelled, not at the 2 s Timeout; a
+// context that reaches its deadline still reads as ErrTimeout.
+func TestCancelledTCPFallbackReturns(t *testing.T) {
+	addr := truncatingServer(t, func(conn net.Conn) {
+		io.Copy(io.Discard, conn) // read the query, answer nothing
+	})
+	c := &Client{ServerAddr: addr, Timeout: 2 * time.Second}
+	const after = 50 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(after, cancel)
+	start := time.Now()
+	_, err := c.LookupTXT(ctx, "asked.test")
+	took := time.Since(start)
+	timer.Stop()
+	cancel()
+	if !errors.Is(err, context.Canceled) || took > after+500*time.Millisecond {
+		t.Errorf("cancelled after %v: err = %v after %v, want context.Canceled at once", after, err, took)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), after)
+	_, err = c.LookupTXT(ctx, "asked.test")
+	cancel()
+	if !errors.Is(err, ErrTimeout) {
+		t.Errorf("context deadline: err = %v, want ErrTimeout", err)
+	}
+}
+
+// truncatingServer answers every UDP query with an empty truncated reply,
+// so the client retries over TCP on the same loopback port, where serve
+// handles each connection. It returns the address and stops, with every
+// connection, when the test ends.
+func truncatingServer(t *testing.T, serve func(net.Conn)) string {
+	t.Helper()
 	srv := fakeUDP(t, func(conn *net.UDPConn, q *dnsmsg.Message, from *net.UDPAddr) {
 		tc := &dnsmsg.Message{Header: q.Header, Questions: q.Questions}
 		tc.Header.Response, tc.Header.Truncated = true, true
@@ -112,28 +167,21 @@ func TestTCPReplyMustMatchQuestion(t *testing.T) {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
-				return // closed below
+				return // closed at cleanup
 			}
-			var hdr [2]byte
-			if readFull(conn, hdr[:]) == nil {
-				pkt := make([]byte, int(hdr[0])<<8|int(hdr[1]))
-				if readFull(conn, pkt) == nil {
-					if q, err := dnsmsg.Unpack(pkt); err == nil {
-						b := answer(t, q, "wrong", func(q *dnsmsg.Question) { q.Name = "other.test" })
-						conn.Write(append([]byte{byte(len(b) >> 8), byte(len(b))}, b...))
-					}
-				}
-			}
-			conn.Close()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				serve(conn)
+			}()
 		}
 	}()
-	defer wg.Wait()
-	defer ln.Close()
-
-	c := &Client{ServerAddr: srv.LocalAddr().String(), Timeout: 2 * time.Second}
-	if got, err := c.LookupTXT(context.Background(), "asked.test"); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("LookupTXT over TCP = %q, %v, want ErrBadMessage", got, err)
-	}
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	return srv.LocalAddr().String()
 }
 
 // nxServer answers NXDOMAIN to everything and reports each query's

@@ -19,7 +19,8 @@ import (
 // does: for every MX shape the §4.1 prober meets, a RequireTLS Sender
 // delivers exactly when the prober reports TLS with an ok certificate,
 // a refusal carries the prober's verdict, and an opportunistic Sender
-// uses TLS exactly when the prober got it. Each role dials a fresh
+// uses TLS exactly when the prober got it and reports its certificate
+// verdict. Each role dials a fresh
 // server, so a greylist sees every role as a first-time client.
 func TestProberAndSenderAgree(t *testing.T) {
 	ca := newCA(t)
@@ -39,9 +40,6 @@ func TestProberAndSenderAgree(t *testing.T) {
 		start func(*testing.T) string
 		// delivers is whether the RequireTLS sender should deliver.
 		delivers bool
-		// handshakeCode, when set, is the RequireTLS sender's code in
-		// place of the prober's verdict.
-		handshakeCode errtax.Code
 		// refusesMail marks an MX that accepts no mail on a first
 		// connection, so no opportunistic delivery is compared.
 		refusesMail bool
@@ -56,10 +54,7 @@ func TestProberAndSenderAgree(t *testing.T) {
 			NotBefore: probeNow.Add(-48 * time.Hour), NotAfter: probeNow.Add(-24 * time.Hour)})})},
 		{name: "wrong-name certificate", start: mx(smtpd.Behavior{Certificate: issue(pki.IssueOptions{Names: []string{"other.example.net"}})})},
 		{name: "self-signed certificate", start: mx(smtpd.Behavior{Certificate: issue(pki.IssueOptions{Names: []string{host}, SelfSigned: true})})},
-		// Out of scope: no handshake completes, so the prober names the
-		// certificate no_certificate while the sender's code stays the
-		// handshake's, tls_handshake.
-		{name: "STARTTLS without certificate", start: mx(smtpd.Behavior{}), handshakeCode: errtax.CodeTLSHandshake},
+		{name: "STARTTLS without certificate", start: mx(smtpd.Behavior{})},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -84,9 +79,6 @@ func TestProberAndSenderAgree(t *testing.T) {
 			}
 			if err != nil && !tlsOK {
 				want := proberVerdict(probed)
-				if r.handshakeCode != "" {
-					want = r.handshakeCode
-				}
 				if code, _ := errtax.CodeOf(err); code != want {
 					t.Errorf("RequireTLS sender code = %q (err %v), want the prober's %q", code, err, want)
 				}
@@ -99,8 +91,9 @@ func TestProberAndSenderAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("opportunistic sender: %v", err)
 			}
-			if res.TLS != probed.TLSEstablished {
-				t.Errorf("opportunistic sender TLS = %v, prober TLSEstablished = %v", res.TLS, probed.TLSEstablished)
+			if res.TLS != probed.TLSEstablished || res.Problem != probed.CertProblem {
+				t.Errorf("opportunistic sender TLS = %v, certificate %v; prober TLSEstablished = %v, certificate %v",
+					res.TLS, res.Problem, probed.TLSEstablished, probed.CertProblem)
 			}
 		})
 	}

@@ -15,7 +15,8 @@ import (
 
 // Sender delivers mail over SMTP with STARTTLS. It is the delivery half of
 // the sender-MTA example; MTA-STS policy evaluation happens in
-// mtasts.Validator before Deliver is called.
+// mtasts.Validator before Deliver is called, and the session's own
+// verdict on the MX certificate is the sender's only one.
 type Sender struct {
 	// HeloName is announced in EHLO/HELO.
 	HeloName string
@@ -64,6 +65,13 @@ type DeliveryResult struct {
 	TLS bool
 	// CertVerified is true when the server certificate validated for Host.
 	CertVerified bool
+	// Problem is the session's PKIX verdict on the MX certificate, the
+	// one the Prober gives the same server: ProblemNoCertificate when the
+	// STARTTLS handshake failed (also after the plaintext retry), and
+	// pki.OK when the certificate verified or no handshake was tried.
+	// With VerifyPeer set (DANE) the verifier's error is the verdict, and
+	// Problem marks only an empty chain.
+	Problem pki.Problem
 }
 
 // errHandshakeFailed marks a dead session after a failed STARTTLS
@@ -78,7 +86,8 @@ var errHandshakeFailed = errors.New("smtpclient: STARTTLS handshake failed")
 func (s *Sender) Deliver(ctx context.Context, mxHost, from string, to []string, data []byte) (DeliveryResult, error) {
 	res, err := s.attempt(ctx, mxHost, from, to, data, !s.DisableTLS)
 	if err != nil && errors.Is(err, errHandshakeFailed) && !s.RequireTLS {
-		return s.attempt(ctx, mxHost, from, to, data, false)
+		res, err = s.attempt(ctx, mxHost, from, to, data, false)
+		res.Problem = pki.ProblemNoCertificate
 	}
 	return res, err
 }
@@ -104,7 +113,6 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 		return res, err
 	}
 
-	problem := pki.ProblemNoCertificate
 	var verifyErr error
 	if tryTLS && sess.offersTLS() {
 		code, chain, err := sess.startTLS(ctx, mxHost)
@@ -117,22 +125,26 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 			}
 			// Opportunistic: carry on in plaintext on this session.
 		case err != nil:
+			// No certificate could be evaluated: the Prober's verdict for
+			// a failed handshake, no_certificate.
 			if s.RequireTLS {
 				return res, fmt.Errorf("%w: %w", ErrTLSRequired,
-					errtax.Wrap(errtax.LayerProbe, errtax.CodeTLSHandshake, false, err))
+					errtax.Wrap(errtax.LayerProbe, errtax.CodeNoCertificate, false, err))
 			}
 			// The session is unusable after a failed handshake; signal
 			// the caller to retry in plaintext.
 			return res, fmt.Errorf("%w: %v", errHandshakeFailed, err)
 		default:
 			res.TLS = true
-			if s.VerifyPeer == nil {
-				problem = pki.Validate(chain, mxHost, s.Roots, clock.From(ctx).Now())
-				res.CertVerified = problem.Valid()
-			} else if len(chain) > 0 {
+			switch {
+			case s.VerifyPeer == nil:
+				res.Problem = pki.Validate(chain, mxHost, s.Roots, clock.From(ctx).Now())
+			case len(chain) == 0:
+				res.Problem = pki.ProblemNoCertificate
+			default:
 				verifyErr = s.VerifyPeer(chain, mxHost)
-				res.CertVerified = verifyErr == nil
 			}
+			res.CertVerified = res.Problem.Valid() && verifyErr == nil
 			// RFC 3207: the client forgets the plaintext hello and repeats it.
 			if err := sess.hello(helo); err != nil {
 				return res, fmt.Errorf("%w: post-TLS hello: %v", errShortSession, err)
@@ -154,8 +166,8 @@ func (s *Sender) attempt(ctx context.Context, mxHost, from string, to []string, 
 			return res, fmt.Errorf("%w: %w", ErrTLSRequired, verifyErr)
 		}
 		return res, fmt.Errorf("%w: %w", ErrTLSRequired,
-			errtax.New(errtax.LayerProbe, problem.Code(), false,
-				fmt.Sprintf("certificate not verified: %s", problem)))
+			errtax.New(errtax.LayerProbe, res.Problem.Code(), false,
+				fmt.Sprintf("certificate not verified: %s", res.Problem)))
 	}
 
 	text := sess.text

@@ -183,17 +183,3 @@ func (p *Prober) probe(ctx context.Context, mxHost, addr string) ProbeResult {
 	sess.text.cmd("QUIT")
 	return res
 }
-
-// VerifyMX adapts Probe to the mtasts.MXVerifier interface: it returns the
-// PKIX problem for the host, with connection-level failures mapped to
-// ProblemNoCertificate (no TLS identity could be obtained).
-func (p *Prober) VerifyMX(ctx context.Context, mxHost string) (pki.Problem, error) {
-	res := p.Probe(ctx, mxHost)
-	if !res.Connected {
-		return pki.ProblemNoCertificate, res.Err
-	}
-	if !res.TLSEstablished {
-		return pki.ProblemNoCertificate, nil
-	}
-	return res.CertProblem, nil
-}

@@ -176,16 +176,6 @@ func TestProbeConnectionRefused(t *testing.T) {
 	}
 }
 
-func TestVerifyMXAdapter(t *testing.T) {
-	ca := newCA(t)
-	cert := certFor(t, ca, pki.IssueOptions{Names: []string{"mx.example.com"}, Now: probeNow})
-	_, p := startMX(t, ca, smtpd.Behavior{Hostname: "mx.example.com", Certificate: cert})
-	problem, err := p.VerifyMX(atProbeNow(), "mx.example.com")
-	if err != nil || problem != pki.OK {
-		t.Errorf("VerifyMX = %v, %v", problem, err)
-	}
-}
-
 func TestProbeDoesNotDeliverMail(t *testing.T) {
 	ca := newCA(t)
 	cert := certFor(t, ca, pki.IssueOptions{Names: []string{"mx.example.com"}, Now: probeNow})

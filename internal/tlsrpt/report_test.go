@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/netsecurelab/mtasts/internal/errtax"
 )
 
 func window() (time.Time, time.Time) {
@@ -156,5 +158,28 @@ func TestReportGolden(t *testing.T) {
 	summary := p0["summary"].(map[string]interface{})
 	if summary["total-successful-session-count"].(float64) != 5326 {
 		t.Errorf("summary = %v", summary)
+	}
+}
+
+// TestErrtaxResultColumn holds errtax's TLSRPT column, the sender's one
+// table of result types, to the RFC 8460 §4.3 vocabulary defined here:
+// every non-empty cell, and the general failure TLSRPTResult answers
+// for a code without one, is one of the ten ResultType constants.
+func TestErrtaxResultColumn(t *testing.T) {
+	known := map[ResultType]bool{}
+	for _, r := range []ResultType{
+		ResultSTARTTLSNotSupported, ResultCertificateExpired, ResultCertificateNotTrusted,
+		ResultCertificateHostMismatch, ResultValidationFailure, ResultSTSPolicyFetchError,
+		ResultSTSPolicyInvalid, ResultSTSWebPKIInvalid, ResultTLSAInvalid, ResultDNSSECInvalid,
+	} {
+		known[r] = true
+	}
+	for _, in := range errtax.Registry() {
+		if in.TLSRPT != "" && !known[ResultType(in.TLSRPT)] {
+			t.Errorf("code %q: TLSRPT column %q is not an RFC 8460 result type", in.Code, in.TLSRPT)
+		}
+	}
+	if got := ResultType(errtax.TLSRPTResult("")); got != ResultValidationFailure {
+		t.Errorf("TLSRPTResult of no code = %q, want %q", got, ResultValidationFailure)
 	}
 }

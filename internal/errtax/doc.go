@@ -7,6 +7,8 @@
 // mtasts record/policy/fetch, smtpclient, dane) attach codes by
 // returning *Error values; consuming layers (retry, scanner, report,
 // obs) key off the code instead of matching error strings or booleans.
+// The sending MTA (internal/mta) reads its RFC 8460 TLSRPT result types
+// from the registry too (Info.TLSRPT, TLSRPTResult).
 //
 // Two invariants matter to the rest of the module:
 //

@@ -45,8 +45,6 @@ func main() {
 	workers := flag.Int("workers", 16, "workers per scan stage (DNS, policy fetch, MX probe)")
 	stageWorkersSpec := flag.String("stage-workers", "",
 		"per-stage pool sizes (\"dns=16,fetch=8,probe=32\"; \"\" or \"auto\" sizes every stage from -workers)")
-	dedup := flag.Bool("dedup", false,
-		"collapse duplicate in-flight policy fetches and MX probes and share results across domains")
 	rate := flag.Float64("rate", 100, "DNS queries per second (0 = unlimited)")
 	httpsPort := flag.Int("https-port", 443, "policy server HTTPS port")
 	smtpPort := flag.Int("smtp-port", 25, "MX SMTP port")
@@ -103,7 +101,7 @@ func main() {
 		os.Exit(1)
 	}
 	runner, err := scansvc.RunnerSpec{
-		Workers: *workers, StageWorkers: *stageWorkersSpec, Dedup: *dedup, RetryBudget: *retryBudget,
+		Workers: *workers, StageWorkers: *stageWorkersSpec, RetryBudget: *retryBudget,
 	}.Build(live, tel.Obs, tel.Events)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -151,8 +151,9 @@ func run() int {
 	defer cancel()
 
 	// Proactive refresh (RFC 8461 §3.3): revalidate soon-to-expire cached
-	// policies in place before sending. Long-running deployments run
-	// Outbound.RunRefreshLoop instead; a one-shot CLI gets one pass.
+	// policies in place before sending. Long-running deployments call
+	// Outbound.RefreshPolicies(ctx, window) from their own scheduler; a
+	// one-shot CLI gets one pass.
 	if *refreshInterval > 0 {
 		refreshed := outbound.RefreshPolicies(ctx, 2**refreshInterval)
 		failures := reg.Counter("mta.refresh.failures").Value()

@@ -21,7 +21,7 @@
 //	mtasts-serve -store-dir jobs/ [-addr 127.0.0.1:8080]
 //	             [-seed 1] [-scale 0.05] | [-dns 127.0.0.1:5353 [-rate 100]
 //	             [-ca ca.pem] [-retries 3] [-retry-base 100ms] [-retry-budget 10000]]
-//	             [-workers 16] [-stage-workers auto] [-dedup]
+//	             [-workers 16] [-stage-workers auto]
 //	             [-shard-size 1024] [-max-jobs 2] [-max-queue 1024]
 //	             [-tenant-rate 0] [-tenant-burst 0] [-events-out svc.jsonl]
 //
@@ -72,8 +72,6 @@ func run(args []string) int {
 	workers := fs.Int("workers", 16, "workers per scan stage (DNS, policy fetch, MX probe) per job")
 	stageWorkersSpec := fs.String("stage-workers", "",
 		"per-stage pool sizes (\"dns=16,fetch=8,probe=32\"; \"\" or \"auto\" sizes every stage from -workers)")
-	dedup := fs.Bool("dedup", false,
-		"collapse duplicate in-flight policy fetches and MX probes")
 	shardSize := fs.Int("shard-size", campaign.DefaultShardSize, "domains per checkpointed shard")
 	maxJobs := fs.Int("max-jobs", 2, "jobs scanning concurrently")
 	maxQueue := fs.Int("max-queue", 1024, "dispatch queue capacity (submissions beyond it get 503)")
@@ -134,7 +132,7 @@ func run(args []string) int {
 	svc := &scansvc.Service{
 		Store:         st,
 		Scan:          scan,
-		Runner:        scansvc.RunnerSpec{Workers: *workers, StageWorkers: *stageWorkersSpec, Dedup: *dedup, RetryBudget: *retryBudget},
+		Runner:        scansvc.RunnerSpec{Workers: *workers, StageWorkers: *stageWorkersSpec, RetryBudget: *retryBudget},
 		Obs:           tel.Obs,
 		Events:        tel.Events,
 		MaxConcurrent: *maxJobs,

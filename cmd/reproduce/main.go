@@ -70,7 +70,6 @@ func main() {
 	faultLatencyRate := flag.Float64("fault-latency-rate", 0.20, "robustness: injected latency rate")
 	stageWorkersSpec := flag.String("stage-workers", "",
 		"robustness: stage pool sizes of the concurrent run (\"dns=4,fetch=2,probe=8\"; \"\" or \"auto\" = 4 per stage)")
-	dedup := flag.Bool("dedup", false, "robustness: enable singleflight dedup in the concurrent run")
 	weeks := flag.Int("weeks", 6, "longitudinal: consecutive weekly sweeps to run")
 	shardSize := flag.Int("shard-size", 256, "longitudinal: domains per campaign shard")
 	campaignDir := flag.String("campaign-dir", "",
@@ -115,7 +114,6 @@ func main() {
 			MaxAttempts:  *retries,
 			Obs:          reg,
 			StageWorkers: sw,
-			Dedup:        *dedup,
 			Plan: faults.Plan{
 				Seed:        fseed,
 				DNSLoss:     *faultDNSLoss,

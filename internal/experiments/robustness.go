@@ -64,8 +64,6 @@ type RobustnessConfig struct {
 	Obs *obs.Registry
 	// StageWorkers sizes the staged run's pools (default 4 per stage).
 	StageWorkers scanner.StageWorkers
-	// Dedup enables result sharing in the staged run.
-	Dedup bool
 }
 
 func (c RobustnessConfig) withDefaults() RobustnessConfig {
@@ -283,7 +281,7 @@ func (w *robustnessWorld) scan(inj *faults.Injector, maxAttempts int, cfg Robust
 	if staged {
 		runner := &scanner.Runner{
 			Workers: 4, Scan: live, Obs: cfg.Obs,
-			StageWorkers: cfg.StageWorkers, Dedup: cfg.Dedup,
+			StageWorkers: cfg.StageWorkers,
 		}
 		return runner.Run(context.Background(), w.domains)
 	}

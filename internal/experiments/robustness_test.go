@@ -68,12 +68,13 @@ func TestRobustnessRetriesAbsorbSeededFaults(t *testing.T) {
 // The concurrent scanner.Runner must absorb the same seeded faults the
 // sequential ScanDomain loop does: with MaxAttempts strictly above the
 // plan's MaxConsecutive, recovery is guaranteed regardless of stage
-// interleaving, so with dedup off and on every domain must come back
-// with the ClassificationKey the sequential loop produced — and that
-// verdict must be the fully healthy one. Retry counts are not compared:
-// the Runner is concurrent, so its retry trace is interleaving-sensitive
-// (ClassificationKey deliberately excludes it).
-func TestRobustnessPipelinedMatchesFlat(t *testing.T) {
+// interleaving, so every domain must come back with the
+// ClassificationKey the sequential loop produced — and that verdict
+// must be the fully healthy one. Retry counts are not compared: the
+// Runner is concurrent and probes each MX host once, so its retry trace
+// is interleaving-sensitive (ClassificationKey deliberately excludes
+// it).
+func TestRobustnessPipelinedMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-substrate fault-injection run")
 	}
@@ -97,28 +98,24 @@ func TestRobustnessPipelinedMatchesFlat(t *testing.T) {
 		want[r.Domain] = r.ClassificationKey()
 	}
 
-	for _, dedup := range []bool{false, true} {
-		cfg.Dedup = dedup
-		results := w.scan(faults.NewInjector(cfg.Plan), cfg.MaxAttempts, cfg, true)
-		if len(results) != cfg.Domains {
-			t.Fatalf("dedup=%v: %d results for a fleet of %d", dedup, len(results), cfg.Domains)
+	results := w.scan(faults.NewInjector(cfg.Plan), cfg.MaxAttempts, cfg, true)
+	if len(results) != cfg.Domains {
+		t.Fatalf("%d results for a fleet of %d", len(results), cfg.Domains)
+	}
+	var retries, recovered int64
+	for i := range results {
+		r := &results[i]
+		if got := r.ClassificationKey(); got != want[r.Domain] {
+			t.Errorf("%s diverged:\n  sequential: %s\n  runner:     %s", r.Domain, want[r.Domain], got)
 		}
-		var retries, recovered int64
-		for i := range results {
-			r := &results[i]
-			if got := r.ClassificationKey(); got != want[r.Domain] {
-				t.Errorf("dedup=%v: %s diverged:\n  sequential: %s\n  runner:     %s",
-					dedup, r.Domain, want[r.Domain], got)
-			}
-			retries += r.Retries
-			recovered += r.RetryRecovered
-		}
-		if retries == 0 {
-			t.Errorf("dedup=%v: no retries recorded — the fault plan injected nothing", dedup)
-		}
-		if recovered == 0 {
-			t.Errorf("dedup=%v: no operations recovered — faults were never absorbed", dedup)
-		}
+		retries += r.Retries
+		recovered += r.RetryRecovered
+	}
+	if retries == 0 {
+		t.Error("no retries recorded — the fault plan injected nothing")
+	}
+	if recovered == 0 {
+		t.Error("no operations recovered — faults were never absorbed")
 	}
 }
 

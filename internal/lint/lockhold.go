@@ -9,11 +9,13 @@ import (
 // LockHold reports potentially blocking operations executed while a
 // sync.Mutex / sync.RWMutex is held in the same function: channel sends
 // and receives, blocking selects, time.Sleep and internal/clock Sleep,
-// WaitGroup/Cond waits, singleflight joins (sf.Group.Do / sf.Cache.Do),
-// internal/store I/O, and stdlib network I/O. A goroutine that blocks under a lock extends
-// the critical section to the duration of the blocked operation — at
-// scan concurrency that turns one slow fetch into a stalled worker
-// pool, and a channel wait under a lock its peer needs is a deadlock.
+// WaitGroup/Cond waits, singleflight joins (sf.Group.Do, and
+// sf.Cache.Do, which waits on the sync.Once of a key another caller is
+// computing), internal/store I/O, and stdlib network I/O. A goroutine
+// that blocks under a lock extends the critical section to the
+// duration of the blocked operation — at scan concurrency that turns
+// one slow fetch into a stalled worker pool, and a channel wait under a
+// lock its peer needs is a deadlock.
 // Same-package helpers are followed transitively, so a Locked-suffixed
 // helper that hides a store write is still caught at the locked call
 // site.

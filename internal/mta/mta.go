@@ -308,7 +308,10 @@ func violation(ev mtasts.Evaluation, res smtpclient.DeliveryResult) errtax.Code 
 
 // deliverDANE delivers with the certificate verified against TLSA
 // records. Its TLSRPT rows carry the recipient domain, which a shared
-// provider MX's name does not reveal.
+// provider MX's name does not reveal. A transient failure (greylisting,
+// a dial failure, a timeout) reached no DANE verdict: it is a plain
+// delivery error with no TLSRPT entry, so Send tries the next MX as it
+// does on the MTA-STS path.
 func (o *Outbound) deliverDANE(ctx context.Context, domain, mxHost, from string, to []string, data []byte, records []dane.Record) (Outcome, error) {
 	sender := o.sender(mxHost)
 	sender.RequireTLS = true
@@ -316,6 +319,9 @@ func (o *Outbound) deliverDANE(ctx context.Context, domain, mxHost, from string,
 		return dane.Verify(records, chain)
 	}
 	res, err := sender.Deliver(ctx, mxHost, from, to, data)
+	if errtax.Transient(err) {
+		return Outcome{}, err
+	}
 	if err != nil {
 		code, _ := errtax.CodeOf(err)
 		o.recordFailure(tlsrpt.PolicyTypeTLSA, domain, mxHost, code)
@@ -432,19 +438,4 @@ func (o *Outbound) RefreshPolicies(ctx context.Context, window time.Duration) in
 		n++
 	}
 	return n
-}
-
-// RunRefreshLoop calls RefreshPolicies every interval until ctx is done —
-// the background refresher a production MTA runs.
-func (o *Outbound) RunRefreshLoop(ctx context.Context, interval, window time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			o.RefreshPolicies(ctx, window)
-		}
-	}
 }

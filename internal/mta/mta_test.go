@@ -206,6 +206,36 @@ func TestSendDANEReportsRecipientDomain(t *testing.T) {
 	}
 }
 
+// TestSendDANEGreylistedIsNotRefusal: a greylisting DANE MX never
+// reached a DANE verdict, so the failure is a retryable delivery error
+// (ErrAllMXFailed, not ErrPolicyRefused) and files no TLSRPT entry.
+func TestSendDANEGreylistedIsNotRefusal(t *testing.T) {
+	n := startNet(t)
+	const mxHost = "mx.grey.test"
+	cert := n.Cert(pki.IssueOptions{Names: []string{mxHost}})
+	srv, err := n.AddMX(smtpd.Behavior{Certificate: cert, AcceptMail: true, Greylist: true}, mxHost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Zone(mxHost).MustAdd(dane.NewEE3(cert.Leaf).RR(mxHost, 300))
+	addDomain(n, "grey.test", []string{mxHost}, enforce(mxHost))
+
+	o := outbound(n, true)
+	start := time.Now()
+	o.Report = tlsrpt.NewReport("Lab", "mailto:r@lab.test", "rid", start, start.Add(24*time.Hour))
+	_, err = o.Send(context.Background(), "a@s.lab", []string{"b@grey.test"}, []byte("x\n"))
+	if !errors.Is(err, ErrAllMXFailed) || errors.Is(err, ErrPolicyRefused) {
+		t.Fatalf("err = %v, want ErrAllMXFailed and not ErrPolicyRefused", err)
+	}
+	if len(srv.Messages()) != 0 {
+		t.Error("greylisted MX accepted the message")
+	}
+	if len(o.Report.Policies) != 0 {
+		t.Errorf("report holds %d policy rows for a greylisted session, want none: %+v",
+			len(o.Report.Policies), o.Report.Policies)
+	}
+}
+
 func TestSendMTASTSEnforceMismatchRefuses(t *testing.T) {
 	n := startNet(t)
 	srv := addMX(t, n, "mx.delta.test", false)

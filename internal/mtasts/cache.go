@@ -29,12 +29,12 @@ type CachedPolicy struct {
 func (c CachedPolicy) Fresh(t time.Time) bool { return t.Before(c.Expires) }
 
 // DefaultStaleWindow bounds how long an expired entry is retained after
-// max_age elapses. Retention exists so the background refresher can still
-// find an entry that expired between its ticks, and so a sender can keep
-// enforcing an old policy when the refetch fails (RFC 8461 §5.1 warns
-// that losing the cached policy reopens the TLS-fallback downgrade
-// window). Expired entries are never served as fresh — only GetStale
-// returns them, and only inside this window.
+// max_age elapses. Retention exists so a periodic RefreshPolicies pass
+// can still find an entry that expired between its runs, and so a
+// sender can keep enforcing an old policy when the refetch fails (RFC
+// 8461 §5.1 warns that losing the cached policy reopens the
+// TLS-fallback downgrade window). Expired entries are never served as
+// fresh — only GetStale returns them, and only inside this window.
 const DefaultStaleWindow = 24 * time.Hour
 
 // DefaultCacheMax bounds the number of cached policy domains when

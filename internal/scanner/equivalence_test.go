@@ -12,10 +12,10 @@ import (
 // TestLiveOfflineEquivalence pins the central substitution claim of the
 // reproduction over the whole defect table (the kinds bench/world.go
 // generates) and over co-occurring defects: for every row, scanning real
-// sockets (Live, one domain at a time and through the Runner with dedup
-// off and on) and evaluating materialized artifacts (ScanArtifacts)
-// produce the same ClassificationKey. Each
-// case is ONE Artifacts value, served on the loopback Internet by serve
+// sockets (Live, one domain at a time and through the Runner, which
+// probes the shared MX once) and evaluating materialized artifacts
+// (ScanArtifacts) produce the same ClassificationKey. Each case is ONE
+// Artifacts value, served on the loopback Internet by serve
 // and handed as is to ScanArtifacts; all domains live in one world, on
 // one SMTP port, and two of them share an MX host.
 func TestLiveOfflineEquivalence(t *testing.T) {
@@ -136,12 +136,9 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 		}
 		serve(t, n, arts[i])
 	}
-	staged := map[bool]map[string]DomainResult{}
-	for _, dedup := range []bool{false, true} {
-		staged[dedup] = make(map[string]DomainResult, len(cases))
-		for _, r := range (&Runner{Workers: 4, Scan: live, Dedup: dedup}).Run(context.Background(), domains) {
-			staged[dedup][r.Domain] = r
-		}
+	staged := make(map[string]DomainResult, len(cases))
+	for _, r := range (&Runner{Workers: 4, Scan: live}).Run(context.Background(), domains) {
+		staged[r.Domain] = r
 	}
 
 	for i, c := range cases {
@@ -158,11 +155,9 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 			if got := sequential.ClassificationKey(); got != want {
 				t.Errorf("Live.ScanDomain ≠ ScanArtifacts\n live:    %s\n offline: %s", got, want)
 			}
-			for dedup, results := range staged {
-				r := results[domains[i]]
-				if got := r.ClassificationKey(); got != want {
-					t.Errorf("Runner.Run (dedup %v) ≠ ScanArtifacts\n live:    %s\n offline: %s", dedup, got, want)
-				}
+			r := staged[domains[i]]
+			if got := r.ClassificationKey(); got != want {
+				t.Errorf("Runner.Run ≠ ScanArtifacts\n live:    %s\n offline: %s", got, want)
 			}
 		})
 	}

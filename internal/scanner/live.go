@@ -23,8 +23,9 @@ import (
 // servers it exercises the exact sockets and state machines a real scan
 // would. Live is its clients: each is configured once (trust store,
 // port, timeout, retries) and serves every domain, which is what lets
-// the fetcher's TLS sessions resume and the pipeline's dedup layer share
-// outcomes. scansvc.LiveSpec.Build assembles the production stack.
+// the fetcher's TLS sessions resume and the Runner share one probe per
+// MX host across domains. scansvc.LiveSpec.Build assembles the
+// production stack.
 type Live struct {
 	// DNS answers every record lookup and resolves each MX host.
 	DNS *resolver.Client

@@ -15,6 +15,7 @@ import (
 	"github.com/netsecurelab/mtasts/internal/obs"
 	"github.com/netsecurelab/mtasts/internal/pki"
 	"github.com/netsecurelab/mtasts/internal/retry"
+	"github.com/netsecurelab/mtasts/internal/sf"
 )
 
 // The Runner schedules a scan as three stage pools — DNS discovery,
@@ -23,14 +24,13 @@ import (
 // independently and a slow MX cannot stall DNS discovery for the rest
 // of the run. The paper's apparatus (§3) relies on exactly this shape:
 // recipient-side probing is embarrassingly parallel per stage and
-// massively redundant across domains, so stages parallelize and the
-// dedup layer (dedup.go) collapses the redundancy. docs/PIPELINE.md has
-// the full picture.
+// massively redundant across domains, so stages parallelize and each
+// MX host is probed once per Run however many domains list it.
+// docs/PIPELINE.md has the full picture.
 
 // FetchOutcome is the policy-retrieval stage's verdict for one domain,
 // carried between pipeline stages and folded into the DomainResult by
-// applyFetch. It is self-contained so a dedup cache can replay it for
-// another waiter without rerunning the fetch.
+// applyFetch.
 type FetchOutcome struct {
 	// OK is true when a valid policy was fetched and parsed.
 	OK bool
@@ -63,9 +63,8 @@ type ProbeOutcome struct {
 // (scanStages, then Finalize), which the Runner reproduces with each
 // stage on its own pool.
 //
-// FetchPolicy and ProbeHost take only scan-global state plus their key
-// (domain / MX host) so the dedup layer can safely share their results
-// across domains.
+// ProbeHost takes only scan-global state plus the MX host name, so the
+// Runner can share its outcome across every domain that lists the host.
 type StageScanner interface {
 	Scanner
 
@@ -336,14 +335,16 @@ func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
 	scanHist := r.Obs.Histogram("scanner.domain_scan.seconds", nil)
 	runSpan := r.Obs.StartSpan("scan.run")
 	r.Events.Emit("scan.run.start", map[string]any{
-		"domains": len(domains), "workers": sw.Total(), "dedup": r.Dedup,
+		"domains": len(domains), "workers": sw.Total(),
 		"stage_workers": map[string]any{"dns": sw.DNS, "fetch": sw.Fetch, "probe": sw.Probe},
 	})
 
-	var dd *dedup
-	if r.Dedup {
-		dd = &dedup{}
-	}
+	// Scan-scoped probe sharing: one outcome per MX host name for the
+	// whole Run, so a result is never older than the Run's own snapshot.
+	// Hosting is concentrated (§5 of the paper), so the memo is sized for
+	// one distinct host per two domains and a typical run's map never
+	// grows.
+	probes := sf.Cache[ProbeOutcome]{SizeHint: len(domains) / 2}
 
 	dnsObs := newStageObs(r.Obs, "dns", sw.DNS)
 	fetchObs := newStageObs(r.Obs, "fetch", sw.Fetch)
@@ -395,26 +396,14 @@ func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
 		return true
 	})
 	runStage(sw.Fetch, fetchObs, fetchQ, probeQ, probeObs.depth, func(job *pipeJob) bool {
-		if dd != nil {
-			out, _ := dd.fetch.Do(job.domain, func() FetchOutcome {
-				return scan.FetchPolicy(job.ctx, job.domain)
-			})
-			applyFetch(job.res, out)
-		} else {
-			applyFetch(job.res, scan.FetchPolicy(job.ctx, job.domain))
-		}
+		applyFetch(job.res, scan.FetchPolicy(job.ctx, job.domain))
 		return true
 	})
 	runStage(sw.Probe, probeObs, probeQ, outQ, nil, func(job *pipeJob) bool {
 		for _, mx := range job.res.MXHosts {
-			var out ProbeOutcome
-			if dd != nil {
-				out, _ = dd.probe.Do(mx, func() ProbeOutcome {
-					return scan.ProbeHost(job.ctx, mx)
-				})
-			} else {
-				out = scan.ProbeHost(job.ctx, mx)
-			}
+			out, _ := probes.Do(mx, func() ProbeOutcome {
+				return scan.ProbeHost(job.ctx, mx)
+			})
 			applyProbe(job.res, mx, out)
 		}
 		return true
@@ -438,11 +427,9 @@ func (r *Runner) Run(ctx context.Context, domains []string) []DomainResult {
 		scans.Inc()
 	}
 
-	if dd != nil {
-		fs, ps := dd.fetch.Stats(), dd.probe.Stats()
-		r.Obs.Counter("scanner.dedup.hits").Add(fs.Hits + ps.Hits)
-		r.Obs.Counter("scanner.dedup.misses").Add(fs.Misses + ps.Misses)
-	}
+	ps := probes.Stats()
+	r.Obs.Counter("scanner.dedup.hits").Add(ps.Hits)
+	r.Obs.Counter("scanner.dedup.misses").Add(ps.Misses)
 	runSpan.End()
 	r.Events.Emit("scan.run.end", map[string]any{
 		"domains": len(domains), "completed": len(results) - canceled, "canceled": canceled,

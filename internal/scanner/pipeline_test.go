@@ -3,6 +3,7 @@ package scanner
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,45 +93,55 @@ func classificationsByDomain(t *testing.T, results []DomainResult) map[string]st
 	return m
 }
 
-// TestPipelinedMatchesFlatOnArtifacts is the scheduler's unit-level
-// equivalence check against the sequential ScanDomain loop over every
-// artifact failure mode, with and without dedup (the full-dataset
-// version lives in pipeline_equivalence_test.go).
-func TestPipelinedMatchesFlatOnArtifacts(t *testing.T) {
+// TestPipelinedMatchesSequentialOnArtifacts is the scheduler's
+// unit-level equivalence check against the sequential ScanDomain loop
+// over every artifact failure mode (the full-dataset version lives in
+// pipeline_equivalence_test.go).
+func TestPipelinedMatchesSequentialOnArtifacts(t *testing.T) {
 	arts := pipelineArtifacts(64, 6)
 	domains := domainsOf(arts)
 	scan := NewArtifactScanner(arts, scanNow, 0)
 	want := classificationsByDomain(t, sequential(scan, domains))
 
-	for _, dedup := range []bool{false, true} {
-		runner := &Runner{
-			Workers:      3,
-			Scan:         scan,
-			StageWorkers: StageWorkers{DNS: 4, Fetch: 2, Probe: 6},
-			Dedup:        dedup,
-		}
-		results := runner.Run(context.Background(), domains)
-		if len(results) != len(domains) {
-			t.Fatalf("dedup=%v: %d results for %d domains", dedup, len(results), len(domains))
-		}
-		got := classificationsByDomain(t, results)
-		for _, d := range domains {
-			if got[d] != want[d] {
-				t.Errorf("dedup=%v: %s classification diverged:\n  sequential: %s\n  runner:     %s",
-					dedup, d, want[d], got[d])
-			}
+	runner := &Runner{
+		Workers:      3,
+		Scan:         scan,
+		StageWorkers: StageWorkers{DNS: 4, Fetch: 2, Probe: 6},
+	}
+	results := runner.Run(context.Background(), domains)
+	if len(results) != len(domains) {
+		t.Fatalf("%d results for %d domains", len(results), len(domains))
+	}
+	got := classificationsByDomain(t, results)
+	for _, d := range domains {
+		if got[d] != want[d] {
+			t.Errorf("%s classification diverged:\n  sequential: %s\n  runner:     %s", d, want[d], got[d])
 		}
 	}
 }
 
-// TestPipelineDedupCountersExact is the -race stress test with an
-// analytically known dedup outcome: 40 record-bearing domains, each
-// listing 2 MX hosts from an 8-host pool, give exactly 40 fetch leaders
-// (unique domains, 0 hits) and 8 probe leaders out of 80 probe calls
-// (72 hits) — scanner.dedup.misses = 48, scanner.dedup.hits = 72, with
-// no lost or duplicated DomainResult and classifications equal to the
-// sequential ScanDomain loop's.
-func TestPipelineDedupCountersExact(t *testing.T) {
+// countingScanner counts ProbeHost calls per MX host.
+type countingScanner struct {
+	*ArtifactScanner
+	mu     sync.Mutex
+	probes map[string]int
+}
+
+func (s *countingScanner) ProbeHost(ctx context.Context, mxHost string) ProbeOutcome {
+	s.mu.Lock()
+	s.probes[mxHost]++
+	s.mu.Unlock()
+	return s.ArtifactScanner.ProbeHost(ctx, mxHost)
+}
+
+// TestPipelineSharedProbesExact is the -race stress test with an
+// analytically known sharing outcome: 40 record-bearing domains, each
+// listing 2 MX hosts from an 8-host pool, give exactly 8 probes out of
+// 80 probe calls — scanner.dedup.misses = 8, scanner.dedup.hits = 72 —
+// with ProbeHost run once per host in each Run and again in the next
+// Run, no lost or duplicated DomainResult, and classifications equal to
+// the sequential ScanDomain loop's.
+func TestPipelineSharedProbesExact(t *testing.T) {
 	const nDomains, poolSize = 40, 8
 	pool := make([]string, poolSize)
 	for i := range pool {
@@ -158,56 +169,67 @@ func TestPipelineDedupCountersExact(t *testing.T) {
 		})
 	}
 	domains := domainsOf(arts)
-	scan := NewArtifactScanner(arts, scanNow, 10*time.Microsecond)
-	want := classificationsByDomain(t, sequential(scan, domains))
+	scan := &countingScanner{
+		ArtifactScanner: NewArtifactScanner(arts, scanNow, 10*time.Microsecond),
+		probes:          make(map[string]int),
+	}
+	want := classificationsByDomain(t, sequential(scan.ArtifactScanner, domains))
 
-	reg := obs.NewRegistry()
 	runner := &Runner{
 		Workers:      4,
 		Scan:         scan,
-		Obs:          reg,
 		StageWorkers: StageWorkers{DNS: 4, Fetch: 4, Probe: 4},
-		Dedup:        true,
 	}
-	results := runner.Run(context.Background(), domains)
-
-	if len(results) != nDomains {
-		t.Fatalf("%d results for %d domains", len(results), nDomains)
-	}
-	got := classificationsByDomain(t, results) // also fails on duplicates
-	for _, d := range domains {
-		if got[d] != want[d] {
-			t.Errorf("%s diverged:\n  sequential: %s\n  runner:     %s", d, want[d], got[d])
+	for run := 1; run <= 2; run++ {
+		reg := obs.NewRegistry()
+		runner.Obs = reg
+		results := runner.Run(context.Background(), domains)
+		if len(results) != nDomains {
+			t.Fatalf("run %d: %d results for %d domains", run, len(results), nDomains)
 		}
-	}
-
-	snap := reg.Snapshot()
-	const wantMisses = nDomains + poolSize // 40 fetch + 8 probe leaders
-	const wantHits = 2*nDomains - poolSize // 80 probe calls - 8 leaders
-	if c := snap.Counters["scanner.dedup.misses"]; c != wantMisses {
-		t.Errorf("scanner.dedup.misses = %d, want %d", c, wantMisses)
-	}
-	if c := snap.Counters["scanner.dedup.hits"]; c != wantHits {
-		t.Errorf("scanner.dedup.hits = %d, want %d", c, wantHits)
-	}
-	if c := snap.Counters["scanner.scans.total"]; c != nDomains {
-		t.Errorf("scanner.scans.total = %d, want %d", c, nDomains)
-	}
-
-	// The stage pools must have drained and every record-bearing domain
-	// passed through every stage exactly once.
-	assertStagesDrained(t, reg)
-	for _, stage := range []string{"dns", "fetch", "probe"} {
-		if v := snap.Gauges["scanner.stage."+stage+".workers"]; v != 4 {
-			t.Errorf("stage %s workers gauge = %d, want 4", stage, v)
+		got := classificationsByDomain(t, results) // also fails on duplicates
+		for _, d := range domains {
+			if got[d] != want[d] {
+				t.Errorf("run %d: %s diverged:\n  sequential: %s\n  runner:     %s", run, d, want[d], got[d])
+			}
 		}
-		if h := snap.Histograms["scanner.stage."+stage+".latency.seconds"]; h.Count != nDomains {
-			t.Errorf("stage %s latency count = %d, want %d", stage, h.Count, nDomains)
+		if len(scan.probes) != poolSize {
+			t.Errorf("run %d: ProbeHost saw %d hosts, want %d", run, len(scan.probes), poolSize)
 		}
-	}
-	prog := reg.Progress("scan").Snapshot()
-	if prog.Total != nDomains || prog.Done != nDomains || prog.InFlight != 0 {
-		t.Errorf("progress did not reconcile: %+v", prog)
+		for mx, calls := range scan.probes {
+			if calls != run {
+				t.Errorf("after run %d: ProbeHost(%s) ran %d times, want %d", run, mx, calls, run)
+			}
+		}
+
+		snap := reg.Snapshot()
+		const wantMisses = poolSize            // one probe per pool host
+		const wantHits = 2*nDomains - poolSize // 80 probe calls - 8 probes
+		if c := snap.Counters["scanner.dedup.misses"]; c != wantMisses {
+			t.Errorf("run %d: scanner.dedup.misses = %d, want %d", run, c, wantMisses)
+		}
+		if c := snap.Counters["scanner.dedup.hits"]; c != wantHits {
+			t.Errorf("run %d: scanner.dedup.hits = %d, want %d", run, c, wantHits)
+		}
+		if c := snap.Counters["scanner.scans.total"]; c != nDomains {
+			t.Errorf("run %d: scanner.scans.total = %d, want %d", run, c, nDomains)
+		}
+
+		// The stage pools must have drained and every record-bearing
+		// domain passed through every stage exactly once.
+		assertStagesDrained(t, reg)
+		for _, stage := range []string{"dns", "fetch", "probe"} {
+			if v := snap.Gauges["scanner.stage."+stage+".workers"]; v != 4 {
+				t.Errorf("run %d: stage %s workers gauge = %d, want 4", run, stage, v)
+			}
+			if h := snap.Histograms["scanner.stage."+stage+".latency.seconds"]; h.Count != nDomains {
+				t.Errorf("run %d: stage %s latency count = %d, want %d", run, stage, h.Count, nDomains)
+			}
+		}
+		prog := reg.Progress("scan").Snapshot()
+		if prog.Total != nDomains || prog.Done != nDomains || prog.InFlight != 0 {
+			t.Errorf("run %d: progress did not reconcile: %+v", run, prog)
+		}
 	}
 }
 
@@ -227,7 +249,7 @@ func TestPipelinedCancellationReconciles(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	runner := &Runner{Workers: 2, Scan: scan, Obs: reg, Dedup: true}
+	runner := &Runner{Workers: 2, Scan: scan, Obs: reg}
 	results := runner.Run(ctx, domains)
 
 	if len(results) != len(domains) {

@@ -40,11 +40,6 @@ type Runner struct {
 	// StageWorkers sizes the per-stage pools; unset stages default to
 	// Workers.
 	StageWorkers StageWorkers
-	// Dedup collapses duplicate in-flight policy fetches and MX probes
-	// and shares their results across domains for the duration of the
-	// run (scanner.dedup.hits/misses count the effect; docs/PIPELINE.md
-	// discusses when sharing is sound).
-	Dedup bool
 	// RetryBudget, when non-nil, caps the retries of every Run of this
 	// Runner together: Run puts it in the scan context, where each
 	// client's retry.Policy draws on it.

@@ -63,7 +63,7 @@ func BenchmarkRunnerWithObs(b *testing.B) {
 
 // benchArtifacts builds n fully healthy domains, each listing two MX
 // hosts drawn from a shared pool of hostPool providers — the hosting
-// concentration that makes probe dedup pay off on real populations.
+// concentration that makes probe sharing pay off on real populations.
 func benchArtifacts(n, hostPool int) []Artifacts {
 	pool := make([]string, hostPool)
 	for i := range pool {
@@ -102,13 +102,11 @@ var benchSizes = []int{1000, 10000}
 
 // benchRunner is the one configuration both BenchmarkRunnerPipelined
 // and the BENCH_scan.json writer use, so they can never drift apart: 64
-// workers in total, dedup collapsing duplicate MX probes across
-// domains.
+// workers in total.
 func benchRunner(scan *ArtifactScanner) *Runner {
 	return &Runner{
 		Scan:         scan,
 		StageWorkers: StageWorkers{DNS: 32, Fetch: 24, Probe: 8},
-		Dedup:        true,
 	}
 }
 

@@ -27,7 +27,8 @@ type RunnerSpec struct {
 	// ("dns=16,fetch=8,probe=32"); "" or "auto" sizes every stage from
 	// Workers.
 	StageWorkers string
-	// Dedup collapses duplicate in-flight policy fetches and MX probes.
+	// Dedup is ignored: every Runner probes each MX host once per Run.
+	// It remains only so existing struct literals still compile.
 	Dedup bool
 	// RetryBudget is the total retries one built Runner may spend across
 	// its Runs (0 = unlimited). Each Build has its own budget, so each
@@ -49,7 +50,7 @@ func (sp RunnerSpec) Build(scan scanner.Scanner, reg *obs.Registry, events *obs.
 	}
 	r := &scanner.Runner{
 		Workers: workers, Scan: scan, Obs: reg, Events: events,
-		StageWorkers: sw, Dedup: sp.Dedup,
+		StageWorkers: sw,
 	}
 	if sp.RetryBudget > 0 {
 		r.RetryBudget = retry.NewBudget(sp.RetryBudget)

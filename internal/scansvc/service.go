@@ -37,7 +37,7 @@ type Service struct {
 	// concurrent use (scanner.Live and scanner.ArtifactScanner are).
 	Scan scanner.Scanner
 	// Runner shapes the per-job scanner.Runner (stage pool sizes,
-	// dedup).
+	// retry budget).
 	Runner RunnerSpec
 	// Obs, when non-nil, receives the scansvc.* and tlsrpt.ingest.*
 	// metrics cataloged in docs/OBSERVABILITY.md; Events the

@@ -58,84 +58,74 @@ func (g *Group[V]) Do(key string, fn func() V) (val V, shared bool) {
 
 // CacheStats are cumulative effectiveness counters for a Cache.
 type CacheStats struct {
-	// Hits counts calls answered without running fn: either from the
-	// memo of a completed call or by joining an in-flight one.
+	// Hits counts calls answered without running fn: from a completed
+	// entry or by waiting on the call that was computing it.
 	Hits int64
-	// Misses counts calls that ran fn (the in-flight leaders).
+	// Misses counts calls that ran fn: one per distinct key.
 	Misses int64
 }
 
-// Cache is a Group with memoization: the first call per key runs fn,
-// concurrent duplicates join it, and later calls are answered from the
-// stored result without blocking. Entries never expire — a Cache is
-// meant to be scoped to one scan run and dropped with it. The zero
-// value is ready to use.
+// Cache memoizes one result per key: the first call per key runs fn,
+// concurrent callers of the same key wait for it, and later calls read
+// the stored result. Entries never expire — a Cache is meant to be
+// scoped to one scan run and dropped with it. A key costs one
+// allocation, its entry, plus its share of the map. The zero value is
+// ready to use.
 type Cache[V any] struct {
-	g    Group[V]
-	mu   sync.RWMutex
-	vals map[string]V
+	// SizeHint is how many keys the map holds before it first grows; it
+	// is allocated with the first key. A map that grows allocates as
+	// many bytes again as its final size, so a good hint halves what the
+	// map costs.
+	SizeHint int
+
+	mu      sync.RWMutex
+	entries map[string]*entry[V]
 
 	hits, misses atomic.Int64
 }
 
-// Do returns the cached result for key, computing it via fn exactly
-// once across all callers. shared is true when fn did not run for this
-// call (memo hit or joined an in-flight leader).
+// entry is one key's result, computed at most once.
+type entry[V any] struct {
+	once sync.Once
+	val  V
+}
+
+// Do returns the result for key, computing it via fn exactly once
+// across all callers. shared is true when fn did not run for this call.
+// If fn panics, the panic propagates on the caller that ran it, and
+// every call for key returns the zero value from then on — callers
+// whose V carries an error field should treat a zero V as "call
+// failed".
 func (c *Cache[V]) Do(key string, fn func() V) (val V, shared bool) {
 	c.mu.RLock()
-	v, ok := c.vals[key]
+	e := c.entries[key]
 	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return v, true
-	}
-	// A leader that finished between the check above and this call has
-	// already memoized key and left the group, so the group's leader
-	// looks again before running fn.
-	ran := false
-	val, _ = c.g.Do(key, func() V {
-		c.mu.RLock()
-		v, ok := c.vals[key]
-		c.mu.RUnlock()
-		if ok {
-			return v
-		}
-		ran = true
-		v = fn()
+	if e == nil {
 		c.mu.Lock()
-		if c.vals == nil {
-			c.vals = make(map[string]V)
+		if e = c.entries[key]; e == nil {
+			if c.entries == nil {
+				c.entries = make(map[string]*entry[V], c.SizeHint)
+			}
+			e = new(entry[V])
+			c.entries[key] = e
 		}
-		c.vals[key] = v
 		c.mu.Unlock()
-		return v
-	})
-	if !ran {
-		c.hits.Add(1)
-		return val, true
 	}
-	c.misses.Add(1)
-	return val, false
-}
-
-// Get returns the memoized result for key without computing anything.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.vals[key]
-	return v, ok
-}
-
-// Len returns the number of completed, memoized keys.
-func (c *Cache[V]) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.vals)
+	ran := false
+	e.once.Do(func() {
+		ran = true
+		e.val = fn()
+	})
+	if ran {
+		c.misses.Add(1)
+		return e.val, false
+	}
+	c.hits.Add(1)
+	return e.val, true
 }
 
 // Stats returns the cumulative hit/miss counters. For T total calls
-// over U unique keys, Hits == T-U and Misses == U — the analytic
-// identity the dedup stress test asserts.
+// over U unique keys, Hits == T-U and Misses == U.
 func (c *Cache[V]) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }

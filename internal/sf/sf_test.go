@@ -122,22 +122,73 @@ func TestCacheMemoizesAndCounts(t *testing.T) {
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 2 {
 		t.Fatalf("stats %+v, want Hits=1 Misses=2", s)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len=%d, want 2", c.Len())
+}
+
+// TestCacheConcurrentCallersWait holds fn open while other callers of
+// the same key arrive: every one of them must wait for the running call
+// and return its value, and fn must run once.
+func TestCacheConcurrentCallersWait(t *testing.T) {
+	var c Cache[int]
+	var calls atomic.Int64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if v, shared := c.Do("k", func() int {
+			close(started)
+			<-release
+			calls.Add(1)
+			return 42
+		}); v != 42 || shared {
+			t.Errorf("first caller: got (%d, %v), want (42, false)", v, shared)
+		}
+	}()
+	<-started
+	const waiters = 8
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, shared := c.Do("k", func() int { calls.Add(1); return -1 }); v != 42 || !shared {
+				t.Errorf("waiter: got (%d, %v), want (42, true)", v, shared)
+			}
+		}()
 	}
-	if v, ok := c.Get("a"); !ok || v != "va" {
-		t.Fatalf("Get(a) = (%q, %v)", v, ok)
+	time.Sleep(10 * time.Millisecond) // let the waiters block on the entry
+	close(release)
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("fn ran %d times, want 1", calls.Load())
 	}
-	if _, ok := c.Get("missing"); ok {
-		t.Fatal("Get(missing) reported ok")
+	if s := c.Stats(); s.Misses != 1 || s.Hits != waiters {
+		t.Fatalf("stats %+v, want Misses=1 Hits=%d", s, waiters)
 	}
 }
 
-// TestCacheAnalyticHitIdentity pins the identity the scanner's dedup
-// stress test relies on: T concurrent calls over U keys yield exactly
-// U misses and T-U hits, and fn runs once per key. Many short rounds
-// give a caller that misses the memo just as its key's leader finishes
-// the chance to start a second computation.
+// TestCachePanicYieldsZero pins the failure contract: the panic reaches
+// the caller that ran fn, and the key answers the zero value afterwards
+// instead of deadlocking or running fn again.
+func TestCachePanicYieldsZero(t *testing.T) {
+	var c Cache[int]
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic in fn did not propagate")
+			}
+		}()
+		c.Do("k", func() int { panic("boom") })
+	}()
+	if v, shared := c.Do("k", func() int { return 7 }); v != 0 || !shared {
+		t.Fatalf("after panic: got (%d, %v), want (0, true)", v, shared)
+	}
+}
+
+// TestCacheAnalyticHitIdentity pins the identity the scanner's shared
+// probe test relies on: T concurrent calls over U keys yield exactly U
+// misses and T-U hits, and fn runs once per key. Many short rounds give
+// two first callers of a key the chance to race on creating its entry.
 func TestCacheAnalyticHitIdentity(t *testing.T) {
 	const rounds, T, U = 300, 64, 3
 	for r := 0; r < rounds; r++ {
